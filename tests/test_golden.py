@@ -1,0 +1,33 @@
+"""Behaviour lock: regenerated traces equal the stored golden corpus byte for byte."""
+
+import pytest
+
+import golden_corpus as gc
+
+
+def _stored_digests() -> dict[str, str]:
+    out = {}
+    for line in (gc.GOLDEN / "SHA256SUMS").read_text().splitlines():
+        digest, name = line.split(maxsplit=1)
+        out[name] = digest
+    return out
+
+
+@pytest.mark.parametrize("case", gc.cases(), ids=gc.case_name)
+def test_trace_matches_golden(case, tmp_path):
+    name = gc.case_name(case)
+    fresh = tmp_path / name
+    gc.write_case(case, fresh)
+    if case[:2] in gc.DIGEST_ONLY:
+        assert gc.sha256_of(fresh) == _stored_digests()[name]
+    else:
+        assert fresh.read_bytes() == (gc.GOLDEN / name).read_bytes()
+
+
+def test_corpus_is_complete_and_small():
+    stored = {p.name for p in gc.GOLDEN.glob("*.jsonl")}
+    digests = _stored_digests()
+    expected = {gc.case_name(c) for c in gc.cases()}
+    assert stored | set(digests) == expected
+    assert not stored & set(digests)
+    assert sum(p.stat().st_size for p in gc.GOLDEN.iterdir()) < 1_000_000
