@@ -1,9 +1,16 @@
 """Exact angular arithmetic on the unit circle.
 
-Angles are rational fractions of one full turn, held as ``fractions.Fraction``
-and normalised into [0, 1).  Working in turns instead of radians keeps every
-comparison exact, which the decision rule depends on: lexicographic ties and
-open-interval membership must never be corrupted by rounding.
+Angles are rational fractions of one full turn, normalised into [0, 1).
+Working in turns instead of radians keeps every comparison exact, which the
+decision rule depends on: lexicographic ties and open-interval membership
+must never be corrupted by rounding.
+
+At the boundary (files, traces, decisions) an angle is a
+``fractions.Fraction``.  Inside the rule a configuration is held as integer
+gaps over one common denominator, so the hot path compares and adds plain
+ints.  The sequence helpers here (``lex_compare``, ``min_rotation``,
+``canonical_cycle``, ``prefix_sums``, ``least_period``) take either kind of
+number unchanged.
 """
 
 from __future__ import annotations
@@ -11,6 +18,7 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .errors import DegenerateInputError, StructuralError
@@ -140,29 +148,26 @@ def gaps_of(sorted_positions: Sequence[Fraction]) -> tuple[Fraction, ...]:
     )
 
 
-def _divisors_desc(n: int) -> list[int]:
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    out.reverse()
-    return out
+def least_period(seq: Sequence) -> int:
+    """Smallest p dividing len(seq) such that rotating seq by p places fixes it."""
+    n = len(seq)
+    for p in range(1, n):
+        if n % p == 0 and seq[p:] == seq[:-p]:
+            return p
+    return n
 
 
 def rotational_fold(positions: Iterable[Fraction]) -> int:
     """Largest k such that rotating every position by 1/k maps the set onto itself.
 
-    k = 1 means rotationally asymmetric.  Only divisors of n can work: a k-fold
-    symmetric set of n distinct points splits into orbits of size k.
+    k = 1 means rotationally asymmetric.  A rotation maps the set onto itself
+    exactly when it shifts the gap cycle onto itself, so k is n divided by the
+    cycle's least period.
     """
-    pts = {mod1(p) for p in positions}
-    n = len(pts)
-    if n == 0:
+    pts = sorted({mod1(p) for p in positions})
+    if not pts:
         raise StructuralError("no positions")
-    for k in _divisors_desc(n):
-        if k == 1:
-            return 1
-        step = Fraction(1, k)
-        if all(mod1(p + step) in pts for p in pts):
-            return k
-    return 1
+    return len(pts) // least_period(gaps_of(pts))
 
 
 def bisector_points(a: Fraction, b: Fraction) -> tuple[Fraction, Fraction]:
@@ -177,10 +182,9 @@ def bisector_points(a: Fraction, b: Fraction) -> tuple[Fraction, Fraction]:
 
 
 def prefix_sums(seq: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """(0, seq[0], seq[0]+seq[1], ...): offsets of cycle members from the root."""
-    acc = Fraction(0)
-    out = [acc]
-    for g in seq[:-1]:
-        acc += g
-        out.append(acc)
-    return tuple(out)
+    """(0, seq[0], seq[0]+seq[1], ...): offsets of cycle members from the root.
+
+    The leading zero has the type of the entries, so int gaps give int offsets.
+    """
+    zero = seq[0] * 0 if seq else Fraction(0)
+    return tuple(accumulate(seq[:-1], initial=zero))

@@ -62,6 +62,7 @@ from .simulator import (
     RunReport,
     detect_collision,
     explore_schedules,
+    formation_bound,
     fsync_symmetry_experiment,
     run,
     SYMMETRY_RULES,
@@ -99,7 +100,7 @@ def gen_instance(n: int, seed: int, q: Optional[int] = None) -> tuple[Configurat
         c = Configuration(tuple(positions))
         if c.fold() != 1:
             continue
-        if min(c.gaps) <= pattern.min_gap_floor:
+        if not pattern.admits(c):
             continue
         return c, pattern
     raise GenerationError(f"no valid instance in {_ATTEMPTS} attempts (n={n}, q={q})")
@@ -149,7 +150,7 @@ def verify_trace(
     n = len(records[0].positions_before)
     if pattern.n != n:
         return [f"pattern has {pattern.n} gaps for {n} robots"]
-    bound = n + 4 if mode == "det" else n + 6
+    bound = formation_bound(n, mode)
     prev_after: Optional[tuple] = None
     terminated: set[int] = set()
     coverage: set[int] = set()
@@ -252,7 +253,7 @@ def _check_random_move(
     if not recorded.is_move:
         return ["tie-break record is not a move"]
     s = snapshot_of(c, idx, False)
-    cmp = lex_compare(s.forward_gaps, tuple(reversed(s.forward_gaps)))
+    cmp = lex_compare(s.cycle, s.cycle[::-1])
     if cmp == 0:
         return ["nominee with a palindromic view"]
     expected_dir = Direction.FORWARD if cmp < 0 else Direction.REVERSE
@@ -260,7 +261,7 @@ def _check_random_move(
     if recorded.path_direction is not expected_dir:
         msgs.append("tie-break moved away from its smaller reading")
     travel = mod1(recorded.path_direction.sign * (recorded.destination - s.observer_position))
-    limit = (min(s.forward_gaps) - pattern.min_gap_floor) / 2
+    limit = (Fraction(min(s.cycle), s.den) - pattern.min_gap_floor) / 2
     if not 0 < travel < limit:
         msgs.append(f"tie-break draw {travel} outside (0, {limit})")
     return msgs
@@ -339,7 +340,7 @@ def batch(
                 "formed": cell["formed"],
                 "max_epochs": max(epochs) if epochs else None,
                 "mean_epochs": sum(epochs) / len(epochs) if epochs else None,
-                "bound": n + 4 if mode == "det" else n + 6,
+                "bound": formation_bound(n, mode),
                 "violations": cell["violations"],
                 "collisions": cell["collisions"],
             })

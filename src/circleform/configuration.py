@@ -4,23 +4,28 @@ A configuration is the sorted tuple of distinct robot positions.  Everything a
 robot is allowed to act on is delivered through :class:`Snapshot`, which holds
 only relative gap structure: anonymity and the missing sense of orientation
 are enforced by the type, not by convention.
+
+Classification works on integer gap cycles: a configuration's gaps over one
+common denominator, divided by their gcd.  That reduced cycle is unique for
+the gaps it stands for, so caches keyed on it hit exactly when the gaps are
+equal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from math import gcd, lcm
+from operator import lt
 from typing import Iterable, Optional, Union
 
 from .angles import (
     Direction,
-    bisector_points,
-    gaps_of,
+    least_period,
     lex_compare,
     mod1,
     prefix_sums,
-    rotational_fold,
 )
 from .errors import ClassificationError, PreconditionError, StructuralError
 
@@ -34,13 +39,15 @@ class Configuration:
     positions: tuple[Fraction, ...]
 
     def __post_init__(self):
-        if not self.positions:
+        pos = self.positions
+        if not pos:
             raise StructuralError("a configuration needs at least one robot")
-        if any(not (0 <= p < 1) for p in self.positions):
-            raise StructuralError("positions must be normalised into [0, 1)")
-        if list(self.positions) != sorted(self.positions):
-            raise StructuralError("positions must be sorted ascending")
-        if len(set(self.positions)) != len(self.positions):
+        if not (0 <= pos[0] and pos[-1] < 1 and all(map(lt, pos, pos[1:]))):
+            # strictly ascending in [0, 1) fails: name the first broken rule
+            if any(not (0 <= p < 1) for p in pos):
+                raise StructuralError("positions must be normalised into [0, 1)")
+            if list(pos) != sorted(pos):
+                raise StructuralError("positions must be sorted ascending")
             raise StructuralError("positions must be distinct")
 
     @classmethod
@@ -52,35 +59,66 @@ class Configuration:
     def n(self) -> int:
         return len(self.positions)
 
+    @cached_property
+    def _int_gaps(self) -> tuple[int, tuple[int, ...]]:
+        pos = self.positions
+        den = lcm(*(p.denominator for p in pos))
+        nums = [p.numerator * (den // p.denominator) for p in pos]
+        cycle = [b - a for a, b in zip(nums, nums[1:])]
+        cycle.append(nums[0] + den - nums[-1])
+        g = gcd(*cycle)
+        return den // g, tuple(x // g for x in cycle)
+
     @property
+    def den(self) -> int:
+        """Denominator of the integer gap cycle; equals ``sum(self.cycle)``."""
+        return self._int_gaps[0]
+
+    @property
+    def cycle(self) -> tuple[int, ...]:
+        """Cyclic gaps as ints over ``den``, with gcd 1: gaps[i] * den."""
+        return self._int_gaps[1]
+
+    @cached_property
     def gaps(self) -> tuple[Fraction, ...]:
         """Cyclic gaps, gaps[i] from robot i to robot i+1 in presentation order."""
-        return gaps_of(self.positions)
+        den = self.den
+        return tuple(Fraction(g, den) for g in self.cycle)
 
     def fold(self) -> int:
-        return rotational_fold(self.positions)
+        return self.n // least_period(self.cycle)
 
 
 @dataclass(frozen=True)
 class Snapshot:
     """What one robot sees: its two rooted gap sequences.
 
-    ``forward_gaps`` and ``reverse_gaps`` are labelled in the robot's own
-    frame; when ``flipped`` is set the labels are swapped relative to the
-    presentation frame.  ``observer_position`` and ``flipped`` exist so the
-    motion layer can place a computed move back on the shared circle; the
-    choice logic itself only ever reads the gap sequences.
+    ``cycle`` is the gap sequence read forward from the robot, as ints over
+    ``den``; ``forward_gaps`` and ``reverse_gaps`` are the same readings as
+    turns.  All are labelled in the robot's own frame; when ``flipped`` is
+    set the labels are swapped relative to the presentation frame.
+    ``observer_position`` and ``flipped`` exist so the motion layer can place
+    a computed move back on the shared circle; the choice logic itself only
+    ever reads the gap sequences.
     """
 
-    forward_gaps: tuple[Fraction, ...]
-    reverse_gaps: tuple[Fraction, ...]
+    cycle: tuple[int, ...]
+    den: int
     observer_index: int
     observer_position: Fraction
     flipped: bool
 
     @property
     def n(self) -> int:
-        return len(self.forward_gaps)
+        return len(self.cycle)
+
+    @property
+    def forward_gaps(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(g, self.den) for g in self.cycle)
+
+    @property
+    def reverse_gaps(self) -> tuple[Fraction, ...]:
+        return self.forward_gaps[::-1]
 
     def physical_direction(self, label: Direction) -> Direction:
         """Map a direction label from this snapshot's frame to the presentation frame."""
@@ -92,12 +130,9 @@ def snapshot_of(c: Configuration, i: int, flip: bool) -> Snapshot:
     n = c.n
     if not (0 <= i < n):
         raise StructuralError(f"robot index {i} out of range for n={n}")
-    gaps = c.gaps
-    fwd = tuple(gaps[(i + j) % n] for j in range(n))
-    rev = tuple(reversed(fwd))
-    if flip:
-        fwd, rev = rev, fwd
-    return Snapshot(fwd, rev, i, c.positions[i], flip)
+    cycle = c.cycle
+    fwd = cycle[i:] + cycle[:i]
+    return Snapshot(fwd[::-1] if flip else fwd, c.den, i, c.positions[i], flip)
 
 
 @dataclass(frozen=True)
@@ -122,16 +157,16 @@ class DoubleNomineeTied:
 ConfigClass = Union[Symmetric, LeaderConfig, DoubleNomineeTied]
 
 
-def _rooted(gaps: tuple[Fraction, ...], i: int, d: Direction) -> tuple[Fraction, ...]:
+def _rooted(gaps: tuple, i: int, d: Direction) -> tuple:
     """Gap sequence read from robot i in presentation direction d."""
-    n = len(gaps)
     if d is Direction.FORWARD:
-        return tuple(gaps[(i + j) % n] for j in range(n))
-    return tuple(gaps[(i - 1 - j) % n] for j in range(n))
+        return gaps[i:] + gaps[:i]
+    # gaps[i-1], gaps[i-2], ..., wrapping round to gaps[i]
+    return gaps[i - 1::-1] + gaps[:i - 1:-1] if i else gaps[::-1]
 
 
 @lru_cache(maxsize=_CACHE)
-def _nominees_cycle(gaps: tuple[Fraction, ...]) -> tuple[tuple[int, Direction], ...]:
+def _nominees_cycle(gaps: tuple[int, ...]) -> tuple[tuple[int, Direction], ...]:
     """Owners of the globally minimal rooted sequence, as (index, direction).
 
     Only robots adjacent to a minimal gap can own the minimum, so the scan is
@@ -144,7 +179,7 @@ def _nominees_cycle(gaps: tuple[Fraction, ...]) -> tuple[tuple[int, Direction], 
         if g == g_min:
             cands.append((j, Direction.FORWARD))          # reads gaps[j] first
             cands.append(((j + 1) % n, Direction.REVERSE))  # reads gaps[j] first
-    best: Optional[tuple[Fraction, ...]] = None
+    best: Optional[tuple[int, ...]] = None
     winners: list[tuple[int, Direction]] = []
     for i, d in cands:
         seq = _rooted(gaps, i, d)
@@ -168,9 +203,9 @@ def nominees(c: Configuration) -> list[tuple[int, Direction]]:
     Defined only for rotationally asymmetric configurations; the caller must
     screen symmetry first.
     """
-    if rotational_fold(c.positions) != 1:
+    if c.fold() != 1:
         raise ClassificationError("nominees are undefined for symmetric configurations")
-    found = list(_nominees_cycle(c.gaps))
+    found = list(_nominees_cycle(c.cycle))
     if not 1 <= len(found) <= 2:
         raise ClassificationError(
             f"{len(found)} nominees in an asymmetric configuration; expected 1 or 2"
@@ -189,16 +224,27 @@ def arc_population(
     """
     if nominee_a == nominee_b:
         raise PreconditionError("arc_population needs two distinct nominees")
-    pa = c.positions[nominee_a]
-    pb = c.positions[nominee_b]
-    p, q = bisector_points(pa, pb)
+    return _arc_split(c.cycle, nominee_a, nominee_b)
+
+
+def _arc_split(gaps: tuple[int, ...], ia: int, ib: int) -> tuple[int, int, list[int]]:
+    """arc_population on an integer gap cycle, in doubled coordinates.
+
+    Robot k sits at 2 * offset[k] of a turn of 2 * sum(gaps), so the two
+    bisector points of robots a and b, (a + b) / 2 and half a turn on, are
+    whole numbers too.
+    """
+    full = sum(gaps)
+    at = [2 * x for x in prefix_sums(gaps)]
+    p = (at[ia] + at[ib]) // 2
+    q = (p + full) % (2 * full)
     # walk from bisector point p to q: robots strictly inside belong to one
     # arc, the rest to the other
     lo, hi = (p, q) if p < q else (q, p)
-    side_a_is_inner = lo < pa < hi
+    side_a_is_inner = lo < at[ia] < hi
     count_a = count_b = 0
     on_bisector: list[int] = []
-    for idx, pos in enumerate(c.positions):
+    for idx, pos in enumerate(at):
         if pos == p or pos == q:
             on_bisector.append(idx)
         elif (lo < pos < hi) == side_a_is_inner:
@@ -209,15 +255,13 @@ def arc_population(
 
 
 @lru_cache(maxsize=_CACHE)
-def _classify_cycle(gaps: tuple[Fraction, ...]) -> ConfigClass:
-    """Classification in the index space of a rooted gap cycle.
+def _classify_cycle(gaps: tuple[int, ...]) -> ConfigClass:
+    """Classification in the index space of a rooted integer gap cycle.
 
     The result only depends on the cycle, so it is shared by every
     configuration that differs by a global rotation.
     """
-    n = len(gaps)
-    offsets = prefix_sums(gaps)
-    fold = rotational_fold(offsets)
+    fold = len(gaps) // least_period(gaps)
     if fold > 1:
         return Symmetric(fold)
     noms = _nominees_cycle(gaps)
@@ -229,8 +273,7 @@ def _classify_cycle(gaps: tuple[Fraction, ...]) -> ConfigClass:
         (i, d), = noms
         return LeaderConfig(i, d)
     (ia, da), (ib, db) = noms
-    ref = Configuration(tuple(offsets))
-    count_a, count_b, on_bis = arc_population(ref, ia, ib)
+    count_a, count_b, on_bis = _arc_split(gaps, ia, ib)
     if count_a > count_b:
         return LeaderConfig(ia, da)
     if count_b > count_a:
@@ -250,8 +293,7 @@ def classify(c: Configuration) -> ConfigClass:
     """
     if c.n < 3:
         raise PreconditionError("classification needs n >= 3")
-    result = _classify_cycle(c.gaps)
-    return result
+    return _classify_cycle(c.cycle)
 
 
 def pivotal_direction(c: Configuration, leader: int) -> Direction:
@@ -259,10 +301,9 @@ def pivotal_direction(c: Configuration, leader: int) -> Direction:
     cls = classify(c)
     if not isinstance(cls, LeaderConfig) or cls.leader != leader:
         raise PreconditionError("pivotal_direction needs the leader of a leader configuration")
-    gaps = c.gaps
-    fwd = _rooted(gaps, leader, Direction.FORWARD)
-    rev = _rooted(gaps, leader, Direction.REVERSE)
-    cmp = lex_compare(fwd, rev)
+    cmp = lex_compare(
+        _rooted(c.cycle, leader, Direction.FORWARD), _rooted(c.cycle, leader, Direction.REVERSE)
+    )
     if cmp == 0:
         # a leader reading equal sequences both ways would contradict its own
         # leadership; see the classification invariants

@@ -1,9 +1,10 @@
 """The formation rule: from one robot's snapshot to its next move.
 
 The decision logic runs entirely in the snapshot's label space (the observer
-is cycle index 0) and is cached per rooted gap cycle; a thin wrapper maps the
-result back onto the shared circle.  All interval choices are made
-deterministically by midpoint subdivision so runs are exactly replayable.
+is cycle index 0) on integer gaps, and is cached per rooted gap cycle; a thin
+wrapper maps the result back onto the shared circle.  All interval choices
+are made deterministically by midpoint subdivision so runs are exactly
+replayable.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from math import lcm
 from random import Random
 from typing import Iterable, Optional
 
@@ -31,6 +33,7 @@ from .configuration import (
     Snapshot,
     Symmetric,
     _classify_cycle,
+    _rooted,
     classify,
 )
 from .errors import (
@@ -95,6 +98,20 @@ class TargetPattern:
         instance generator enforces that.
         """
         return max(ZERO, 2 * self.angles[0] - self.angles[-1])
+
+    @cached_property
+    def cycle(self) -> tuple[int, ...]:
+        """``angles`` as coprime ints over ``den``: the key the rule caches on."""
+        return Configuration(prefix_sums(self.angles)).cycle
+
+    @cached_property
+    def den(self) -> int:
+        return sum(self.cycle)
+
+    def admits(self, c: Configuration) -> bool:
+        """True when every gap of ``c`` clears ``min_gap_floor``, as the rule
+        requires of a starting configuration."""
+        return Fraction(min(c.cycle), c.den) > self.min_gap_floor
 
 
 @dataclass(frozen=True)
@@ -180,9 +197,48 @@ def forbidden_epsilons_bisector(
     return frozenset(out)
 
 
-def _bisector_blocked(nb: Fraction, sign: int, others: Iterable[Fraction]) -> set:
-    # label-space twin of forbidden_epsilons_bisector with the mover at offset 0
-    return {mod1(sign * (2 * x - nb)) for x in others}
+def _bisector_blocked(nb: int, sign: int, others: Iterable[int], full: int) -> set:
+    # label-space twin of forbidden_epsilons_bisector with the mover at offset
+    # 0, on integer offsets over ``full``
+    return {(sign * (2 * x - nb)) % full for x in others}
+
+
+def _pick(lo: int, hi: int, bad: Iterable[int], full: int) -> Fraction:
+    """select_in_interval on integer bounds over ``full``; the choice as a turn."""
+    return select_in_interval(
+        Fraction(lo, full), Fraction(hi, full), {Fraction(b, full) for b in bad}
+    ).chosen
+
+
+def _common_scale(
+    gaps: tuple[int, ...], den: int, pat: tuple[int, ...], pden: int
+) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """(full, gaps, pat): two int cycles over den and pden, rescaled to one
+    common denominator ``full``."""
+    full = lcm(den, pden)
+    a, b = full // den, full // pden
+    return (
+        full,
+        gaps if a == 1 else tuple(g * a for g in gaps),
+        pat if b == 1 else tuple(x * b for x in pat),
+    )
+
+
+def _role_gaps(
+    c: Configuration, found: LeaderConfig, pattern: TargetPattern
+) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """(full, role gaps, pattern gaps) of a leader configuration, as ints over full.
+
+    Role gaps are read from the leader along the pivotal direction, as in
+    :class:`RoleFrame`.
+    """
+    gaps = _rooted(c.cycle, found.leader, found.pivotal)
+    return _common_scale(gaps, c.den, pattern.cycle, pattern.den)
+
+
+def _settled(gaps: tuple, pat: tuple) -> bool:
+    """Every role past the leader's two neighbours sits on its target."""
+    return prefix_sums(gaps)[3:] == prefix_sums(pat)[3:]
 
 
 @dataclass(frozen=True)
@@ -207,13 +263,8 @@ class RoleFrame:
             raise PreconditionError("role structure needs a leader configuration")
         n = c.n
         lead, piv = found.leader, found.pivotal
-        q = piv.sign
-        raw = c.gaps
-        if q > 0:
-            gaps = tuple(raw[(lead + k) % n] for k in range(n))
-        else:
-            gaps = tuple(raw[(lead - 1 - k) % n] for k in range(n))
-        order = tuple((lead + q * k) % n for k in range(n))
+        gaps = _rooted(c.gaps, lead, piv)
+        order = tuple((lead + piv.sign * k) % n for k in range(n))
         return cls(lead, piv, order, gaps, prefix_sums(gaps))
 
 
@@ -239,7 +290,7 @@ def pattern_formed(c: Configuration, pattern: TargetPattern) -> bool:
     """True when the configuration realises the pattern in either direction."""
     if pattern.n != c.n:
         raise StructuralError(f"pattern has {pattern.n} gaps for {c.n} robots")
-    return canonical_cycle(c.gaps) == pattern.angles
+    return canonical_cycle(c.cycle) == pattern.cycle
 
 
 def _goal_offsets(emb: Embedding) -> tuple[Fraction, ...]:
@@ -271,12 +322,13 @@ def is_pfc(c: Configuration, emb: Embedding) -> bool:
     return all(frame.at[k] == goal[k] for k in range(3, c.n))
 
 
-def _move_ready_role(gaps: tuple[Fraction, ...], goal: tuple[Fraction, ...]) -> Optional[int]:
+def _move_ready_role(gaps: tuple, goal: tuple, full=FULL_TURN) -> Optional[int]:
     """First role >= 3 that is off target with clearance to reach it.
 
     Clearance: the gap to the next robot on the destination side must exceed
     the travel distance by more than gaps[1], so the landed robot still
-    leaves a wider gap than the second-smallest one.
+    leaves a wider gap than the second-smallest one.  ``full`` is one turn
+    in the units of the gaps.
     """
     n = len(gaps)
     at = prefix_sums(gaps)
@@ -284,7 +336,7 @@ def _move_ready_role(gaps: tuple[Fraction, ...], goal: tuple[Fraction, ...]) -> 
         if at[k] == goal[k]:
             continue
         if goal[k] > at[k]:
-            room = (at[k + 1] if k + 1 < n else FULL_TURN) - at[k]
+            room = (at[k + 1] if k + 1 < n else full) - at[k]
             dist = goal[k] - at[k]
         else:
             room = at[k] - at[k - 1]
@@ -306,13 +358,16 @@ def move_ready(c: Configuration, emb: Embedding) -> Optional[int]:
 
 
 @lru_cache(maxsize=_CACHE)
-def _decide(cycle: tuple[Fraction, ...], pat: tuple[Fraction, ...], mutant: Optional[str]):
+def _decide(cycle: tuple[int, ...], pat: tuple[int, ...], mutant: Optional[str]):
     """Label-space core of the rule; the observer is cycle index 0.
 
-    Returns ("terminate",), ("stay", why), ("unsolvable", fold),
-    ("invariant", message), or ("move", dist, sign, branch) with sign +1 for
-    label-forward, -1 for label-reverse, 0 when the caller may pick either
-    (the two readings tie, so both neighbours are equivalent).
+    ``cycle`` and ``pat`` are coprime integer gap cycles, each over its own
+    sum (``Snapshot.cycle`` and ``TargetPattern.cycle``).  Returns
+    ("terminate",), ("stay", why), ("unsolvable", fold), ("invariant",
+    message), or ("move", dist, sign, branch) with dist a Fraction of a turn
+    and sign +1 for label-forward, -1 for label-reverse, 0 when the caller
+    may pick either (the two readings tie, so both neighbours are
+    equivalent).
     """
     n = len(cycle)
     if canonical_cycle(cycle) == pat:
@@ -320,13 +375,15 @@ def _decide(cycle: tuple[Fraction, ...], pat: tuple[Fraction, ...], mutant: Opti
     found = _classify_cycle(cycle)
     if isinstance(found, Symmetric):
         return ("unsolvable", found.fold)
-    floor = max(ZERO, 2 * pat[0] - pat[-1])
+    # from here on every length is an int over ``full``
+    full, cycle, pat = _common_scale(cycle, sum(cycle), pat, sum(pat))
+    floor = max(0, 2 * pat[0] - pat[-1])
     off = prefix_sums(cycle)
 
     if isinstance(found, DoubleNomineeTied):
         if found.bisector_robot != 0:
             return ("stay", "wait_tie")
-        cmp = lex_compare(cycle, tuple(reversed(cycle)))
+        cmp = lex_compare(cycle, cycle[::-1])
         if cmp <= 0:
             sign, near, nb, others = (1 if cmp else 0), cycle[0], off[1], off[2:]
         else:
@@ -335,19 +392,15 @@ def _decide(cycle: tuple[Fraction, ...], pat: tuple[Fraction, ...], mutant: Opti
         lo, hi = near - g_min, near - floor
         if hi <= lo:
             hi = near
-        bad = _bisector_blocked(nb, sign or 1, others)
-        eps = select_in_interval(lo, hi, bad).chosen
-        return ("move", eps, sign, "break_tie")
+        bad = _bisector_blocked(nb, sign or 1, others, full)
+        return ("move", _pick(lo, hi, bad, full), sign, "break_tie")
 
     lead, q = found.leader, found.pivotal.sign
     role = (q * (0 - lead)) % n
-    if q > 0:
-        gaps = tuple(cycle[(lead + k) % n] for k in range(n))
-    else:
-        gaps = tuple(cycle[(lead - 1 - k) % n] for k in range(n))
+    gaps = _rooted(cycle, lead, found.pivotal)
     at = prefix_sums(gaps)
     goal = prefix_sums(pat)
-    settled = all(at[k] == goal[k] for k in range(3, n))
+    settled = _settled(gaps, pat)
     lead_margin = min(min(gaps[1:]), pat[0])
     r1_home = gaps[0] == pat[0]
 
@@ -361,28 +414,26 @@ def _decide(cycle: tuple[Fraction, ...], pat: tuple[Fraction, ...], mutant: Opti
                 hi = gaps[0]
             nb = off[1] if q > 0 else off[-1]
             others = off[2:] if q > 0 else off[1:-1]
-            bad = _bisector_blocked(nb, q, others)
+            bad = _bisector_blocked(nb, q, others, full)
             # a landing that makes the follower's far reading match the
             # leader's near one would manufacture a two-nominee tie
             blocker = gaps[1] - gaps[n - 1]
             if blocker > 0:
                 bad.add(blocker)
-            eps = select_in_interval(lo, hi, bad).chosen
-            return ("move", eps, q, "shrink_lead_gap")
+            return ("move", _pick(lo, hi, bad, full), q, "shrink_lead_gap")
         return ("stay", "wait_lead")
 
     if role == 2:
         second_margin = min(min(gaps[2:]), pat[0])
         if not settled and gaps[0] < lead_margin and gaps[1] >= second_margin:
             if mutant == "eps1-lower":
-                lo, hi = ZERO, gaps[1] - gaps[0]
+                lo, hi = 0, gaps[1] - gaps[0]
             else:
                 lo, hi = gaps[1] - second_margin, gaps[1] - gaps[0]
-            eps = select_in_interval(lo, hi).chosen
-            return ("move", eps, -q, "shrink_second_gap")
+            return ("move", _pick(lo, hi, (), full), -q, "shrink_second_gap")
         if settled and gaps[0] <= pat[0] and (gaps[0] < lead_margin or r1_home):
             if pat[0] + pat[1] - gaps[0] < pat[-1]:
-                v, tag = goal[2], "finish_direct"
+                dist, tag = Fraction(goal[2] - at[2], full), "finish_direct"
             else:
                 # going straight to target would hand the smallest readings
                 # to the far side; park short of it until role 1 passes
@@ -390,28 +441,27 @@ def _decide(cycle: tuple[Fraction, ...], pat: tuple[Fraction, ...], mutant: Opti
                 hi = pat[-1]
                 if hi <= lo:
                     lo = pat[0] - gaps[0]
-                v = gaps[0] + select_in_interval(lo, hi).chosen
+                dist = Fraction(gaps[0] - at[2], full) + _pick(lo, hi, (), full)
                 tag = "finish_detour"
-            if v == at[2]:
+            if dist == 0:
                 return ("stay", "parked")
-            sd = 1 if v > at[2] else -1
-            return ("move", abs(v - at[2]), sd * q, tag)
+            return ("move", abs(dist), (1 if dist > 0 else -1) * q, tag)
         return ("stay", "wait_second")
 
     if role == 1:
         if settled and gaps[0] < lead_margin and gaps[1] > pat[1]:
-            sd = 1 if goal[1] > at[1] else -1
-            return ("move", abs(goal[1] - at[1]), sd * q, "finish_near")
+            d = goal[1] - at[1]
+            return ("move", Fraction(abs(d), full), (1 if d > 0 else -1) * q, "finish_near")
         return ("stay", "wait_near")
 
     if _rfc_on(gaps, pat[0]) and not settled:
-        k = _move_ready_role(gaps, goal)
+        k = _move_ready_role(gaps, goal, full)
         if k is None:
             return ("invariant", "no robot is cleared to move in a releasable configuration")
         if k != role:
             return ("stay", "wait_settle")
-        sd = 1 if goal[k] > at[k] else -1
-        return ("move", abs(goal[k] - at[k]), sd * q, "settle_target")
+        d = goal[k] - at[k]
+        return ("move", Fraction(abs(d), full), (1 if d > 0 else -1) * q, "settle_target")
     return ("stay", "hold")
 
 
@@ -438,14 +488,14 @@ def _to_decision(instr: tuple, s: Snapshot) -> Decision:
 
 
 def _random_step(s: Snapshot, rng: Random, floor: Fraction = ZERO) -> Decision:
-    cycle = s.forward_gaps
-    cmp = lex_compare(cycle, tuple(reversed(cycle)))
+    cycle = s.cycle
+    cmp = lex_compare(cycle, cycle[::-1])
     if cmp == 0:
         # a nominee reading the same both ways would own the minimum twice,
         # which forces a rotation symmetry; cannot happen here
         raise InvariantViolationError("nominee with a palindromic view")
     sign = 1 if cmp < 0 else -1
-    g_min = min(cycle)
+    g_min = Fraction(min(cycle), s.den)
     k = rng.randrange(1, _RAND_DENOM)
     eps = Fraction(k, _RAND_DENOM) * (g_min - floor) / 2
     label = Direction.FORWARD if sign > 0 else Direction.REVERSE
@@ -459,7 +509,7 @@ def randomized_nominee_move(s: Snapshot, rng: Random) -> Decision:
     amount below half the minimum gap toward its smaller-reading neighbour."""
     if s.n % 2:
         raise PreconditionError("randomized tie-break applies to even robot counts")
-    found = _classify_cycle(s.forward_gaps)
+    found = _classify_cycle(s.cycle)
     if not isinstance(found, DoubleNomineeTied) or 0 not in (found.nominee_a, found.nominee_b):
         raise PreconditionError("randomized tie-break needs an observing nominee in a tied configuration")
     return _random_step(s, rng)
@@ -480,9 +530,9 @@ def compute(
     """
     if pattern.n != s.n:
         raise StructuralError(f"pattern has {pattern.n} gaps for {s.n} robots")
-    cycle = s.forward_gaps
-    if rng is not None and s.n % 2 == 0 and canonical_cycle(cycle) != pattern.angles:
+    cycle = s.cycle
+    if rng is not None and s.n % 2 == 0 and canonical_cycle(cycle) != pattern.cycle:
         found = _classify_cycle(cycle)
         if isinstance(found, DoubleNomineeTied) and 0 in (found.nominee_a, found.nominee_b):
             return _random_step(s, rng, pattern.min_gap_floor)
-    return _to_decision(_decide(cycle, pattern.angles, mutant), s)
+    return _to_decision(_decide(cycle, pattern.cycle, mutant), s)

@@ -19,7 +19,7 @@ from fractions import Fraction
 from random import Random
 from typing import Callable, Mapping, Optional, Sequence
 
-from .angles import Direction, Turn, mod1, prefix_sums
+from .angles import Direction, Turn, mod1
 from .configuration import (
     ConfigClass,
     Configuration,
@@ -41,14 +41,13 @@ from .errors import (
 from .formation import (
     Decision,
     DecisionKind,
-    RoleFrame,
     TargetPattern,
     _rfc_on,
+    _role_gaps,
+    _settled,
     compute,
     pattern_formed,
 )
-
-_ZERO = Fraction(0)
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +212,11 @@ def detect_collision(
     unit time interval; stationary robots sit at speed zero.  Arrival on top
     of another robot at t = 1 counts as a collision.  Returns the earliest
     witness (ties broken by index pair) or None.
+
+    Robots keep their cyclic order until the first meeting, so the earliest
+    time is the earliest closing of a gap between cyclic neighbours.  Every
+    robot at one point then is a run of neighbours whose gaps all close at
+    that time; the witness is the least index pair within such a run.
     """
     pos = c.positions
     n = c.n
@@ -224,27 +228,34 @@ def detect_collision(
             travel = mod1(d.path_direction.sign * (d.destination - pos[i]))
             if travel:
                 vel[i] = d.path_direction.sign * travel
-    if not vel:
+    if not vel or n < 2:
         return None
-    best: Optional[tuple[Fraction, int, int]] = None
-    for i in sorted(vel):
-        for j in range(n):
-            if j == i or (j in vel and j < i):
-                continue
-            dp = pos[i] - pos[j]
-            dv = vel[i] - vel.get(j, _ZERO)
-            if dv == 0:
-                # equal velocities keep the separation constant and nonzero
-                continue
-            for k in (-2, -1, 0, 1, 2):
-                t = (k - dp) / dv
-                if 0 < t <= 1:
-                    cand = (t, min(i, j), max(i, j))
-                    if best is None or cand < best:
-                        best = cand
+    cycle, den = c.cycle, c.den
+    best: Optional[Fraction] = None
+    closing: set[int] = set()  # i such that the gap from robot i to i+1 closes at best
+    for i in {(m - 1) % n for m in vel} | set(vel):
+        speed = vel.get(i, 0) - vel.get((i + 1) % n, 0)
+        if speed <= 0:
+            continue
+        t = Fraction(cycle[i], den) / speed
+        if t > 1 or (best is not None and t > best):
+            continue
+        if t != best:
+            best, closing = t, set()
+        closing.add(i)
     if best is None:
         return None
-    return CollisionWitness(best[1], best[2], best[0])
+    pairs = []
+    for i in closing:
+        if (i - 1) % n in closing:
+            continue  # not the first gap of its run
+        run_ids = [i]
+        while run_ids[-1] in closing:
+            run_ids.append((run_ids[-1] + 1) % n)
+        first, second = sorted(run_ids)[:2]
+        pairs.append((first, second))
+    first, second = min(pairs)
+    return CollisionWitness(first, second, best)
 
 
 # ---------------------------------------------------------------------------
@@ -311,10 +322,9 @@ def phase_of(c: Configuration, pattern: TargetPattern) -> str:
         return "symmetric"
     if isinstance(found, DoubleNomineeTied):
         return "tied"
-    frame = RoleFrame.from_configuration(c)
-    goal = prefix_sums(pattern.angles)
-    settled = all(frame.at[k] == goal[k] for k in range(3, c.n))
-    released = _rfc_on(frame.gaps, pattern.angles[0])
+    _, gaps, pat = _role_gaps(c, found, pattern)
+    settled = _settled(gaps, pat)
+    released = _rfc_on(gaps, pat[0])
     if released and settled:
         return "pfc"
     if released:
@@ -337,36 +347,38 @@ def _branch_postconditions(
         return [f"{branch}: {e}"]
     if pattern_formed(after, pattern):
         return []
-    beta0 = pattern.angles[0]
     msgs: list[str] = []
+    # min gap after >= min gap before, cross-multiplied over the two denominators
+    no_shrink = min(after.cycle) * before.den >= min(before.cycle) * after.den
     if not isinstance(found, LeaderConfig):
         if branch in ("break_tie", "random_tiebreak") and after.n % 2 == 0:
             # an even count can legitimately stay tied only under joint moves
             msgs.append(f"{branch}: no leader after a lone tie-break move")
         elif branch != "random_tiebreak":
             msgs.append(f"{branch}: configuration lost its leader")
-        if branch in ("break_tie", "random_tiebreak") and min(after.gaps) >= min(before.gaps):
+        if branch in ("break_tie", "random_tiebreak") and no_shrink:
             msgs.append(f"{branch}: minimum gap did not shrink")
         return msgs
-    frame = RoleFrame.from_configuration(after)
-    g = frame.gaps
+    full, g, pat = _role_gaps(after, found, pattern)
+    beta0 = pat[0]
     if branch in ("break_tie", "random_tiebreak"):
-        if min(after.gaps) >= min(before.gaps):
+        if no_shrink:
             msgs.append(f"{branch}: minimum gap did not shrink")
     elif branch == "shrink_lead_gap":
         if not g[0] < min(min(g[1:]), beta0):
             msgs.append("shrink_lead_gap: leader gap is not the strict minimum")
     elif branch == "shrink_second_gap":
         if not g[0] < g[1] < min(min(g[2:]), beta0):
+            a, b, m = (Fraction(x, full) for x in (g[0], g[1], min(min(g[2:]), beta0)))
             msgs.append(
                 "shrink_second_gap: second gap missed the strict corridor "
-                f"({g[0]} < {g[1]} < {min(min(g[2:]), beta0)} fails)"
+                f"({a} < {b} < {m} fails)"
             )
     elif branch == "settle_target":
         if not _rfc_on(g, beta0):
             msgs.append("settle_target: landing broke the released ordering")
     elif branch == "finish_detour":
-        if not g[1] > pattern.angles[1]:
+        if not g[1] > pat[1]:
             msgs.append("finish_detour: parked robot sits within the second target gap")
     # finish_direct / finish_near only owe leadership, checked above
     return msgs
@@ -487,6 +499,19 @@ class _GeomState:
         return d
 
 
+def formation_bound(n: int, mode: str) -> int:
+    """Epochs within which a run of ``n`` robots in ``mode`` must form the pattern."""
+    return n + 4 if mode == "det" else n + 6
+
+
+def _check_gap_floor(c0: Configuration, pattern: TargetPattern) -> None:
+    if not pattern.admits(c0):
+        raise PreconditionError(
+            f"starting gap {min(c0.gaps)} is not above the pattern's gap floor "
+            f"{pattern.min_gap_floor}"
+        )
+
+
 def run(
     c0: Configuration,
     pattern: TargetPattern,
@@ -518,13 +543,14 @@ def run(
     fold = c0.fold()
     if fold > 1:
         raise SymmetricConfigurationError(fold)
+    _check_gap_floor(c0, pattern)
 
     orientation = orientation if orientation is not None else OrientationAdversary()
     master = Random(seed)
     policy.reset(n, master.getrandbits(64))
     orientation.reset(master.getrandbits(64))
     rng = Random(master.getrandbits(64)) if mode == "rand" else None
-    bound = n + 4 if mode == "det" else n + 6
+    bound = formation_bound(n, mode)
     budget = max_epochs if max_epochs is not None else n + 6
 
     report = RunReport(n=n, scheduler=policy.name, mode=mode, bound=bound)
@@ -758,6 +784,7 @@ def explore_schedules(
     fold = c0.fold()
     if fold > 1:
         raise SymmetricConfigurationError(fold)
+    _check_gap_floor(c0, pattern)
 
     State = tuple  # (positions by id, terminated frozenset, locked leader)
     start: State = (c0.positions, frozenset(), None)
@@ -849,8 +876,8 @@ def explore_schedules(
                             tuple(new_pos),
                         )
                     if locked is None:
-                        frame = RoleFrame.from_configuration(c_after)
-                        if _rfc_on(frame.gaps, pattern.angles[0]):
+                        _, gaps, pat = _role_gaps(c_after, cls, pattern)
+                        if _rfc_on(gaps, pat[0]):
                             new_locked = current
                 elif locked is not None:
                     return fail(

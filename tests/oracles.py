@@ -7,13 +7,16 @@ oracle enumerates everything instead.
 """
 
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from circleform import (
+    CollisionWitness,
     Configuration,
+    Decision,
     Direction,
     Embedding,
     LeaderConfig,
+    PreconditionError,
     angle_between,
     bisector_points,
     classify,
@@ -109,3 +112,64 @@ def on_some_bisector(
     of the (mover, neighbor) pair?"""
     p, q = bisector_points(mover, neighbor)
     return any(x == p or x == q for x in others)
+
+
+def brute_arc_population(
+    positions: Sequence[Fraction], a: int, b: int
+) -> tuple[int, int, list[int]]:
+    """Split robots by the bisector of robots a and b, on raw positions.
+
+    Returns (robots on a's side, robots on b's side, robots on the bisector).
+    """
+    p, q = bisector_points(positions[a], positions[b])
+    lo, hi = sorted((p, q))
+    a_inside = lo < positions[a] < hi
+    count_a = count_b = 0
+    on_bisector = []
+    for idx, x in enumerate(positions):
+        if x in (p, q):
+            on_bisector.append(idx)
+        elif (lo < x < hi) == a_inside:
+            count_a += 1
+        else:
+            count_b += 1
+    return count_a, count_b, on_bisector
+
+
+def all_pairs_collision(
+    c: Configuration, decisions: Mapping[int, Decision]
+) -> Optional[CollisionWitness]:
+    """Earliest meeting by trying every mover against every robot.
+
+    Each pair's separation changes linearly, so the pair meets at the times
+    t = (k - dp) / dv in (0, 1] for whole turns k; five values of k cover
+    every separation and relative speed below one turn.
+    """
+    pos = c.positions
+    n = c.n
+    vel: dict[int, Fraction] = {}
+    for i, d in decisions.items():
+        if not 0 <= i < n:
+            raise PreconditionError(f"decision for unknown robot {i}")
+        if d.is_move:
+            travel = mod1(d.path_direction.sign * (d.destination - pos[i]))
+            if travel:
+                vel[i] = d.path_direction.sign * travel
+    best: Optional[tuple[Fraction, int, int]] = None
+    for i in sorted(vel):
+        for j in range(n):
+            if j == i or (j in vel and j < i):
+                continue
+            dp = pos[i] - pos[j]
+            dv = vel[i] - vel.get(j, 0)
+            if dv == 0:
+                continue
+            for k in (-2, -1, 0, 1, 2):
+                t = (k - dp) / dv
+                if 0 < t <= 1:
+                    cand = (t, min(i, j), max(i, j))
+                    if best is None or cand < best:
+                        best = cand
+    if best is None:
+        return None
+    return CollisionWitness(best[1], best[2], best[0])

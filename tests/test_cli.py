@@ -52,6 +52,7 @@ class TestGenInstance:
         assert c.fold() == 1
         assert pattern.n == 5
         assert min(c.gaps) > pattern.min_gap_floor
+        assert pattern.admits(c)
 
     def test_rejects_tiny_n(self):
         with pytest.raises(PreconditionError):
@@ -144,6 +145,14 @@ class TestRunCommand:
         code = main(["run", "--config", cpath, "--pattern", ppath, "--mode", "det"])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    def test_start_below_the_gap_floor_exits_one(self, tmp_path, capsys):
+        p = TargetPattern.from_angles([F(30, 100), F(31, 100), F(39, 100)])
+        cpath, ppath = write_instance(tmp_path, config(0, F(1, 10), F(1, 2)), p)
+        assert main(["run", "--config", cpath, "--pattern", ppath]) == 1
+        assert "gap floor" in capsys.readouterr().err
+        assert main(["explore", "--config", cpath, "--pattern", ppath, "--budget", "2"]) == 1
+        assert "gap floor" in capsys.readouterr().err
 
     def test_missing_file_exits_one(self, tmp_path, capsys):
         code = main(["run", "--config", str(tmp_path / "nope.json"),

@@ -29,6 +29,7 @@ from circleform.simulator import (
     RoundRobinSingleton,
     detect_collision,
     explore_schedules,
+    formation_bound,
     fsync_symmetry_experiment,
     phase_of,
     run,
@@ -261,6 +262,20 @@ class TestRun:
         with pytest.raises(StructuralError):
             run(single_nominee5, p, FullSync(), seed=0)
 
+    @pytest.mark.parametrize("low", [F(1, 10), F(21, 100)])
+    def test_start_at_or_below_the_gap_floor_is_refused(self, low):
+        # floor 21/100: the smallest start gap is below it, then exactly on it
+        p = TargetPattern.from_angles([F(30, 100), F(31, 100), F(39, 100)])
+        c = config(0, low, F(1, 2))
+        assert not p.admits(c)
+        with pytest.raises(PreconditionError, match="gap floor"):
+            run(c, p, FullSync(), seed=0)
+
+    def test_bound_has_one_definition(self, single_nominee5, pattern5):
+        report, _ = run(single_nominee5, pattern5, FullSync(), seed=0)
+        assert report.bound == formation_bound(5, "det") == 9
+        assert formation_bound(4, "rand") == 10
+
     def test_randomized_tie_break_forms_and_draws_distinctly(self, mirror_tied4):
         p = TargetPattern.from_angles([F(1, 12), F(3, 12), F(4, 12), F(4, 12)])
         report, _ = run(mirror_tied4, p, FullSync(), seed=2, mode="rand")
@@ -323,6 +338,11 @@ class TestExploreSchedules:
         c0, pattern = gen_instance(3, 2)
         with pytest.raises(PreconditionError):
             explore_schedules(c0, pattern, 7)
+
+    def test_refuses_a_start_below_the_gap_floor(self):
+        p = TargetPattern.from_angles([F(30, 100), F(31, 100), F(39, 100)])
+        with pytest.raises(PreconditionError, match="gap floor"):
+            explore_schedules(config(0, F(1, 10), F(1, 2)), p, 2)
 
     def test_refuses_blowing_the_state_cap(self):
         c0, pattern = gen_instance(3, 2)
