@@ -60,24 +60,20 @@ class Configuration:
         return len(self.positions)
 
     @cached_property
-    def _int_gaps(self) -> tuple[int, tuple[int, ...]]:
+    def cycle(self) -> tuple[int, ...]:
+        """Cyclic gaps as coprime ints over ``den``: gaps[i] * den."""
         pos = self.positions
         den = lcm(*(p.denominator for p in pos))
         nums = [p.numerator * (den // p.denominator) for p in pos]
         cycle = [b - a for a, b in zip(nums, nums[1:])]
         cycle.append(nums[0] + den - nums[-1])
         g = gcd(*cycle)
-        return den // g, tuple(x // g for x in cycle)
+        return tuple(x // g for x in cycle)
 
-    @property
+    @cached_property
     def den(self) -> int:
-        """Denominator of the integer gap cycle; equals ``sum(self.cycle)``."""
-        return self._int_gaps[0]
-
-    @property
-    def cycle(self) -> tuple[int, ...]:
-        """Cyclic gaps as ints over ``den``, with gcd 1: gaps[i] * den."""
-        return self._int_gaps[1]
+        """Denominator of ``cycle``: the sum of its entries."""
+        return sum(self.cycle)
 
     @cached_property
     def gaps(self) -> tuple[Fraction, ...]:
