@@ -445,13 +445,12 @@ def _decide(cycle: tuple[int, ...], pat: tuple[int, ...], mutant: Optional[str])
                 tag = "finish_detour"
             if dist == 0:
                 return ("stay", "parked")
-            return ("move", abs(dist), (1 if dist > 0 else -1) * q, tag)
+            return _move_by(dist, q, tag)
         return ("stay", "wait_second")
 
     if role == 1:
         if settled and gaps[0] < lead_margin and gaps[1] > pat[1]:
-            d = goal[1] - at[1]
-            return ("move", Fraction(abs(d), full), (1 if d > 0 else -1) * q, "finish_near")
+            return _move_by(Fraction(goal[1] - at[1], full), q, "finish_near")
         return ("stay", "wait_near")
 
     if _rfc_on(gaps, pat[0]) and not settled:
@@ -460,9 +459,13 @@ def _decide(cycle: tuple[int, ...], pat: tuple[int, ...], mutant: Optional[str])
             return ("invariant", "no robot is cleared to move in a releasable configuration")
         if k != role:
             return ("stay", "wait_settle")
-        d = goal[k] - at[k]
-        return ("move", Fraction(abs(d), full), (1 if d > 0 else -1) * q, "settle_target")
+        return _move_by(Fraction(goal[k] - at[k], full), q, "settle_target")
     return ("stay", "hold")
+
+
+def _move_by(d: Fraction, q: int, branch: str) -> tuple:
+    """The move instruction for signed travel d along label direction q."""
+    return ("move", abs(d), (1 if d > 0 else -1) * q, branch)
 
 
 def _to_decision(instr: tuple, s: Snapshot) -> Decision:
