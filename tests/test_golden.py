@@ -1,4 +1,6 @@
-"""Behaviour lock: regenerated traces equal the stored golden corpus byte for byte."""
+"""Behaviour lock: regenerated traces and audit findings equal the stored corpus."""
+
+import json
 
 import pytest
 
@@ -31,3 +33,7 @@ def test_corpus_is_complete_and_small():
     assert stored | set(digests) == expected
     assert not stored & set(digests)
     assert sum(p.stat().st_size for p in gc.GOLDEN.iterdir()) < 1_000_000
+
+
+def test_audit_matches_corpus():
+    assert gc.audit_corpus() == json.loads(gc.AUDIT.read_text())
