@@ -1,13 +1,15 @@
 """Command-line harness around the simulator.
 
-Subcommands:
+The commands parse arguments, call the library (instances from
+``formation``; runs, sweeps, exploration and trace verification from
+``simulator``) and print the results.  Subcommands:
 
 * ``gen``      write a seeded instance (configuration and pattern files)
 * ``run``      simulate one run, optionally tracing and rendering SVG frames
 * ``batch``    sweep robot counts by schedulers; CSV plus a readable table
 * ``explore``  exhaustively check every schedule on a small instance
 * ``symmetry`` fully synchronous rounds from symmetric starts, fold trajectory
-* ``verify``   replay a recorded trace and audit every round
+* ``verify``   replay a recorded trace and apply ``run``'s audit to it
 
 Exit codes: 0 when all checks pass, 1 for usage or input problems, 2 when a
 run violates an invariant, a counterexample or collision is found, the input
@@ -27,23 +29,16 @@ from pathlib import Path
 from random import Random
 from typing import Optional, Sequence
 
-from .angles import Direction, format_turn, lex_compare, mod1
-from .configuration import (
-    Configuration,
-    DoubleNomineeTied,
-    classify,
-    snapshot_of,
-)
+from .angles import format_turn
+from .configuration import Configuration
 from .errors import (
     CircleFormError,
-    GenerationError,
-    PatternError,
     PreconditionError,
     StructuralError,
     SymmetricConfigurationError,
     TraceParseError,
 )
-from .formation import TargetPattern, compute, pattern_formed
+from .formation import gen_instance, symmetric_instance
 from .formats import (
     load_config,
     load_pattern,
@@ -54,217 +49,17 @@ from .formats import (
 )
 from .simulator import (
     POLICIES,
-    ActivationPolicy,
-    LazyAdversary,
+    SYMMETRY_RULES,
     OrientationAdversary,
-    RandomSubset,
     RoundRecord,
     RunReport,
-    detect_collision,
+    batch,
     explore_schedules,
-    formation_bound,
     fsync_symmetry_experiment,
+    make_policy,
     run,
-    SYMMETRY_RULES,
+    verify_trace,
 )
-
-_ATTEMPTS = 1000
-
-
-# ---------------------------------------------------------------------------
-# instance generation
-
-
-def gen_instance(n: int, seed: int, q: Optional[int] = None) -> tuple[Configuration, TargetPattern]:
-    """Seeded random instance: asymmetric start plus a formable pattern.
-
-    Positions land on the 1/q grid (so denominators never exceed q), the
-    configuration is rotationally asymmetric, and its smallest gap clears the
-    pattern's gap floor, which the decision rule maintains as an invariant.
-    Identical arguments produce identical instances.
-    """
-    if n < 3:
-        raise PreconditionError("instances need at least 3 robots")
-    q = q if q is not None else 36 * n
-    if q < 4 * n:
-        raise PreconditionError("grid denominator must be at least 4n")
-    rng = Random(seed)
-    for _ in range(_ATTEMPTS):
-        weights = [rng.randrange(1, q) for _ in range(n)]
-        total = sum(weights)
-        try:
-            pattern = TargetPattern.from_angles(Fraction(w, total) for w in weights)
-        except PatternError:
-            continue
-        positions = sorted(Fraction(k, q) for k in rng.sample(range(q), n))
-        c = Configuration(tuple(positions))
-        if c.fold() != 1:
-            continue
-        if not pattern.admits(c):
-            continue
-        return c, pattern
-    raise GenerationError(f"no valid instance in {_ATTEMPTS} attempts (n={n}, q={q})")
-
-
-def symmetric_instance(
-    fold: int, per_sector: int, seed: int, q: Optional[int] = None
-) -> Configuration:
-    """A fold-rotation-symmetric configuration of fold*per_sector robots."""
-    if fold < 2:
-        raise PreconditionError("symmetric instances need fold >= 2")
-    if per_sector < 1:
-        raise PreconditionError("at least one robot per sector")
-    grid = q if q is not None else max(8 * per_sector, 16)
-    rng = Random(seed)
-    base = rng.sample(range(grid), per_sector)
-    positions = [
-        mod1(Fraction(x, grid * fold) + Fraction(j, fold))
-        for x in base
-        for j in range(fold)
-    ]
-    return Configuration.from_positions(positions)
-
-
-# ---------------------------------------------------------------------------
-# trace verification
-
-
-def verify_trace(
-    records: Sequence[RoundRecord], pattern: TargetPattern, mode: str = "det"
-) -> list[str]:
-    """Replay a trace and list everything inconsistent about it.
-
-    Every round is re-derived: the decisions each activated robot must have
-    computed from the recorded pre-round positions, the collision check, the
-    post-round positions, the classification, the epoch accounting, and the
-    formation bound.  In ``rand`` mode a recorded tie-break move is checked
-    for validity (a nominee, the right direction, a draw inside the allowed
-    window) instead of exact equality, since the draw itself is not
-    reproducible from the trace.
-    """
-    if mode not in ("det", "rand"):
-        raise PreconditionError(f"unknown mode {mode!r}")
-    problems: list[str] = []
-    if not records:
-        return problems
-    n = len(records[0].positions_before)
-    if pattern.n != n:
-        return [f"pattern has {pattern.n} gaps for {n} robots"]
-    bound = formation_bound(n, mode)
-    prev_after: Optional[tuple] = None
-    terminated: set[int] = set()
-    coverage: set[int] = set()
-    epoch = 1
-    formed_epoch: Optional[int] = None
-
-    for rec in records:
-        where = f"round {rec.round}"
-        if len(rec.positions_before) != n or len(rec.positions_after) != n:
-            problems.append(f"{where}: robot count changed mid-trace")
-            break
-        if prev_after is not None and rec.positions_before != prev_after:
-            problems.append(f"{where}: positions_before break continuity")
-        if rec.epoch != epoch:
-            problems.append(f"{where}: epoch recorded as {rec.epoch}, expected {epoch}")
-        try:
-            order = sorted(range(n), key=rec.positions_before.__getitem__)
-            c = Configuration(tuple(rec.positions_before[i] for i in order))
-        except CircleFormError as e:
-            problems.append(f"{where}: bad pre-round positions: {e}")
-            break
-        idx_of = {rid: k for k, rid in enumerate(order)}
-
-        for rid in rec.activated:
-            if rid in terminated:
-                problems.append(f"{where}: robot {rid} was activated after terminating")
-                continue
-            recorded = rec.decisions[rid]
-            if mode == "rand" and recorded.branch == "random_tiebreak":
-                problems.extend(
-                    f"{where}: robot {rid}: {msg}"
-                    for msg in _check_random_move(c, idx_of[rid], recorded, pattern)
-                )
-                continue
-            try:
-                expected = compute(snapshot_of(c, idx_of[rid], False), pattern)
-            except CircleFormError as e:
-                problems.append(f"{where}: robot {rid}: {e}")
-                continue
-            if (
-                expected.kind is not recorded.kind
-                or expected.destination != recorded.destination
-                or (expected.is_move and expected.path_direction is not recorded.path_direction)
-                or expected.branch != recorded.branch
-            ):
-                problems.append(
-                    f"{where}: robot {rid} recorded {recorded} but the rule gives {expected}"
-                )
-
-        witness = detect_collision(
-            c, {idx_of[r]: d for r, d in rec.decisions.items()}
-        )
-        if witness is not None:
-            a, b = order[witness.first], order[witness.second]
-            problems.append(f"{where}: robots {a} and {b} collide at t={witness.time}")
-
-        for rid in range(n):
-            d = rec.decisions.get(rid)
-            want = d.destination if d is not None and d.is_move else rec.positions_before[rid]
-            if rec.positions_after[rid] != want:
-                problems.append(f"{where}: robot {rid} ended at an unexplained position")
-
-        try:
-            after_order = sorted(range(n), key=rec.positions_after.__getitem__)
-            c_after = Configuration(tuple(rec.positions_after[i] for i in after_order))
-        except CircleFormError as e:
-            problems.append(f"{where}: bad post-round positions: {e}")
-            break
-        if classify(c_after) != rec.config_class:
-            problems.append(f"{where}: recorded class does not match the positions")
-
-        for rid, d in rec.decisions.items():
-            if d.kind.name == "TERMINATE":
-                terminated.add(rid)
-        if pattern_formed(c_after, pattern) and formed_epoch is None:
-            formed_epoch = epoch
-        coverage.update(rec.activated)
-        alive_after = set(range(n)) - terminated
-        if not alive_after or coverage >= alive_after:
-            epoch += 1
-            coverage.clear()
-        prev_after = rec.positions_after
-
-    if formed_epoch is not None and formed_epoch > bound:
-        problems.append(f"formation took {formed_epoch} epochs, bound is {bound}")
-    return problems
-
-
-def _check_random_move(
-    c: Configuration, idx: int, recorded, pattern: TargetPattern
-) -> list[str]:
-    """Validity of a tie-break draw that cannot be replayed exactly."""
-    if c.n % 2:
-        return ["tie-break move in an odd-count run"]
-    found = classify(c)
-    if not isinstance(found, DoubleNomineeTied):
-        return ["tie-break move outside a tied configuration"]
-    if idx not in (found.nominee_a, found.nominee_b):
-        return ["tie-break move by a robot that is not a nominee"]
-    if not recorded.is_move:
-        return ["tie-break record is not a move"]
-    s = snapshot_of(c, idx, False)
-    cmp = lex_compare(s.cycle, s.cycle[::-1])
-    if cmp == 0:
-        return ["nominee with a palindromic view"]
-    expected_dir = Direction.FORWARD if cmp < 0 else Direction.REVERSE
-    msgs = []
-    if recorded.path_direction is not expected_dir:
-        msgs.append("tie-break moved away from its smaller reading")
-    travel = mod1(recorded.path_direction.sign * (recorded.destination - s.observer_position))
-    limit = (Fraction(min(s.cycle), s.den) - pattern.min_gap_floor) / 2
-    if not 0 < travel < limit:
-        msgs.append(f"tie-break draw {travel} outside (0, {limit})")
-    return msgs
 
 
 # ---------------------------------------------------------------------------
@@ -274,77 +69,6 @@ CSV_COLUMNS = (
     "n", "scheduler", "trials", "formed", "max_epochs", "mean_epochs",
     "bound", "violations", "collisions",
 )
-
-
-def make_policy(name: str, p: float = 0.5, fairness: Optional[int] = None) -> ActivationPolicy:
-    if name not in POLICIES:
-        raise PreconditionError(f"unknown scheduler {name!r}")
-    if name == "random":
-        return RandomSubset(p, fairness)
-    if name == "lazy":
-        return LazyAdversary(fairness)
-    return POLICIES[name](fairness)
-
-
-def batch(
-    ns: Sequence[int],
-    trials: int,
-    schedulers: Sequence[str],
-    seed: int = 0,
-    mode: str = "det",
-    max_epochs: Optional[int] = None,
-) -> list[dict]:
-    """One row per (n, scheduler) cell; run errors become failed cells.
-
-    ``formed`` counts runs that formed and fully terminated; ``max_epochs``
-    and ``mean_epochs`` summarise the epochs to formation over formed runs.
-    Errors raised by a run (for example a parity/mode mismatch) count as
-    violations in the cell instead of crashing the sweep.
-    """
-    rows: list[dict] = []
-    for n in ns:
-        cells = {
-            name: {"formed": 0, "epochs": [], "violations": 0, "collisions": 0}
-            for name in schedulers
-        }
-        for t in range(trials):
-            inst_seed = seed * 1_000_003 + n * 10_007 + t
-            try:
-                c0, pattern = gen_instance(n, inst_seed)
-            except CircleFormError:
-                for cell in cells.values():
-                    cell["violations"] += 1
-                continue
-            for name in schedulers:
-                cell = cells[name]
-                try:
-                    report, _ = run(
-                        c0, pattern, make_policy(name),
-                        mode=mode, seed=inst_seed, max_epochs=max_epochs,
-                    )
-                except CircleFormError:
-                    cell["violations"] += 1
-                    continue
-                cell["collisions"] += report.collisions
-                cell["violations"] += len(report.violations)
-                if report.ok:
-                    cell["formed"] += 1
-                    cell["epochs"].append(report.formed_epoch)
-        for name in schedulers:
-            cell = cells[name]
-            epochs = cell["epochs"]
-            rows.append({
-                "n": n,
-                "scheduler": name,
-                "trials": trials,
-                "formed": cell["formed"],
-                "max_epochs": max(epochs) if epochs else None,
-                "mean_epochs": sum(epochs) / len(epochs) if epochs else None,
-                "bound": formation_bound(n, mode),
-                "violations": cell["violations"],
-                "collisions": cell["collisions"],
-            })
-    return rows
 
 
 def _format_cell(value) -> str:

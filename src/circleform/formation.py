@@ -38,6 +38,7 @@ from .configuration import (
 )
 from .errors import (
     EmptyIntervalError,
+    GenerationError,
     InvariantViolationError,
     PatternError,
     PreconditionError,
@@ -539,3 +540,59 @@ def compute(
         if isinstance(found, DoubleNomineeTied) and 0 in (found.nominee_a, found.nominee_b):
             return _random_step(s, rng, pattern.min_gap_floor)
     return _to_decision(_decide(cycle, pattern.cycle, mutant), s)
+
+
+# ---------------------------------------------------------------------------
+# instance generation
+
+_ATTEMPTS = 1000
+
+
+def gen_instance(n: int, seed: int, q: Optional[int] = None) -> tuple[Configuration, TargetPattern]:
+    """Seeded random instance: asymmetric start plus a formable pattern.
+
+    Positions land on the 1/q grid (so denominators never exceed q), the
+    configuration is rotationally asymmetric, and its smallest gap clears the
+    pattern's gap floor, which the decision rule maintains as an invariant.
+    Identical arguments produce identical instances.
+    """
+    if n < 3:
+        raise PreconditionError("instances need at least 3 robots")
+    q = q if q is not None else 36 * n
+    if q < 4 * n:
+        raise PreconditionError("grid denominator must be at least 4n")
+    rng = Random(seed)
+    for _ in range(_ATTEMPTS):
+        weights = [rng.randrange(1, q) for _ in range(n)]
+        total = sum(weights)
+        try:
+            pattern = TargetPattern.from_angles(Fraction(w, total) for w in weights)
+        except PatternError:
+            continue
+        positions = sorted(Fraction(k, q) for k in rng.sample(range(q), n))
+        c = Configuration(tuple(positions))
+        if c.fold() != 1:
+            continue
+        if not pattern.admits(c):
+            continue
+        return c, pattern
+    raise GenerationError(f"no valid instance in {_ATTEMPTS} attempts (n={n}, q={q})")
+
+
+def symmetric_instance(
+    fold: int, per_sector: int, seed: int, q: Optional[int] = None
+) -> Configuration:
+    """A fold-rotation-symmetric configuration of fold*per_sector robots."""
+    if fold < 2:
+        raise PreconditionError("symmetric instances need fold >= 2")
+    if per_sector < 1:
+        raise PreconditionError("at least one robot per sector")
+    grid = q if q is not None else max(8 * per_sector, 16)
+    rng = Random(seed)
+    base = rng.sample(range(grid), per_sector)
+    positions = [
+        mod1(Fraction(x, grid * fold) + Fraction(j, fold))
+        for x in base
+        for j in range(fold)
+    ]
+    return Configuration.from_positions(positions)

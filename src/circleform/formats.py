@@ -182,6 +182,9 @@ def record_from_json(obj: Any, line_no: int) -> RoundRecord:
         raise TraceParseError(line_no, "positions_before and positions_after differ in length")
     if set(activated) != set(decisions):
         raise TraceParseError(line_no, "activated ids and decision keys disagree")
+    outside = sorted(i for i in activated if not 0 <= i < len(before))
+    if outside:
+        raise TraceParseError(line_no, f"robot id {outside[0]} is not in 0..{len(before) - 1}")
     return RoundRecord(rnd, epoch, activated, decisions, before, after, cls)
 
 

@@ -1,9 +1,17 @@
-"""Scheduled execution of the formation rule.
+"""Scheduled execution of the formation rule, and its audit.
 
 Activation policies, the orientation adversary, exact collision detection,
-single rounds, full runs with inline invariant checks, exhaustive schedule
+full runs, offline trace verification, batch sweeps, exhaustive schedule
 exploration for small instances, and the fully synchronous symmetry
 experiment.
+
+One audit serves ``run``, ``verify_trace`` and ``explore_schedules``.  A
+``_Frame`` holds one position state; ``_check_transition`` checks one round
+from the frame before it to the frame after it (symmetry creation, the
+leader/direction lock, coincident tie-break draws, branch postconditions,
+motion under full activation); ``_EpochLedger`` adds epoch accounting on top
+for ``run`` and ``verify_trace``.  ``explore_schedules`` has no epochs and
+keeps the lock in its state instead.
 
 Robots are oblivious, so the only run state is the multiset of positions plus
 which robots have switched themselves off.  ``run`` tracks robots by a stable
@@ -19,7 +27,7 @@ from fractions import Fraction
 from random import Random
 from typing import Callable, Mapping, Optional, Sequence
 
-from .angles import Direction, Turn, mod1
+from .angles import Direction, Turn, lex_compare, mod1
 from .configuration import (
     ConfigClass,
     Configuration,
@@ -46,6 +54,7 @@ from .formation import (
     _role_gaps,
     _settled,
     compute,
+    gen_instance,
     pattern_formed,
 )
 
@@ -162,6 +171,16 @@ POLICIES: dict[str, Callable[[], ActivationPolicy]] = {
     "random": RandomSubset,
     "lazy": LazyAdversary,
 }
+
+
+def make_policy(name: str, p: float = 0.5, fairness: Optional[int] = None) -> ActivationPolicy:
+    if name not in POLICIES:
+        raise PreconditionError(f"unknown scheduler {name!r}")
+    if name == "random":
+        return RandomSubset(p, fairness)
+    if name == "lazy":
+        return LazyAdversary(fairness)
+    return POLICIES[name](fairness)
 
 
 @dataclass
@@ -334,128 +353,18 @@ def phase_of(c: Configuration, pattern: TargetPattern) -> str:
     return "lead"
 
 
-def _branch_postconditions(
-    after: Configuration,
-    before: Configuration,
-    branch: str,
-    pattern: TargetPattern,
-) -> list[str]:
-    """Checks owed by each move branch, applied on single-mover rounds."""
-    try:
-        found = classify(after)
-    except ClassificationError as e:
-        return [f"{branch}: {e}"]
-    if pattern_formed(after, pattern):
-        return []
-    msgs: list[str] = []
-    # min gap after >= min gap before, cross-multiplied over the two denominators
-    no_shrink = min(after.cycle) * before.den >= min(before.cycle) * after.den
-    if not isinstance(found, LeaderConfig):
-        if branch in ("break_tie", "random_tiebreak") and after.n % 2 == 0:
-            # an even count can legitimately stay tied only under joint moves
-            msgs.append(f"{branch}: no leader after a lone tie-break move")
-        elif branch != "random_tiebreak":
-            msgs.append(f"{branch}: configuration lost its leader")
-        if branch in ("break_tie", "random_tiebreak") and no_shrink:
-            msgs.append(f"{branch}: minimum gap did not shrink")
-        return msgs
-    full, g, pat = _role_gaps(after, found, pattern)
-    beta0 = pat[0]
-    if branch in ("break_tie", "random_tiebreak"):
-        if no_shrink:
-            msgs.append(f"{branch}: minimum gap did not shrink")
-    elif branch == "shrink_lead_gap":
-        if not g[0] < min(min(g[1:]), beta0):
-            msgs.append("shrink_lead_gap: leader gap is not the strict minimum")
-    elif branch == "shrink_second_gap":
-        if not g[0] < g[1] < min(min(g[2:]), beta0):
-            a, b, m = (Fraction(x, full) for x in (g[0], g[1], min(min(g[2:]), beta0)))
-            msgs.append(
-                "shrink_second_gap: second gap missed the strict corridor "
-                f"({a} < {b} < {m} fails)"
-            )
-    elif branch == "settle_target":
-        if not _rfc_on(g, beta0):
-            msgs.append("settle_target: landing broke the released ordering")
-    elif branch == "finish_detour":
-        if not g[1] > pat[1]:
-            msgs.append("finish_detour: parked robot sits within the second target gap")
-    # finish_direct / finish_near only owe leadership, checked above
-    return msgs
+# ---------------------------------------------------------------------------
+# the audit: position frames, the per-round transition check, epoch ledger
+
+# (leader id, pivotal direction), fixed from the first released round on
+_Lock = Optional[tuple[int, Direction]]
+
+_NO_MOTION = "full activation produced no motion before formation"
 
 
-def _execute(
-    c: Configuration,
-    decisions: Mapping[int, Decision],
-) -> tuple[Optional[CollisionWitness], tuple[Turn, ...]]:
-    """Apply decisions simultaneously; positions returned in input indexing."""
-    witness = detect_collision(c, decisions)
-    if witness is not None:
-        return witness, c.positions
-    out = list(c.positions)
-    for i, d in decisions.items():
-        if d.is_move:
-            out[i] = d.destination
-    return None, tuple(out)
-
-
-def step_round(
-    c: Configuration,
-    pattern: TargetPattern,
-    policy: ActivationPolicy,
-    orientation: OrientationAdversary,
-    *,
-    round_index: int = 1,
-    epoch: int = 1,
-    rng: Optional[Random] = None,
-    mutant: Optional[str] = None,
-) -> tuple[Configuration, RoundRecord]:
-    """One SSYNC round over a bare configuration.
-
-    Robots are identified by their index in ``c``.  All activated robots
-    observe the same pre-round configuration and move simultaneously.
-    Raises InvariantViolationError if the moves collide.  Callers tracking
-    termination across rounds should use ``run``; a robot deciding to
-    terminate here is simply recorded.
-    """
-    ids = tuple(range(c.n))
-    flips = orientation.flips(ids)
-
-    def decide(i: int) -> Decision:
-        return compute(snapshot_of(c, i, flips[i]), pattern, rng, mutant)
-
-    precomputed: Optional[dict[int, Decision]] = None
-    movers: frozenset = frozenset()
-    if policy.needs_movers:
-        precomputed = {i: decide(i) for i in ids}
-        movers = frozenset(i for i, d in precomputed.items() if d.is_move)
-    active = policy.select(round_index, ids, movers)
-    if not active:
-        raise InvariantViolationError("scheduler activated no robot")
-    decisions = {
-        i: (precomputed[i] if precomputed is not None else decide(i))
-        for i in sorted(active)
-    }
-    witness, after_pos = _execute(c, decisions)
-    if witness is not None:
-        raise InvariantViolationError(
-            f"robots {witness.first} and {witness.second} collide at t={witness.time}"
-        )
-    after = Configuration.from_positions(after_pos)
-    record = RoundRecord(
-        round_index,
-        epoch,
-        tuple(sorted(active)),
-        decisions,
-        c.positions,
-        after_pos,
-        classify(after),
-    )
-    return after, record
-
-
-class _GeomState:
-    """Per-position-state cache for the run loop.
+class _Frame:
+    """One position state: positions by robot id, their sorted order, the
+    configuration, and lazily its class, its phase and per-robot decisions.
 
     Decisions are pure functions of the observed geometry (the orientation
     flip never changes the physical outcome, which ``explore_schedules``
@@ -498,10 +407,227 @@ class _GeomState:
             self.dec[rid] = d
         return d
 
+    def collision(self, decisions: Mapping[int, Decision]) -> Optional[str]:
+        """How the decisions, keyed by robot id, collide; None if they do not."""
+        w = detect_collision(self.c, {self.idx_of[r]: d for r, d in decisions.items()})
+        if w is None:
+            return None
+        return f"robots {self.order[w.first]} and {self.order[w.second]} collide at t={w.time}"
+
+    def moved(self, decisions: Mapping[int, Decision]) -> "_Frame":
+        """The frame once the decisions' moves land; ``self`` when nobody moves."""
+        moves = [(r, d.destination) for r, d in decisions.items() if d.is_move]
+        if not moves:
+            return self
+        pos = list(self.pos)
+        for r, dest in moves:
+            pos[r] = dest
+        return _Frame(pos)
+
+
+def _branch_postconditions(
+    after: _Frame, before: _Frame, branch: str, pattern: TargetPattern
+) -> list[str]:
+    """Checks owed by each move branch, applied on single-mover rounds that
+    do not form the pattern."""
+    found = after.classify()
+    a, b = after.c, before.c
+    msgs: list[str] = []
+    # min gap after >= min gap before, cross-multiplied over the two denominators
+    no_shrink = min(a.cycle) * b.den >= min(b.cycle) * a.den
+    if not isinstance(found, LeaderConfig):
+        if branch in ("break_tie", "random_tiebreak") and a.n % 2 == 0:
+            # an even count can legitimately stay tied only under joint moves
+            msgs.append(f"{branch}: no leader after a lone tie-break move")
+        elif branch != "random_tiebreak":
+            msgs.append(f"{branch}: configuration lost its leader")
+        if branch in ("break_tie", "random_tiebreak") and no_shrink:
+            msgs.append(f"{branch}: minimum gap did not shrink")
+        return msgs
+    full, g, pat = _role_gaps(a, found, pattern)
+    beta0 = pat[0]
+    if branch in ("break_tie", "random_tiebreak"):
+        if no_shrink:
+            msgs.append(f"{branch}: minimum gap did not shrink")
+    elif branch == "shrink_lead_gap":
+        if not g[0] < min(min(g[1:]), beta0):
+            msgs.append("shrink_lead_gap: leader gap is not the strict minimum")
+    elif branch == "shrink_second_gap":
+        if not g[0] < g[1] < min(min(g[2:]), beta0):
+            x, y, m = (Fraction(v, full) for v in (g[0], g[1], min(min(g[2:]), beta0)))
+            msgs.append(
+                "shrink_second_gap: second gap missed the strict corridor "
+                f"({x} < {y} < {m} fails)"
+            )
+    elif branch == "settle_target":
+        if not _rfc_on(g, beta0):
+            msgs.append("settle_target: landing broke the released ordering")
+    elif branch == "finish_detour":
+        if not g[1] > pat[1]:
+            msgs.append("finish_detour: parked robot sits within the second target gap")
+    # finish_direct / finish_near only owe leadership, checked above
+    return msgs
+
+
+def _check_transition(
+    before: _Frame,
+    after: _Frame,
+    decisions: Mapping[int, Decision],
+    alive: Sequence[int],
+    lock: _Lock,
+    pattern: TargetPattern,
+) -> tuple[_Lock, list[list[str]]]:
+    """Audit one round, ``before`` to ``after`` under ``decisions`` (by robot id).
+
+    Returns the lock after the round and one message list per failed check,
+    in this order: symmetry created before formation; leader or pivotal
+    direction changed, or leadership lost, after release (the lock is taken
+    at the first released round); coincident simultaneous tie-break draws;
+    the lone mover's branch postconditions; a full activation of the
+    ``alive`` robots that moved nobody before formation.
+    """
+    found: list[list[str]] = []
+    phase = after.phase(pattern)
+    formed = phase == "formed"
+    if not formed:
+        cls = after.classify()
+        if isinstance(cls, Symmetric):
+            found.append([f"{cls.fold}-fold symmetry created before formation"])
+        if isinstance(cls, LeaderConfig):
+            current = (after.order[cls.leader], cls.pivotal)
+            if lock is None:
+                if phase in ("rfc", "pfc"):
+                    lock = current
+            elif current != lock:
+                found.append(["leader or direction changed after release"])
+        elif lock is not None:
+            found.append(["leadership lost after release"])
+    moves = [(rid, d) for rid, d in decisions.items() if d.is_move]
+    travels = [
+        mod1(d.path_direction.sign * (d.destination - before.pos[rid]))
+        for rid, d in moves
+        if d.branch == "random_tiebreak"
+    ]
+    if len(set(travels)) < len(travels):
+        found.append(["simultaneous tie-break draws coincide"])
+    if formed:
+        return lock, found
+    if len(moves) == 1:
+        msgs = _branch_postconditions(after, before, moves[0][1].branch, pattern)
+        if msgs:
+            found.append(msgs)
+    elif (
+        not moves
+        and all(d.kind is DecisionKind.STAY for d in decisions.values())
+        and decisions.keys() == set(alive)
+    ):
+        found.append([_NO_MOTION])
+    return lock, found
+
 
 def formation_bound(n: int, mode: str) -> int:
     """Epochs within which a run of ``n`` robots in ``mode`` must form the pattern."""
     return n + 4 if mode == "det" else n + 6
+
+
+class _EpochLedger:
+    """Epoch accounting over audited rounds, shared by ``run`` and ``verify_trace``.
+
+    An epoch ends once every robot still running has been activated since it
+    began.  The ledger tracks termination, coverage, landings and the first
+    released epoch; it checks the formation bound, each round's transition
+    (``_check_transition``), and at every epoch boundary: a leader by the
+    first, release by the third, settling within n - 3 epochs of release, a
+    landing in every released epoch, and termination within an epoch of
+    formation.  ``halted`` is set when a full activation moved nobody or the
+    epoch ``budget`` ran out.
+    """
+
+    def __init__(
+        self, n: int, mode: str, pattern: TargetPattern, budget: Optional[int] = None
+    ):
+        self.n = n
+        self.pattern = pattern
+        self.bound = formation_bound(n, mode)
+        self.budget = budget
+        self.terminated: set[int] = set()
+        self.alive = list(range(n))
+        self.epoch = 1
+        self.formed_epoch: Optional[int] = None
+        self.joint_tiebreaks = 0
+        self.halted = False
+        self._coverage: set[int] = set()
+        self._lock: _Lock = None
+        self._released: Optional[int] = None
+        self._landings = 0
+        self._start_phase: Optional[str] = None
+
+    def round(
+        self, rnd: int, before: _Frame, after: _Frame, decisions: Mapping[int, Decision]
+    ) -> list[str]:
+        """Account one round and return its violations."""
+        if self._start_phase is None:
+            self._start_phase = before.phase(self.pattern)
+        ended = {rid for rid, d in decisions.items() if d.kind is DecisionKind.TERMINATE}
+        if ended:
+            self.terminated |= ended
+            self.alive = [i for i in range(self.n) if i not in self.terminated]
+        out: list[str] = []
+        phase = after.phase(self.pattern)
+        if phase == "formed" and self.formed_epoch is None:
+            self.formed_epoch = self.epoch
+            if self.epoch > self.bound:
+                out.append(
+                    f"round {rnd}: formation took {self.epoch} epochs, bound is {self.bound}"
+                )
+        was = self._lock
+        # a robot that terminated this round did not stay, so the robots still
+        # running are the ones the full-activation check compares against
+        self._lock, found = _check_transition(
+            before, after, decisions, self.alive, was, self.pattern
+        )
+        if was is None and self._lock is not None:
+            self._released = self.epoch
+        out += [f"round {rnd}: {m}" for msgs in found for m in msgs]
+        branches = [d.branch for d in decisions.values() if d.is_move]
+        self._landings += branches.count("settle_target")
+        if branches.count("random_tiebreak") > 1:
+            self.joint_tiebreaks += 1
+        if found and found[-1] == [_NO_MOTION]:
+            self.halted = True
+            return out
+
+        self._coverage.update(decisions)
+        alive = self.alive
+        if alive and not self._coverage.issuperset(alive):
+            return out
+        # epoch boundary: every still-running robot completed a cycle
+        epoch, n = self.epoch, self.n
+        if epoch == 1 and phase in ("tied", "symmetric"):
+            out.append("epoch 1: no leader by the first epoch boundary")
+        if epoch == 3 and phase in ("tied", "lead"):
+            out.append("epoch 3: still unreleased at the third epoch boundary")
+        if (
+            self._released is not None
+            and phase == "rfc"
+            and epoch >= self._released + max(n - 3, 1)
+        ):
+            out.append(f"epoch {epoch}: settling exceeded {n - 3} epochs after release")
+        if self._start_phase == "rfc" and phase == "rfc" and self._landings == 0:
+            out.append(f"epoch {epoch}: released epoch without a landing")
+        if self.formed_epoch is not None and alive and epoch > self.formed_epoch:
+            out.append(f"epoch {epoch}: robots still running an epoch after formation")
+        if not alive:
+            return out
+        self.epoch += 1
+        self._coverage.clear()
+        self._landings = 0
+        self._start_phase = phase
+        if self.budget is not None and self.epoch > self.budget:
+            out.append(f"epoch budget ({self.budget}) exhausted before full termination")
+            self.epoch -= 1
+            self.halted = True
+        return out
 
 
 def _check_gap_floor(c0: Configuration, pattern: TargetPattern) -> None:
@@ -525,11 +651,11 @@ def run(
 ) -> tuple[RunReport, list[RoundRecord]]:
     """Drive a full run until every robot terminates or the budget runs out.
 
-    Inline checks record (never raise) violations of the progress and
-    stability guarantees: a leader by the first epoch boundary, release by
-    the third, one landing per released epoch, a stable leader and direction
-    from the first released round, formation within the epoch bound, and
-    termination at most one epoch after formation.  Collisions abort the run.
+    Every round is audited as it happens (``_EpochLedger``): the audit
+    records (never raises) violations of the progress and stability
+    guarantees.  Collisions, scheduler contract breaks, decision errors, a
+    full activation that moves nobody, and an exhausted epoch budget end the
+    run.
     """
     n = c0.n
     if pattern.n != n:
@@ -550,26 +676,16 @@ def run(
     policy.reset(n, master.getrandbits(64))
     orientation.reset(master.getrandbits(64))
     rng = Random(master.getrandbits(64)) if mode == "rand" else None
-    bound = formation_bound(n, mode)
     budget = max_epochs if max_epochs is not None else n + 6
+    ledger = _EpochLedger(n, mode, pattern, budget)
 
-    report = RunReport(n=n, scheduler=policy.name, mode=mode, bound=bound)
+    report = RunReport(n=n, scheduler=policy.name, mode=mode, bound=ledger.bound)
     records: list[RoundRecord] = []
-
-    terminated: set[int] = set()
-    coverage: set[int] = set()
-    epoch = 1
+    state = _Frame(c0.positions)
     rnd = 0
-    formed_epoch: Optional[int] = None
-    done_epoch: Optional[int] = None
-    locked: Optional[tuple[int, Direction]] = None
-    first_rfc_epoch: Optional[int] = None
-    landings = 0
-    state = _GeomState(c0.positions)
-    epoch_start_phase = state.phase(pattern)
 
-    while True:
-        alive = [i for i in range(n) if i not in terminated]
+    while not ledger.halted:
+        alive = ledger.alive
         if not alive:
             break
         rnd += 1
@@ -594,134 +710,215 @@ def run(
             report.violations.append(f"round {rnd}: {e}")
             break
 
-        witness, _ = _execute(state.c, {state.idx_of[r]: d for r, d in decisions.items()})
-        if witness is not None:
-            a, b = state.order[witness.first], state.order[witness.second]
+        activated = tuple(sorted(active))
+        collision = state.collision(decisions)
+        if collision is not None:
             report.collisions += 1
-            report.violations.append(
-                f"round {rnd}: robots {a} and {b} collide at t={witness.time}"
-            )
-            records.append(
-                RoundRecord(rnd, epoch, tuple(sorted(active)), decisions,
-                            state.pos, state.pos, state.classify())
-            )
+            report.violations.append(f"round {rnd}: {collision}")
+            records.append(RoundRecord(rnd, ledger.epoch, activated, decisions,
+                                       state.pos, state.pos, state.classify()))
             break
+        before, state = state, state.moved(decisions)
+        records.append(RoundRecord(rnd, ledger.epoch, activated, decisions,
+                                   before.pos, state.pos, state.classify()))
+        report.violations += ledger.round(rnd, before, state, decisions)
 
-        before_by_id = state.pos
-        move_ids = [rid for rid, d in decisions.items() if d.is_move]
-        for rid, d in decisions.items():
-            if d.kind is DecisionKind.TERMINATE:
-                terminated.add(rid)
-        if move_ids:
-            new_pos = list(state.pos)
-            for rid in move_ids:
-                new_pos[rid] = decisions[rid].destination
-            prev_state, state = state, _GeomState(new_pos)
-        else:
-            prev_state = state
-        cls_after = state.classify()
-        records.append(
-            RoundRecord(rnd, epoch, tuple(sorted(active)), decisions,
-                        before_by_id, state.pos, cls_after)
-        )
-
-        phase = state.phase(pattern)
-        formed_now = phase == "formed"
-        if formed_now and formed_epoch is None:
-            formed_epoch = epoch
-            if formed_epoch > bound:
-                report.violations.append(
-                    f"round {rnd}: formation took {formed_epoch} epochs, bound is {bound}"
-                )
-
-        # stability of leadership from the first released round
-        if not formed_now:
-            if phase in ("rfc", "pfc") and locked is None:
-                assert isinstance(cls_after, LeaderConfig)
-                locked = (state.order[cls_after.leader], cls_after.pivotal)
-                first_rfc_epoch = epoch
-            elif locked is not None:
-                if not isinstance(cls_after, LeaderConfig):
-                    report.violations.append(f"round {rnd}: leadership lost after release")
-                elif (state.order[cls_after.leader], cls_after.pivotal) != locked:
-                    report.violations.append(
-                        f"round {rnd}: leader or direction changed after release"
-                    )
-
-        landings += sum(
-            1 for d in decisions.values() if d.is_move and d.branch == "settle_target"
-        )
-
-        tie_travels = [
-            mod1(d.path_direction.sign * (d.destination - before_by_id[rid]))
-            for rid, d in decisions.items()
-            if d.is_move and d.branch == "random_tiebreak"
-        ]
-        if len(tie_travels) > 1:
-            report.joint_tiebreaks += 1
-            if len(set(tie_travels)) < len(tie_travels):
-                report.violations.append(
-                    f"round {rnd}: simultaneous tie-break draws coincide"
-                )
-
-        if len(move_ids) == 1:
-            for msg in _branch_postconditions(
-                state.c, prev_state.c, decisions[move_ids[0]].branch, pattern
-            ):
-                report.violations.append(f"round {rnd}: {msg}")
-
-        if (
-            set(active) == set(alive)
-            and all(d.kind is DecisionKind.STAY for d in decisions.values())
-            and not formed_now
-        ):
-            report.violations.append(
-                f"round {rnd}: full activation produced no motion before formation"
-            )
-            break
-
-        coverage.update(active)
-        alive_after = [i for i in range(n) if i not in terminated]
-        if not alive_after or coverage >= set(alive_after):
-            # epoch boundary: every still-running robot completed a cycle
-            if epoch == 1 and phase in ("tied", "symmetric"):
-                report.violations.append("epoch 1: no leader by the first epoch boundary")
-            if epoch == 3 and phase in ("tied", "lead"):
-                report.violations.append("epoch 3: still unreleased at the third epoch boundary")
-            if (
-                first_rfc_epoch is not None
-                and phase == "rfc"
-                and epoch >= first_rfc_epoch + max(n - 3, 1)
-            ):
-                report.violations.append(
-                    f"epoch {epoch}: settling exceeded {n - 3} epochs after release"
-                )
-            if epoch_start_phase == "rfc" and phase == "rfc" and landings == 0:
-                report.violations.append(f"epoch {epoch}: released epoch without a landing")
-            if formed_epoch is not None and alive_after and epoch > formed_epoch:
-                report.violations.append(
-                    f"epoch {epoch}: robots still running an epoch after formation"
-                )
-            if not alive_after:
-                done_epoch = epoch
-                break
-            epoch += 1
-            coverage.clear()
-            landings = 0
-            epoch_start_phase = phase
-            if epoch > budget:
-                report.violations.append(
-                    f"epoch budget ({budget}) exhausted before full termination"
-                )
-                epoch -= 1
-                break
-
-    report.formed = formed_epoch is not None
-    report.formed_epoch = formed_epoch
-    report.epochs = done_epoch if done_epoch is not None else epoch
+    report.formed = ledger.formed_epoch is not None
+    report.formed_epoch = ledger.formed_epoch
+    report.epochs = ledger.epoch
     report.rounds = rnd
-    report.terminated = len(terminated)
+    report.terminated = len(ledger.terminated)
+    report.joint_tiebreaks = ledger.joint_tiebreaks
     return report, records
+
+
+# ---------------------------------------------------------------------------
+# trace verification
+
+
+def verify_trace(
+    records: Sequence[RoundRecord], pattern: TargetPattern, mode: str = "det"
+) -> list[str]:
+    """Replay a trace and list everything inconsistent about it.
+
+    The replay re-derives the decision each activated robot must have
+    computed from the recorded pre-round positions, and checks continuity,
+    collisions, that every robot ends where its decision puts it, and the
+    recorded class.  Every round without a collision then goes through the
+    audit ``run`` applies (``_EpochLedger``), so verification reports what
+    the inline audit reports.  In ``rand`` mode a recorded tie-break move is
+    checked for validity (a nominee, the right direction, a draw inside the
+    allowed window) instead of exact equality, since the draw itself is not
+    reproducible from the trace.
+    """
+    if mode not in ("det", "rand"):
+        raise PreconditionError(f"unknown mode {mode!r}")
+    problems: list[str] = []
+    if not records:
+        return problems
+    n = len(records[0].positions_before)
+    if pattern.n != n:
+        return [f"pattern has {pattern.n} gaps for {n} robots"]
+    ledger = _EpochLedger(n, mode, pattern)
+    prev: Optional[_Frame] = None
+
+    for rec in records:
+        where = f"round {rec.round}"
+        if len(rec.positions_before) != n or len(rec.positions_after) != n:
+            problems.append(f"{where}: robot count changed mid-trace")
+            break
+        continuous = prev is None or rec.positions_before == prev.pos
+        if not continuous:
+            problems.append(f"{where}: positions_before break continuity")
+        if rec.epoch != ledger.epoch:
+            problems.append(f"{where}: epoch recorded as {rec.epoch}, expected {ledger.epoch}")
+        try:
+            before = prev if prev is not None and continuous else _Frame(rec.positions_before)
+        except CircleFormError as e:
+            problems.append(f"{where}: bad pre-round positions: {e}")
+            break
+
+        for rid in rec.activated:
+            if rid in ledger.terminated:
+                problems.append(f"{where}: robot {rid} was activated after terminating")
+                continue
+            recorded = rec.decisions[rid]
+            idx = before.idx_of[rid]
+            if mode == "rand" and recorded.branch == "random_tiebreak":
+                problems.extend(
+                    f"{where}: robot {rid}: {msg}"
+                    for msg in _check_random_move(before.c, idx, recorded, pattern)
+                )
+                continue
+            try:
+                expected = compute(snapshot_of(before.c, idx, False), pattern)
+            except CircleFormError as e:
+                problems.append(f"{where}: robot {rid}: {e}")
+                continue
+            if (
+                expected.kind is not recorded.kind
+                or expected.destination != recorded.destination
+                or (expected.is_move and expected.path_direction is not recorded.path_direction)
+                or expected.branch != recorded.branch
+            ):
+                problems.append(
+                    f"{where}: robot {rid} recorded {recorded} but the rule gives {expected}"
+                )
+
+        collision = before.collision(rec.decisions)
+        if collision is not None:
+            problems.append(f"{where}: {collision}")
+
+        for rid in range(n):
+            d = rec.decisions.get(rid)
+            want = d.destination if d is not None and d.is_move else rec.positions_before[rid]
+            if rec.positions_after[rid] != want:
+                problems.append(f"{where}: robot {rid} ended at an unexplained position")
+
+        try:
+            after = before if rec.positions_after == before.pos else _Frame(rec.positions_after)
+        except CircleFormError as e:
+            problems.append(f"{where}: bad post-round positions: {e}")
+            break
+        if after.classify() != rec.config_class:
+            problems.append(f"{where}: recorded class does not match the positions")
+        if collision is None:
+            problems += ledger.round(rec.round, before, after, rec.decisions)
+        prev = after
+    return problems
+
+
+def _check_random_move(
+    c: Configuration, idx: int, recorded: Decision, pattern: TargetPattern
+) -> list[str]:
+    """Validity of a tie-break draw that cannot be replayed exactly."""
+    if c.n % 2:
+        return ["tie-break move in an odd-count run"]
+    found = classify(c)
+    if not isinstance(found, DoubleNomineeTied):
+        return ["tie-break move outside a tied configuration"]
+    if idx not in (found.nominee_a, found.nominee_b):
+        return ["tie-break move by a robot that is not a nominee"]
+    if not recorded.is_move:
+        return ["tie-break record is not a move"]
+    s = snapshot_of(c, idx, False)
+    cmp = lex_compare(s.cycle, s.cycle[::-1])
+    if cmp == 0:
+        return ["nominee with a palindromic view"]
+    expected_dir = Direction.FORWARD if cmp < 0 else Direction.REVERSE
+    msgs = []
+    if recorded.path_direction is not expected_dir:
+        msgs.append("tie-break moved away from its smaller reading")
+    travel = mod1(recorded.path_direction.sign * (recorded.destination - s.observer_position))
+    limit = (Fraction(min(s.cycle), s.den) - pattern.min_gap_floor) / 2
+    if not 0 < travel < limit:
+        msgs.append(f"tie-break draw {travel} outside (0, {limit})")
+    return msgs
+
+
+# ---------------------------------------------------------------------------
+# batch sweeps
+
+
+def batch(
+    ns: Sequence[int],
+    trials: int,
+    schedulers: Sequence[str],
+    seed: int = 0,
+    mode: str = "det",
+    max_epochs: Optional[int] = None,
+) -> list[dict]:
+    """One row per (n, scheduler) cell; run errors become failed cells.
+
+    ``formed`` counts runs that formed and fully terminated; ``max_epochs``
+    and ``mean_epochs`` summarise the epochs to formation over formed runs.
+    Errors raised by a run (for example a parity/mode mismatch) count as
+    violations in the cell instead of crashing the sweep.
+    """
+    rows: list[dict] = []
+    for n in ns:
+        cells = {
+            name: {"formed": 0, "epochs": [], "violations": 0, "collisions": 0}
+            for name in schedulers
+        }
+        for t in range(trials):
+            inst_seed = seed * 1_000_003 + n * 10_007 + t
+            try:
+                c0, pattern = gen_instance(n, inst_seed)
+            except CircleFormError:
+                for cell in cells.values():
+                    cell["violations"] += 1
+                continue
+            for name in schedulers:
+                cell = cells[name]
+                try:
+                    report, _ = run(
+                        c0, pattern, make_policy(name),
+                        mode=mode, seed=inst_seed, max_epochs=max_epochs,
+                    )
+                except CircleFormError:
+                    cell["violations"] += 1
+                    continue
+                cell["collisions"] += report.collisions
+                cell["violations"] += len(report.violations)
+                if report.ok:
+                    cell["formed"] += 1
+                    cell["epochs"].append(report.formed_epoch)
+        for name in schedulers:
+            cell = cells[name]
+            epochs = cell["epochs"]
+            rows.append({
+                "n": n,
+                "scheduler": name,
+                "trials": trials,
+                "formed": cell["formed"],
+                "max_epochs": max(epochs) if epochs else None,
+                "mean_epochs": sum(epochs) / len(epochs) if epochs else None,
+                "bound": formation_bound(n, mode),
+                "violations": cell["violations"],
+                "collisions": cell["collisions"],
+            })
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -766,10 +963,11 @@ def explore_schedules(
     are memoised, making the walk exhaustive over reachable states rather
     than over the exponentially redundant schedule tree.
 
-    Verified per edge: no collision, no classification failure, no symmetry
+    Verified per edge: no collision, no classification failure, and the
+    round checks ``run`` applies (``_check_transition``): no symmetry
     creation, leader and direction stable from release, and each move
-    branch's postcondition (single-mover edges).  Returns the first failure
-    as a counterexample, if any.
+    branch's postcondition (single-mover edges).  The lock is part of the
+    state.  Returns the first failure as a counterexample, if any.
     """
     n = c0.n
     if n > 5:
@@ -786,7 +984,7 @@ def explore_schedules(
         raise SymmetricConfigurationError(fold)
     _check_gap_floor(c0, pattern)
 
-    State = tuple  # (positions by id, terminated frozenset, locked leader)
+    State = tuple  # (positions by id, terminated frozenset, lock)
     start: State = (c0.positions, frozenset(), None)
     seen: set[State] = {start}
     queue: deque[tuple[State, tuple[tuple[int, ...], ...]]] = deque([(start, ())])
@@ -799,22 +997,20 @@ def explore_schedules(
         )
 
     while queue:
-        (positions, terms, locked), path = queue.popleft()
+        (positions, terms, lock), path = queue.popleft()
         if len(path) >= round_budget:
             continue
         alive = [i for i in range(n) if i not in terms]
         if not alive:
             continue
-        order = sorted(range(n), key=lambda i: positions[i])
-        idx_of = {rid: k for k, rid in enumerate(order)}
-        c = Configuration(tuple(positions[rid] for rid in order))
+        frame = _Frame(positions)
 
         dec: dict[int, Decision] = {}
         for rid in alive:
-            i = idx_of[rid]
+            i = frame.idx_of[rid]
             try:
-                d0 = compute(snapshot_of(c, i, False), pattern, None, mutant)
-                d1 = compute(snapshot_of(c, i, True), pattern, None, mutant)
+                d0 = compute(snapshot_of(frame.c, i, False), pattern, None, mutant)
+                d1 = compute(snapshot_of(frame.c, i, True), pattern, None, mutant)
             except CircleFormError as e:
                 return fail(path + ((rid,),), f"robot {rid}: {e}", positions)
             same = d0.kind is d1.kind and d0.destination == d1.destination
@@ -836,61 +1032,21 @@ def explore_schedules(
                 continue
             edges += 1
             act = tuple(sub) if sub else (stayers[0],)
-            moves = {idx_of[r]: dec[r] for r in sub if dec[r].is_move}
-            witness = detect_collision(c, moves)
-            if witness is not None:
-                a, b = order[witness.first], order[witness.second]
-                return fail(
-                    path + (act,),
-                    f"robots {a} and {b} collide at t={witness.time}",
-                    positions,
-                )
-            new_pos = list(positions)
-            new_terms = set(terms)
-            for r in sub:
-                if dec[r].is_move:
-                    new_pos[r] = dec[r].destination
-                else:
-                    new_terms.add(r)
-            new_order = sorted(range(n), key=lambda i: new_pos[i])
-            c_after = Configuration(tuple(new_pos[rid] for rid in new_order))
+            decisions = {r: dec[r] for r in act}
+            collision = frame.collision(decisions)
+            if collision is not None:
+                return fail(path + (act,), collision, positions)
+            after = frame.moved(decisions)
             try:
-                cls = classify(c_after)
-            except ClassificationError as e:
-                return fail(path + (act,), str(e), tuple(new_pos))
-            formed = pattern_formed(c_after, pattern)
-            new_locked = locked
-            if not formed:
-                if isinstance(cls, Symmetric):
-                    return fail(
-                        path + (act,),
-                        f"{cls.fold}-fold symmetry created before formation",
-                        tuple(new_pos),
-                    )
-                if isinstance(cls, LeaderConfig):
-                    current = (new_order[cls.leader], cls.pivotal)
-                    if locked is not None and current != locked:
-                        return fail(
-                            path + (act,),
-                            "leader or direction changed after release",
-                            tuple(new_pos),
-                        )
-                    if locked is None:
-                        _, gaps, pat = _role_gaps(c_after, cls, pattern)
-                        if _rfc_on(gaps, pat[0]):
-                            new_locked = current
-                elif locked is not None:
-                    return fail(
-                        path + (act,), "leadership lost after release", tuple(new_pos)
-                    )
-            mover_ids = [r for r in sub if dec[r].is_move]
-            if len(mover_ids) == 1:
-                msgs = _branch_postconditions(
-                    c_after, c, dec[mover_ids[0]].branch, pattern
+                new_lock, found = _check_transition(
+                    frame, after, decisions, alive, lock, pattern
                 )
-                if msgs:
-                    return fail(path + (act,), "; ".join(msgs), tuple(new_pos))
-            state: State = (tuple(new_pos), frozenset(new_terms), new_locked)
+            except ClassificationError as e:
+                return fail(path + (act,), str(e), after.pos)
+            if found:
+                return fail(path + (act,), "; ".join(found[0]), after.pos)
+            new_terms = terms | {r for r in sub if not dec[r].is_move}
+            state: State = (after.pos, new_terms, new_lock)
             if state not in seen:
                 if len(seen) >= state_cap:
                     raise PreconditionError(
@@ -957,18 +1113,16 @@ def fsync_symmetry_experiment(
     if k0 < 2:
         raise PreconditionError("the experiment needs a rotationally symmetric start")
     folds = [k0]
-    c = c0
+    frame = _Frame(c0.positions)
     for rnd in range(1, rounds + 1):
-        decisions = {i: rule(snapshot_of(c, i, False)) for i in range(c.n)}
-        witness = detect_collision(c, decisions)
-        if witness is not None:
-            raise InvariantViolationError(
-                f"round {rnd}: robots {witness.first} and {witness.second} "
-                f"collide at t={witness.time}"
-            )
-        _, after_pos = _execute(c, decisions)
-        c = Configuration.from_positions(after_pos)
-        k = c.fold()
+        decisions = {
+            rid: rule(snapshot_of(frame.c, frame.idx_of[rid], False)) for rid in frame.order
+        }
+        collision = frame.collision(decisions)
+        if collision is not None:
+            raise InvariantViolationError(f"round {rnd}: {collision}")
+        frame = frame.moved(decisions)
+        k = frame.c.fold()
         folds.append(k)
         if k < k0:
             raise InvariantViolationError(

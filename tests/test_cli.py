@@ -1,5 +1,6 @@
 """CLI subcommands, exit codes, and trace verification."""
 
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -318,6 +319,21 @@ class TestVerifyCommand:
         assert code == 2
         out = capsys.readouterr().out
         assert "parse error" in out and "line 3" in out
+
+    def test_robot_id_outside_the_trace_is_a_parse_error(self, traced_run, capsys):
+        tpath, ppath = traced_run
+        lines = tpath.read_text().splitlines()
+        obj = json.loads(lines[1])
+        (decision,) = obj["decisions"].values()
+        obj["activated"] = [7]
+        obj["decisions"] = {"7": decision}
+        lines[1] = json.dumps(obj)
+        tpath.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = main(["verify", "--trace", str(tpath), "--pattern", ppath])
+        assert code == 2
+        out = capsys.readouterr().out
+        assert "parse error" in out and "line 2" in out
 
 
 class TestVerifyTrace:

@@ -200,6 +200,19 @@ class TestTraces:
         assert err.value.line_no == 7
         assert "activated" in str(err.value)
 
+    @pytest.mark.parametrize("rid", [7, -1])
+    def test_read_rejects_a_robot_id_outside_the_trace(self, tmp_path, records, rid):
+        obj = record_to_json(records[0])
+        (decision,) = obj["decisions"].values()
+        obj["activated"] = [rid]
+        obj["decisions"] = {str(rid): decision}
+        path = tmp_path / "trace.jsonl"
+        path.write_text(json.dumps(obj) + "\n")
+        with pytest.raises(TraceParseError) as err:
+            read_trace(path)
+        assert err.value.line_no == 1
+        assert f"robot id {rid}" in str(err.value)
+
     def test_record_rejects_length_mismatch(self, records):
         obj = record_to_json(records[0])
         obj["positions_after"] = obj["positions_after"][:-1]

@@ -33,7 +33,6 @@ from circleform.simulator import (
     fsync_symmetry_experiment,
     phase_of,
     run,
-    step_round,
 )
 from conftest import config
 
@@ -163,20 +162,23 @@ class TestDetectCollision:
 
 
 class _PickThree(ActivationPolicy):
+    """Robot 3 alone in round 1, then every live robot, so the epoch closes."""
+
     name = "pick3"
 
     def select(self, rnd, alive, movers):
-        return self._note(rnd, {3})
+        return self._note(rnd, {3} if rnd == 1 else set(alive))
 
 
-class TestStepRound:
+class TestFirstRound:
     def test_singleton_stay_changes_nothing(self, single_nominee5, pattern5):
         # robot 3 of the worked example holds until release
-        policy = _PickThree()
-        policy.reset(5, 0)
-        orientation = OrientationAdversary("fixed-false")
-        orientation.reset(0)
-        after, rec = step_round(single_nominee5, pattern5, policy, orientation)
+        _, records = run(
+            single_nominee5, pattern5, _PickThree(), OrientationAdversary("fixed-false"),
+            seed=0, max_epochs=1,
+        )
+        rec = records[0]
+        after = Configuration.from_positions(rec.positions_after)
         assert after == single_nominee5
         assert rec.activated == (3,)
         assert rec.positions_before == rec.positions_after
