@@ -4,11 +4,14 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import strategies as st
 
-from circleform import Configuration, TargetPattern, classify, gen_instance
+from circleform import Configuration, TargetPattern, classify, gen_instance, mod1
 from circleform.configuration import DoubleNomineeTied
 
 F = Fraction
+# denominator of randomized tie-break draws
+TIE_DEN = 1 << 61
 
 
 def config(*positions) -> Configuration:
@@ -69,3 +72,28 @@ def tied_even_instance(n: int, seed: int) -> tuple[Configuration, TargetPattern]
         if min(c.gaps) > pattern.min_gap_floor:
             return c, pattern
     raise AssertionError(f"no tied instance found for n={n}, seed={seed}")
+
+
+# ---------------------------------------------------------------------------
+# strategies: positions with unrelated denominators, mirror images and
+# rotation-symmetric sets built from them
+
+mixed_turns = st.one_of(
+    st.fractions(min_value=0, max_value=1, max_denominator=720),
+    st.integers(0, TIE_DEN - 1).map(lambda k: F(k, TIE_DEN)),
+    st.integers(0, 3 * TIE_DEN - 1).map(lambda k: F(k, 3 * TIE_DEN)),
+).map(mod1)
+
+
+@st.composite
+def mixed_position_sets(draw):
+    shape = draw(st.sampled_from(("free", "mirror", "rotated")))
+    if shape == "free":
+        return draw(st.sets(mixed_turns, min_size=3, max_size=9))
+    if shape == "mirror":
+        half = draw(st.sets(mixed_turns, min_size=2, max_size=5))
+        axis = draw(mixed_turns)
+        return half | {mod1(2 * axis - h) for h in half}
+    base = draw(st.sets(mixed_turns, min_size=1, max_size=3))
+    k = draw(st.integers(2, 4))
+    return {mod1(b + F(j, k)) for b in base for j in range(k)}

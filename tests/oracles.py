@@ -4,6 +4,10 @@ Everything here is written the slow, obvious way from raw positions, on
 purpose: no gap-cycle caching, no candidate pruning, no role frames.  Where
 the library restricts a scan (nominee candidates, canonical rotations), the
 oracle enumerates everything instead.
+
+``reference_decide`` is the one exception: it is the decision rule in its
+per-observer form, which analyses every rooted reading on its own, kept as
+the reference for the rule that surveys each configuration once.
 """
 
 from fractions import Fraction
@@ -21,6 +25,21 @@ from circleform import (
     bisector_points,
     classify,
     mod1,
+)
+from circleform.angles import lex_compare, prefix_sums
+from circleform.configuration import (
+    DoubleNomineeTied,
+    Symmetric,
+    _classify_cycle,
+    _rooted,
+)
+from circleform.formation import (
+    _bisector_blocked,
+    _common_scale,
+    _move_ready_role,
+    _pick,
+    _rfc_on,
+    _settled,
 )
 
 
@@ -173,3 +192,115 @@ def all_pairs_collision(
     if best is None:
         return None
     return CollisionWitness(best[1], best[2], best[0])
+
+
+def _brute_canonical(cycle: Sequence) -> tuple:
+    """Least rotation of either reading, over every rotation."""
+    return min(brute_min_rotation(cycle)[0], brute_min_rotation(tuple(cycle[::-1]))[0])
+
+
+def _move_by(d: Fraction, q: int, branch: str) -> tuple:
+    return ("move", abs(d), (1 if d > 0 else -1) * q, branch)
+
+
+def reference_decide(cycle: tuple[int, ...], pat: tuple[int, ...], mutant: Optional[str]):
+    """The formation rule analysed afresh for one observer.
+
+    The observer is cycle index 0; the return contract is that of
+    ``formation._decide``.  Canonical form, classification and role frame
+    are all recomputed from this one rooted reading, with no sharing
+    between the observers of one configuration.
+    """
+    n = len(cycle)
+    if _brute_canonical(cycle) == pat:
+        return ("terminate",)
+    found = _classify_cycle(cycle)
+    if isinstance(found, Symmetric):
+        return ("unsolvable", found.fold)
+    full, cycle, pat = _common_scale(cycle, sum(cycle), pat, sum(pat))
+    floor = max(0, 2 * pat[0] - pat[-1])
+    off = prefix_sums(cycle)
+
+    if isinstance(found, DoubleNomineeTied):
+        if found.bisector_robot != 0:
+            return ("stay", "wait_tie")
+        cmp = lex_compare(cycle, cycle[::-1])
+        if cmp <= 0:
+            sign, near, nb, others = (1 if cmp else 0), cycle[0], off[1], off[2:]
+        else:
+            sign, near, nb, others = -1, cycle[-1], off[-1], off[1:-1]
+        g_min = min(cycle)
+        lo, hi = near - g_min, near - floor
+        if hi <= lo:
+            hi = near
+        bad = _bisector_blocked(nb, sign or 1, others, full)
+        return ("move", _pick(lo, hi, bad, full), sign, "break_tie")
+
+    lead, q = found.leader, found.pivotal.sign
+    role = (q * (0 - lead)) % n
+    gaps = _rooted(cycle, lead, found.pivotal)
+    at = prefix_sums(gaps)
+    goal = prefix_sums(pat)
+    settled = _settled(gaps, pat)
+    lead_margin = min(min(gaps[1:]), pat[0])
+    r1_home = gaps[0] == pat[0]
+
+    if role == 0:
+        if gaps[0] >= lead_margin and not (r1_home and settled):
+            lo, hi = gaps[0] - lead_margin, gaps[0] - floor
+            if hi <= lo:
+                hi = gaps[0]
+            nb = off[1] if q > 0 else off[-1]
+            others = off[2:] if q > 0 else off[1:-1]
+            bad = _bisector_blocked(nb, q, others, full)
+            blocker = gaps[1] - gaps[n - 1]
+            if blocker > 0:
+                bad.add(blocker)
+            return ("move", _pick(lo, hi, bad, full), q, "shrink_lead_gap")
+        return ("stay", "wait_lead")
+
+    if role == 2:
+        second_margin = min(min(gaps[2:]), pat[0])
+        if not settled and gaps[0] < lead_margin and gaps[1] >= second_margin:
+            if mutant == "eps1-lower":
+                lo, hi = 0, gaps[1] - gaps[0]
+            else:
+                lo, hi = gaps[1] - second_margin, gaps[1] - gaps[0]
+            return ("move", _pick(lo, hi, (), full), -q, "shrink_second_gap")
+        if settled and gaps[0] <= pat[0] and (gaps[0] < lead_margin or r1_home):
+            if pat[0] + pat[1] - gaps[0] < pat[-1]:
+                dist, tag = Fraction(goal[2] - at[2], full), "finish_direct"
+            else:
+                lo = max(pat[1], 2 * pat[0] - gaps[0])
+                hi = pat[-1]
+                if hi <= lo:
+                    lo = pat[0] - gaps[0]
+                dist = Fraction(gaps[0] - at[2], full) + _pick(lo, hi, (), full)
+                tag = "finish_detour"
+            if dist == 0:
+                return ("stay", "parked")
+            return _move_by(dist, q, tag)
+        return ("stay", "wait_second")
+
+    if role == 1:
+        if settled and gaps[0] < lead_margin and gaps[1] > pat[1]:
+            return _move_by(Fraction(goal[1] - at[1], full), q, "finish_near")
+        return ("stay", "wait_near")
+
+    if _rfc_on(gaps, pat[0]) and not settled:
+        k = _move_ready_role(gaps, goal, full)
+        if k is None:
+            return ("invariant", "no robot is cleared to move in a releasable configuration")
+        if k != role:
+            return ("stay", "wait_settle")
+        return _move_by(Fraction(goal[k] - at[k], full), q, "settle_target")
+    return ("stay", "hold")
+
+
+def reference_tied_nominee(cycle: tuple[int, ...], pat: tuple[int, ...]) -> bool:
+    """Whether the observer (cycle index 0) takes the randomized tie-break:
+    it is one of the two nominees of a tied configuration not yet formed."""
+    if _brute_canonical(cycle) == pat:
+        return False
+    found = _classify_cycle(cycle)
+    return isinstance(found, DoubleNomineeTied) and 0 in (found.nominee_a, found.nominee_b)
