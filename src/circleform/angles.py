@@ -9,8 +9,8 @@ At the boundary (files, traces, decisions) an angle is a
 ``fractions.Fraction``.  Inside the rule a configuration is held as integer
 gaps over one common denominator, so the hot path compares and adds plain
 ints.  The sequence helpers here (``lex_compare``, ``min_rotation``,
-``canonical_cycle``, ``prefix_sums``, ``least_period``) take either kind of
-number unchanged.
+``least_reading``, ``canonical_cycle``, ``prefix_sums``, ``least_period``)
+take either kind of number unchanged.
 """
 
 from __future__ import annotations
@@ -102,20 +102,35 @@ def rotate(seq: Sequence[Fraction], j: int) -> tuple[Fraction, ...]:
 def min_rotation(seq: Sequence[Fraction]) -> tuple[tuple[Fraction, ...], int]:
     """Lexicographically least cyclic rotation of seq, with its offset.
 
-    Ties between equal rotations are broken toward the smallest offset.  Direct
-    O(n^2) comparison; n stays small at the scales this package is used at.
+    Ties between equal rotations are broken toward the smallest offset.  A
+    least rotation starts at a least entry, so only the m offsets holding
+    min(seq) are tried, each with one tuple comparison: O(n*m), with m the
+    number of minimal gaps.
     """
-    n = len(seq)
-    if n == 0:
+    seq = tuple(seq)
+    if not seq:
         return (), 0
-    best = tuple(seq)
-    best_j = 0
-    for j in range(1, n):
-        cand = rotate(seq, j)
-        if cand < best:
-            best = cand
-            best_j = j
+    low = min(seq)
+    best, best_j = None, 0
+    for j, x in enumerate(seq):
+        if x == low:
+            cand = seq[j:] + seq[:j]
+            if best is None or cand < best:
+                best, best_j = cand, j
     return best, best_j
+
+
+def least_reading(seq: Sequence[Fraction]) -> tuple[tuple[Fraction, ...], int, bool]:
+    """(canon, j, r): the canonical cycle and where seq reads it.
+
+    ``canon == rotate(seq, j)``, or ``rotate(seq[::-1], j)`` when ``r`` is
+    set.  Equal readings prefer the forward one, then the smallest offset.
+    """
+    fwd, jf = min_rotation(seq)
+    rev, jr = min_rotation(tuple(seq)[::-1])
+    if rev < fwd:
+        return rev, jr, True
+    return fwd, jf, False
 
 
 def canonical_cycle(seq: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -130,9 +145,7 @@ def canonical_cycle(seq: Sequence[Fraction]) -> tuple[Fraction, ...]:
 
 @lru_cache(maxsize=1 << 16)
 def _canonical_cached(seq: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    fwd, _ = min_rotation(seq)
-    rev, _ = min_rotation(tuple(reversed(seq)))
-    return min(fwd, rev)
+    return least_reading(seq)[0]
 
 
 def gaps_of(sorted_positions: Sequence[Fraction]) -> tuple[Fraction, ...]:

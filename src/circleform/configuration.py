@@ -175,15 +175,9 @@ def _nominees_cycle(gaps: tuple[int, ...]) -> tuple[tuple[int, Direction], ...]:
         if g == g_min:
             cands.append((j, Direction.FORWARD))          # reads gaps[j] first
             cands.append(((j + 1) % n, Direction.REVERSE))  # reads gaps[j] first
-    best: Optional[tuple[int, ...]] = None
-    winners: list[tuple[int, Direction]] = []
-    for i, d in cands:
-        seq = _rooted(gaps, i, d)
-        if best is None or lex_compare(seq, best) < 0:
-            best = seq
-            winners = [(i, d)]
-        elif lex_compare(seq, best) == 0:
-            winners.append((i, d))
+    readings = [_rooted(gaps, i, d) for i, d in cands]
+    best = min(readings)
+    winners = [c for c, seq in zip(cands, readings) if seq == best]
     # One robot can in principle own the minimum in both directions; that
     # would be a reflection through it, which still counts once.
     seen: dict[int, Direction] = {}

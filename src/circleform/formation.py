@@ -1,7 +1,10 @@
 """The formation rule: from one robot's snapshot to its next move.
 
-The decision logic runs entirely in the snapshot's label space (the observer
-is cycle index 0) on integer gaps, and is cached per rooted gap cycle; a thin
+The decision logic runs on integer gaps.  Every robot reading one
+configuration derives the same leader, pivotal direction and role frame, so
+the rule surveys each configuration shape once, cached per canonical gap
+cycle (``_survey``), and gives each observer its instruction from its own
+reading of that cycle (``_decide``, cached per rooted gap cycle); a thin
 wrapper maps the result back onto the shared circle.  All interval choices
 are made deterministically by midpoint subdivision so runs are exactly
 replayable.
@@ -22,6 +25,7 @@ from .angles import (
     FULL_TURN,
     Direction,
     canonical_cycle,
+    least_reading,
     lex_compare,
     mod1,
     prefix_sums,
@@ -291,7 +295,8 @@ def pattern_formed(c: Configuration, pattern: TargetPattern) -> bool:
     """True when the configuration realises the pattern in either direction."""
     if pattern.n != c.n:
         raise StructuralError(f"pattern has {pattern.n} gaps for {c.n} robots")
-    return canonical_cycle(c.cycle) == pattern.cycle
+    # coprime cycles of one shape have equal sums
+    return c.den == pattern.den and canonical_cycle(c.cycle) == pattern.cycle
 
 
 def _goal_offsets(emb: Embedding) -> tuple[Fraction, ...]:
@@ -358,6 +363,132 @@ def move_ready(c: Configuration, emb: Embedding) -> Optional[int]:
     return None if k is None else frame.order[k]
 
 
+def _break_tie(cycle: tuple[int, ...], full: int, floor: int) -> tuple:
+    """The bisector robot's tie-breaking move; it reads ``cycle`` forward.
+
+    It moves toward the neighbour across its smaller reading; sign 0 when
+    its two readings tie and either neighbour will do.
+    """
+    off = prefix_sums(cycle)
+    cmp = lex_compare(cycle, cycle[::-1])
+    if cmp <= 0:
+        sign, near, nb, others = (1 if cmp else 0), cycle[0], off[1], off[2:]
+    else:
+        sign, near, nb, others = -1, cycle[-1], off[-1], off[1:-1]
+    lo, hi = near - min(cycle), near - floor
+    if hi <= lo:
+        hi = near
+    bad = _bisector_blocked(nb, sign or 1, others, full)
+    return ("move", _pick(lo, hi, bad, full), sign, "break_tie")
+
+
+def _role_moves(
+    gaps: tuple[int, ...], pat: tuple[int, ...], full: int, floor: int, mutant: Optional[str]
+) -> tuple[tuple, ...]:
+    """The instruction of every role of a leader configuration.
+
+    ``gaps`` are the role gaps (read from the leader along the pivotal
+    direction) and ``pat`` the pattern, both over ``full``.  A move's sign
+    is +1 along the pivotal direction and -1 against it.
+    """
+    n = len(gaps)
+    at = prefix_sums(gaps)
+    goal = prefix_sums(pat)
+    settled = _settled(gaps, pat)
+    lead_margin = min(min(gaps[1:]), pat[0])
+    r1_home = gaps[0] == pat[0]
+    moves = [("stay", "wait_lead"), ("stay", "wait_near"), ("stay", "wait_second")]
+    moves += [("stay", "hold")] * (n - 3)
+
+    # the leader only moves while its gap is not yet the strict minimum;
+    # once the two stragglers are finishing it must hold still even though
+    # its gap has grown back to pat[0]
+    if gaps[0] >= lead_margin and not (r1_home and settled):
+        lo, hi = gaps[0] - lead_margin, gaps[0] - floor
+        if hi <= lo:
+            hi = gaps[0]
+        # the bisector congruence, with the leader at offset 0 moving toward
+        # role 1
+        bad = {(2 * x - at[1]) % full for x in at[2:]}
+        # a landing that makes the follower's far reading match the leader's
+        # near one would manufacture a two-nominee tie
+        blocker = gaps[1] - gaps[n - 1]
+        if blocker > 0:
+            bad.add(blocker)
+        moves[0] = ("move", _pick(lo, hi, bad, full), 1, "shrink_lead_gap")
+
+    if settled and gaps[0] < lead_margin and gaps[1] > pat[1]:
+        moves[1] = _move_by(Fraction(goal[1] - at[1], full), "finish_near")
+
+    second_margin = min(min(gaps[2:]), pat[0])
+    if not settled and gaps[0] < lead_margin and gaps[1] >= second_margin:
+        if mutant == "eps1-lower":
+            lo, hi = 0, gaps[1] - gaps[0]
+        else:
+            lo, hi = gaps[1] - second_margin, gaps[1] - gaps[0]
+        moves[2] = ("move", _pick(lo, hi, (), full), -1, "shrink_second_gap")
+    elif settled and gaps[0] <= pat[0] and (gaps[0] < lead_margin or r1_home):
+        if pat[0] + pat[1] - gaps[0] < pat[-1]:
+            dist, tag = Fraction(goal[2] - at[2], full), "finish_direct"
+        else:
+            # going straight to target would hand the smallest readings to
+            # the far side; park short of it until role 1 passes
+            lo = max(pat[1], 2 * pat[0] - gaps[0])
+            hi = pat[-1]
+            if hi <= lo:
+                lo = pat[0] - gaps[0]
+            dist = Fraction(gaps[0] - at[2], full) + _pick(lo, hi, (), full)
+            tag = "finish_detour"
+        moves[2] = ("stay", "parked") if dist == 0 else _move_by(dist, tag)
+
+    if _rfc_on(gaps, pat[0]) and not settled:
+        k = _move_ready_role(gaps, goal, full)
+        if k is None:
+            why = "no robot is cleared to move in a releasable configuration"
+            moves[3:] = [("invariant", why)] * (n - 3)
+        else:
+            moves[3:] = [("stay", "wait_settle")] * (n - 3)
+            moves[k] = _move_by(Fraction(goal[k] - at[k], full), "settle_target")
+    return tuple(moves)
+
+
+@lru_cache(maxsize=_CACHE)
+def _survey(canon: tuple[int, ...], pat: tuple[int, ...], mutant: Optional[str]):
+    """The rule's analysis of one configuration shape, shared by every observer.
+
+    ``canon`` is a canonical cycle (``least_reading``) and ``pat`` the
+    pattern's, each over its own sum.  Returns (moves, nominees): moves[k]
+    is the instruction of canon robot k in ``_decide``'s contract, with
+    move signs along canon-forward, and nominees are the two robots of a
+    tied, unformed configuration, or () in every other class.
+    """
+    n = len(canon)
+    den, pden = sum(canon), sum(pat)
+    # coprime cycles of one shape have equal sums
+    if den == pden and canon == pat:
+        return (("terminate",),) * n, ()
+    found = _classify_cycle(canon)
+    if isinstance(found, Symmetric):
+        return (("unsolvable", found.fold),) * n, ()
+    # from here on every length is an int over ``full``
+    full, cycle, pat = _common_scale(canon, den, pat, pden)
+    floor = max(0, 2 * pat[0] - pat[-1])
+
+    if isinstance(found, DoubleNomineeTied):
+        moves = [("stay", "wait_tie")] * n
+        b = found.bisector_robot
+        if b is not None:
+            moves[b] = _break_tie(cycle[b:] + cycle[:b], full, floor)
+        return tuple(moves), (found.nominee_a, found.nominee_b)
+
+    # robot 0 reads the canonical cycle forward, so it owns the least
+    # reading; a second owner would be its mirror image, with equal arcs.
+    # Hence robot 0 leads, canon-forward is pivotal and role k is index k.
+    if found != LeaderConfig(0, Direction.FORWARD):
+        raise InvariantViolationError(f"canonical cycle classified as {found}")
+    return _role_moves(cycle, pat, full, floor, mutant), ()
+
+
 @lru_cache(maxsize=_CACHE)
 def _decide(cycle: tuple[int, ...], pat: tuple[int, ...], mutant: Optional[str]):
     """Label-space core of the rule; the observer is cycle index 0.
@@ -369,104 +500,21 @@ def _decide(cycle: tuple[int, ...], pat: tuple[int, ...], mutant: Optional[str])
     and sign +1 for label-forward, -1 for label-reverse, 0 when the caller
     may pick either (the two readings tie, so both neighbours are
     equivalent).
+
+    The observer reads the canonical cycle from canon index -j, forward in
+    its own labels unless the reading is reversed; its instruction is read
+    off the shape's survey.
     """
-    n = len(cycle)
-    if canonical_cycle(cycle) == pat:
-        return ("terminate",)
-    found = _classify_cycle(cycle)
-    if isinstance(found, Symmetric):
-        return ("unsolvable", found.fold)
-    # from here on every length is an int over ``full``
-    full, cycle, pat = _common_scale(cycle, sum(cycle), pat, sum(pat))
-    floor = max(0, 2 * pat[0] - pat[-1])
-    off = prefix_sums(cycle)
-
-    if isinstance(found, DoubleNomineeTied):
-        if found.bisector_robot != 0:
-            return ("stay", "wait_tie")
-        cmp = lex_compare(cycle, cycle[::-1])
-        if cmp <= 0:
-            sign, near, nb, others = (1 if cmp else 0), cycle[0], off[1], off[2:]
-        else:
-            sign, near, nb, others = -1, cycle[-1], off[-1], off[1:-1]
-        g_min = min(cycle)
-        lo, hi = near - g_min, near - floor
-        if hi <= lo:
-            hi = near
-        bad = _bisector_blocked(nb, sign or 1, others, full)
-        return ("move", _pick(lo, hi, bad, full), sign, "break_tie")
-
-    lead, q = found.leader, found.pivotal.sign
-    role = (q * (0 - lead)) % n
-    gaps = _rooted(cycle, lead, found.pivotal)
-    at = prefix_sums(gaps)
-    goal = prefix_sums(pat)
-    settled = _settled(gaps, pat)
-    lead_margin = min(min(gaps[1:]), pat[0])
-    r1_home = gaps[0] == pat[0]
-
-    if role == 0:
-        # the leader only moves while its gap is not yet the strict minimum;
-        # once the two stragglers are finishing it must hold still even
-        # though its gap has grown back to pat[0]
-        if gaps[0] >= lead_margin and not (r1_home and settled):
-            lo, hi = gaps[0] - lead_margin, gaps[0] - floor
-            if hi <= lo:
-                hi = gaps[0]
-            nb = off[1] if q > 0 else off[-1]
-            others = off[2:] if q > 0 else off[1:-1]
-            bad = _bisector_blocked(nb, q, others, full)
-            # a landing that makes the follower's far reading match the
-            # leader's near one would manufacture a two-nominee tie
-            blocker = gaps[1] - gaps[n - 1]
-            if blocker > 0:
-                bad.add(blocker)
-            return ("move", _pick(lo, hi, bad, full), q, "shrink_lead_gap")
-        return ("stay", "wait_lead")
-
-    if role == 2:
-        second_margin = min(min(gaps[2:]), pat[0])
-        if not settled and gaps[0] < lead_margin and gaps[1] >= second_margin:
-            if mutant == "eps1-lower":
-                lo, hi = 0, gaps[1] - gaps[0]
-            else:
-                lo, hi = gaps[1] - second_margin, gaps[1] - gaps[0]
-            return ("move", _pick(lo, hi, (), full), -q, "shrink_second_gap")
-        if settled and gaps[0] <= pat[0] and (gaps[0] < lead_margin or r1_home):
-            if pat[0] + pat[1] - gaps[0] < pat[-1]:
-                dist, tag = Fraction(goal[2] - at[2], full), "finish_direct"
-            else:
-                # going straight to target would hand the smallest readings
-                # to the far side; park short of it until role 1 passes
-                lo = max(pat[1], 2 * pat[0] - gaps[0])
-                hi = pat[-1]
-                if hi <= lo:
-                    lo = pat[0] - gaps[0]
-                dist = Fraction(gaps[0] - at[2], full) + _pick(lo, hi, (), full)
-                tag = "finish_detour"
-            if dist == 0:
-                return ("stay", "parked")
-            return _move_by(dist, q, tag)
-        return ("stay", "wait_second")
-
-    if role == 1:
-        if settled and gaps[0] < lead_margin and gaps[1] > pat[1]:
-            return _move_by(Fraction(goal[1] - at[1], full), q, "finish_near")
-        return ("stay", "wait_near")
-
-    if _rfc_on(gaps, pat[0]) and not settled:
-        k = _move_ready_role(gaps, goal, full)
-        if k is None:
-            return ("invariant", "no robot is cleared to move in a releasable configuration")
-        if k != role:
-            return ("stay", "wait_settle")
-        return _move_by(Fraction(goal[k] - at[k], full), q, "settle_target")
-    return ("stay", "hold")
+    canon, j, r = least_reading(cycle)
+    instr = _survey(canon, pat, mutant)[0][-j % len(cycle)]
+    if r and instr[0] == "move":
+        return ("move", instr[1], -instr[2], instr[3])
+    return instr
 
 
-def _move_by(d: Fraction, q: int, branch: str) -> tuple:
-    """The move instruction for signed travel d along label direction q."""
-    return ("move", abs(d), (1 if d > 0 else -1) * q, branch)
+def _move_by(d: Fraction, branch: str) -> tuple:
+    """The move instruction for signed travel d along the pivotal direction."""
+    return ("move", abs(d), 1 if d > 0 else -1, branch)
 
 
 def _to_decision(instr: tuple, s: Snapshot) -> Decision:
@@ -535,9 +583,9 @@ def compute(
     if pattern.n != s.n:
         raise StructuralError(f"pattern has {pattern.n} gaps for {s.n} robots")
     cycle = s.cycle
-    if rng is not None and s.n % 2 == 0 and canonical_cycle(cycle) != pattern.cycle:
-        found = _classify_cycle(cycle)
-        if isinstance(found, DoubleNomineeTied) and 0 in (found.nominee_a, found.nominee_b):
+    if rng is not None and s.n % 2 == 0:
+        canon, j, _ = least_reading(cycle)
+        if -j % s.n in _survey(canon, pattern.cycle, mutant)[1]:
             return _random_step(s, rng, pattern.min_gap_floor)
     return _to_decision(_decide(cycle, pattern.cycle, mutant), s)
 
