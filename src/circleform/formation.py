@@ -407,9 +407,7 @@ def _role_moves(
         lo, hi = gaps[0] - lead_margin, gaps[0] - floor
         if hi <= lo:
             hi = gaps[0]
-        # the bisector congruence, with the leader at offset 0 moving toward
-        # role 1
-        bad = {(2 * x - at[1]) % full for x in at[2:]}
+        bad = _bisector_blocked(at[1], 1, at[2:], full)
         # a landing that makes the follower's far reading match the leader's
         # near one would manufacture a two-nominee tie
         blocker = gaps[1] - gaps[n - 1]

@@ -21,7 +21,7 @@ from circleform import (
     prefix_sums,
     rotational_fold,
 )
-from circleform.angles import rotate
+from circleform.angles import least_reading, rotate
 from oracles import brute_fold, brute_min_rotation
 
 F = Fraction
@@ -139,6 +139,16 @@ class TestCanonicalCycle:
         canon = canonical_cycle(s)
         assert canonical_cycle(rotate(s, j)) == canon
         assert canonical_cycle(tuple(reversed(s))) == canon
+
+    @given(st.lists(st.integers(1, 4), min_size=1, max_size=9).map(tuple))
+    def test_least_reading_locates_the_canonical_cycle(self, s):
+        # small entries make equal rotations and palindromes common
+        canon, j, r = least_reading(s)
+        fwd, rev = brute_min_rotation(s), brute_min_rotation(s[::-1])
+        assert canon == canonical_cycle(s) == min(fwd[0], rev[0])
+        assert canon == rotate(s[::-1] if r else s, j)
+        # equal readings prefer the forward one, then the smallest offset
+        assert (j, r) == ((rev[1], True) if rev[0] < fwd[0] else (fwd[1], False))
 
 
 class TestRotationalFold:

@@ -32,7 +32,7 @@ from circleform.simulator import make_policy
 
 import golden_corpus as gc
 import oracles
-from conftest import mixed_position_sets, mixed_turns, tied_even_instance
+from conftest import config, mixed_position_sets, mixed_turns, tied_even_instance
 
 F = Fraction
 SCHEDULERS = ("fsync", "rr", "random", "lazy")
@@ -114,6 +114,20 @@ def test_randomized_tie_check_matches_reference(visited):
         checked += 1
         drew += expected
     assert checked > 500 and drew >= 6
+
+
+def test_leader_skips_a_blocked_midpoint():
+    # moving the leader by half its gap would put role 3 on a bisector point
+    # of the leader and role 1, so the pick takes the quarter point
+    c = config(0, F(7, 17), F(9, 17), F(11, 17))
+    pat = gen_instance(4, 9_002)[1].cycle
+    for i in range(c.n):
+        for flip in (False, True):
+            cycle = snapshot_of(c, i, flip).cycle
+            assert _decide(cycle, pat, None) == oracles.reference_decide(cycle, pat, None)
+    assert _decide(snapshot_of(c, 1, False).cycle, pat, None) == (
+        "move", F(1, 34), 1, "shrink_lead_gap"
+    )
 
 
 # ---------------------------------------------------------------------------

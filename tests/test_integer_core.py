@@ -39,6 +39,7 @@ from conftest import TIE_DEN, mixed_position_sets, tied_even_instance
 
 F = Fraction
 
+
 def _moves_on(c: Configuration, rng: Random, q: int) -> dict:
     decisions = {}
     for i in range(c.n):
