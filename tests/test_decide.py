@@ -1,4 +1,4 @@
-"""The decision rule as it runs against the per-observer reference rule.
+"""The decision rule against its per-observer reference.
 
 Every robot that reads one configuration derives the same leader, pivotal
 direction and role frame; ``formation._decide`` reads each observer's
@@ -35,7 +35,6 @@ import oracles
 from conftest import config, mixed_position_sets, mixed_turns, tied_even_instance
 
 F = Fraction
-SCHEDULERS = ("fsync", "rr", "random", "lazy")
 DET_NS = (3, 5, 7, 9, 11, 15)
 RAND_NS = (4, 6, 8)
 MOVE_BRANCHES = {
@@ -75,7 +74,7 @@ def visited() -> dict:
     Configurations of a mutant run are read with and without the mutant."""
     out = {}
     for c0, pattern, mode, mutant in _starts():
-        for name in SCHEDULERS:
+        for name in gc.SCHEDULERS:
             _, records = run(c0, pattern, make_policy(name), mode=mode, seed=7, mutant=mutant)
             shapes = {c0.positions} | {rec.positions_after for rec in records}
             for pos in shapes:
