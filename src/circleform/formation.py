@@ -416,7 +416,11 @@ def _role_moves(
         moves[0] = ("move", _pick(lo, hi, bad, full), 1, "shrink_lead_gap")
 
     if settled and gaps[0] < lead_margin and gaps[1] > pat[1]:
-        moves[1] = _move_by(Fraction(goal[1] - at[1], full), "finish_near")
+        # at n=3 ``settled`` is vacuous, so role 2 may not have finished yet;
+        # landing alone must then keep role 0 leading along the same direction
+        landed = (pat[0], gaps[0] + gaps[1] - pat[0]) + gaps[2:]
+        if landed == pat or _classify_cycle(landed) == LeaderConfig(0, Direction.FORWARD):
+            moves[1] = _move_by(Fraction(goal[1] - at[1], full), "finish_near")
 
     second_margin = min(min(gaps[2:]), pat[0])
     if not settled and gaps[0] < lead_margin and gaps[1] >= second_margin:

@@ -47,7 +47,7 @@ SINGLE_NOMINEE5 = config(0, F(1, 12), F(1, 3), F(1, 2), F(17, 24))
 # the start on which the eps1-lower mutant breaks shrink_second_gap
 MUTANT_START = config(0, F(1, 36), F(11, 36), F(20, 36), F(27, 36))
 MUTANT_SEEDS = range(5)
-# n=3 starts with a known counterexample under exploration
+# n=3 starts on which exploration once found a counterexample
 KNOWN_DEFECTS = ((3, 111442966), (3, 927313916))
 
 

@@ -284,7 +284,9 @@ def reference_decide(cycle: tuple[int, ...], pat: tuple[int, ...], mutant: Optio
 
     if role == 1:
         if settled and gaps[0] < lead_margin and gaps[1] > pat[1]:
-            return _move_by(Fraction(goal[1] - at[1], full), q, "finish_near")
+            landed = (pat[0], gaps[0] + gaps[1] - pat[0]) + gaps[2:]
+            if landed == pat or _classify_cycle(landed) == LeaderConfig(0, Direction.FORWARD):
+                return _move_by(Fraction(goal[1] - at[1], full), q, "finish_near")
         return ("stay", "wait_near")
 
     if _rfc_on(gaps, pat[0]) and not settled:

@@ -175,18 +175,32 @@ def _check_against_brute(c: Configuration) -> None:
 
 
 # ---------------------------------------------------------------------------
-# known defect
+# the n=3 endgame: at n=3 every role past the leader's neighbours is
+# vacuously settled, so finish_near may only land alone when role 0 keeps
+# the lead along the same direction
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="finish_near, activated alone, gives this n=3 start gaps 1/4, 1/4, 1/2 "
-    "and the configuration loses its leader",
-)
 def test_known_n3_counterexample_is_fixed():
+    # finish_near used to land alone here, giving gaps 1/4, 1/4, 1/2 and
+    # losing the leader
     c0, pattern = gen_instance(3, 111442966)
     report = explore_schedules(c0, pattern, 6)
     assert report.counterexample is None, report.counterexample.reason
+
+
+def test_seeded_n3_starts_explore_clean():
+    # seed 394 lost its leader the same way
+    for seed in range(500):
+        report = explore_schedules(*gen_instance(3, seed), 6)
+        assert report.counterexample is None, (seed, report.counterexample.reason)
+
+
+@pytest.mark.parametrize("seed", [312748009, 526774749])
+def test_n3_starts_that_lost_their_leader_form(seed):
+    c0, pattern = gen_instance(3, seed)
+    for name in ("fsync", "rr", "random", "lazy"):
+        report, _ = run(c0, pattern, make_policy(name), seed=seed)
+        assert report.ok, (name, report.violations)
 
 
 @pytest.mark.xfail(
