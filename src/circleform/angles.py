@@ -8,9 +8,9 @@ must never be corrupted by rounding.
 At the boundary (files, traces, decisions) an angle is a
 ``fractions.Fraction``.  Inside the rule a configuration is held as integer
 gaps over one common denominator, so the hot path compares and adds plain
-ints.  The sequence helpers here (``lex_compare``, ``min_rotation``,
-``least_reading``, ``canonical_cycle``, ``prefix_sums``, ``least_period``)
-take either kind of number unchanged.
+ints.  The sequence helpers here (``min_rotation``, ``least_reading``,
+``canonical_cycle``, ``prefix_sums``, ``least_period``) take either kind of
+number unchanged; gap sequences compare as plain tuples.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import DegenerateInputError, StructuralError
 
@@ -72,22 +72,6 @@ def angle_between(a: Fraction, b: Fraction, d: Direction) -> Fraction:
     if d is Direction.FORWARD:
         return mod1(b - a)
     return mod1(a - b)
-
-
-def lex_compare(s1: Sequence[Fraction], s2: Sequence[Fraction]) -> int:
-    """Exact lexicographic comparison of two equal-length gap sequences.
-
-    Returns -1, 0 or 1.  Sequences of different lengths are a structural error,
-    not a comparison result.
-    """
-    if len(s1) != len(s2):
-        raise StructuralError(f"sequence length mismatch: {len(s1)} vs {len(s2)}")
-    for x, y in zip(s1, s2):
-        if x < y:
-            return -1
-        if x > y:
-            return 1
-    return 0
 
 
 def rotate(seq: Sequence[Fraction], j: int) -> tuple[Fraction, ...]:
@@ -168,19 +152,6 @@ def least_period(seq: Sequence) -> int:
         if n % p == 0 and seq[p:] == seq[:-p]:
             return p
     return n
-
-
-def rotational_fold(positions: Iterable[Fraction]) -> int:
-    """Largest k such that rotating every position by 1/k maps the set onto itself.
-
-    k = 1 means rotationally asymmetric.  A rotation maps the set onto itself
-    exactly when it shifts the gap cycle onto itself, so k is n divided by the
-    cycle's least period.
-    """
-    pts = sorted({mod1(p) for p in positions})
-    if not pts:
-        raise StructuralError("no positions")
-    return len(pts) // least_period(gaps_of(pts))
 
 
 def bisector_points(a: Fraction, b: Fraction) -> tuple[Fraction, Fraction]:

@@ -20,13 +20,7 @@ from math import gcd, lcm
 from operator import lt
 from typing import Iterable, Optional, Union
 
-from .angles import (
-    Direction,
-    least_period,
-    lex_compare,
-    mod1,
-    prefix_sums,
-)
+from .angles import Direction, least_period, mod1, prefix_sums
 from .errors import ClassificationError, PreconditionError, StructuralError
 
 _CACHE = 1 << 16
@@ -100,7 +94,6 @@ class Snapshot:
 
     cycle: tuple[int, ...]
     den: int
-    observer_index: int
     observer_position: Fraction
     flipped: bool
 
@@ -128,7 +121,7 @@ def snapshot_of(c: Configuration, i: int, flip: bool) -> Snapshot:
         raise StructuralError(f"robot index {i} out of range for n={n}")
     cycle = c.cycle
     fwd = cycle[i:] + cycle[:i]
-    return Snapshot(fwd[::-1] if flip else fwd, c.den, i, c.positions[i], flip)
+    return Snapshot(fwd[::-1] if flip else fwd, c.den, c.positions[i], flip)
 
 
 @dataclass(frozen=True)
@@ -284,18 +277,3 @@ def classify(c: Configuration) -> ConfigClass:
     if c.n < 3:
         raise PreconditionError("classification needs n >= 3")
     return _classify_cycle(c.cycle)
-
-
-def pivotal_direction(c: Configuration, leader: int) -> Direction:
-    """The unique direction in which the leader reads its minimal sequence."""
-    cls = classify(c)
-    if not isinstance(cls, LeaderConfig) or cls.leader != leader:
-        raise PreconditionError("pivotal_direction needs the leader of a leader configuration")
-    cmp = lex_compare(
-        _rooted(c.cycle, leader, Direction.FORWARD), _rooted(c.cycle, leader, Direction.REVERSE)
-    )
-    if cmp == 0:
-        # a leader reading equal sequences both ways would contradict its own
-        # leadership; see the classification invariants
-        raise ClassificationError("leader has equal sequences in both directions")
-    return Direction.FORWARD if cmp < 0 else Direction.REVERSE

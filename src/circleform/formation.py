@@ -26,7 +26,6 @@ from .angles import (
     Direction,
     canonical_cycle,
     least_reading,
-    lex_compare,
     mod1,
     prefix_sums,
 )
@@ -38,7 +37,6 @@ from .configuration import (
     Symmetric,
     _classify_cycle,
     _rooted,
-    classify,
 )
 from .errors import (
     EmptyIntervalError,
@@ -65,7 +63,7 @@ class TargetPattern:
     over all rotations of both orientations, so angles[0] is a smallest gap
     and angles[1] <= angles[-1].  Rotated or mirrored inputs collapse to the
     same value; the mirror image is recovered, when a run needs it, by the
-    embedding direction.
+    pivotal direction the targets are laid out along.
     """
 
     angles: tuple[Fraction, ...]
@@ -119,15 +117,6 @@ class TargetPattern:
         return Fraction(min(c.cycle), c.den) > self.min_gap_floor
 
 
-@dataclass(frozen=True)
-class Embedding:
-    """Concrete target points: the pattern anchored at the leader."""
-
-    targets: tuple[Fraction, ...]
-    anchor: Fraction
-    direction: Direction
-
-
 class DecisionKind(Enum):
     STAY = "stay"
     MOVE = "move"
@@ -152,15 +141,7 @@ class Decision:
         return self.kind is DecisionKind.MOVE
 
 
-@dataclass(frozen=True)
-class IntervalChoice:
-    lo: Fraction
-    hi: Fraction
-    forbidden: frozenset
-    chosen: Fraction
-
-
-def select_in_interval(lo: Fraction, hi: Fraction, forbidden: Iterable[Fraction] = ()) -> IntervalChoice:
+def select_in_interval(lo: Fraction, hi: Fraction, forbidden: Iterable[Fraction] = ()) -> Fraction:
     """Deterministic pick from the open interval (lo, hi) avoiding a finite set.
 
     Takes the midpoint; if that is forbidden, tries the midpoints of the two
@@ -175,36 +156,18 @@ def select_in_interval(lo: Fraction, hi: Fraction, forbidden: Iterable[Fraction]
         a, b = queue.popleft()
         mid = (a + b) / 2
         if mid not in bad:
-            return IntervalChoice(lo, hi, bad, mid)
+            return mid
         queue.append((a, mid))
         queue.append((mid, b))
 
 
-def forbidden_epsilons_bisector(
-    c: Configuration, mover: Fraction, neighbor: Fraction, path_direction: Direction
-) -> frozenset:
+def _bisector_blocked(nb: int, sign: int, others: Iterable[int], full: int) -> set:
     """Move amounts that would leave some robot on a bisector point.
 
-    The mover travels from ``mover`` toward ``neighbor`` along
-    ``path_direction``.  A robot at x sits on a bisector point of the moved
-    pair exactly when 2x = mover' + neighbor (mod 1); the two antipodal
-    bisector points give the same congruence, so each robot contributes one
-    solution in [0, 1).
+    Offsets are ints over ``full`` from the mover, which travels in direction
+    ``sign`` toward its neighbour at ``nb``.  A robot at x sits on a bisector
+    point of the moved pair exactly when 2x = sign * eps + nb (mod full).
     """
-    if mover == neighbor:
-        raise PreconditionError("mover and neighbor must be distinct points")
-    s = path_direction.sign
-    out = set()
-    for x in c.positions:
-        if x == mover or x == neighbor:
-            continue
-        out.add(mod1(s * (2 * x - mover - neighbor)))
-    return frozenset(out)
-
-
-def _bisector_blocked(nb: int, sign: int, others: Iterable[int], full: int) -> set:
-    # label-space twin of forbidden_epsilons_bisector with the mover at offset
-    # 0, on integer offsets over ``full``
     return {(sign * (2 * x - nb)) % full for x in others}
 
 
@@ -212,7 +175,7 @@ def _pick(lo: int, hi: int, bad: Iterable[int], full: int) -> Fraction:
     """select_in_interval on integer bounds over ``full``; the choice as a turn."""
     return select_in_interval(
         Fraction(lo, full), Fraction(hi, full), {Fraction(b, full) for b in bad}
-    ).chosen
+    )
 
 
 def _common_scale(
@@ -234,8 +197,9 @@ def _role_gaps(
 ) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     """(full, role gaps, pattern gaps) of a leader configuration, as ints over full.
 
-    Role gaps are read from the leader along the pivotal direction, as in
-    :class:`RoleFrame`.
+    Role k is the k-th robot from the leader along the pivotal direction and
+    role gap k separates roles k and k+1; role k's target sits
+    ``prefix_sums(pattern gaps)[k]`` from the leader along the same direction.
     """
     gaps = _rooted(c.cycle, found.leader, found.pivotal)
     return _common_scale(gaps, c.den, pattern.cycle, pattern.den)
@@ -246,51 +210,6 @@ def _settled(gaps: tuple, pat: tuple) -> bool:
     return prefix_sums(gaps)[3:] == prefix_sums(pat)[3:]
 
 
-@dataclass(frozen=True)
-class RoleFrame:
-    """Leader-rooted reading of a configuration.
-
-    Role k is the k-th robot from the leader along the pivotal direction;
-    ``gaps[k]`` separates roles k and k+1, ``at[k]`` is role k's offset from
-    the leader, and ``order[k]`` is its index in the configuration.
-    """
-
-    leader: int
-    pivotal: Direction
-    order: tuple[int, ...]
-    gaps: tuple[Fraction, ...]
-    at: tuple[Fraction, ...]
-
-    @classmethod
-    def from_configuration(cls, c: Configuration) -> "RoleFrame":
-        found = classify(c)
-        if not isinstance(found, LeaderConfig):
-            raise PreconditionError("role structure needs a leader configuration")
-        n = c.n
-        lead, piv = found.leader, found.pivotal
-        gaps = _rooted(c.gaps, lead, piv)
-        order = tuple((lead + piv.sign * k) % n for k in range(n))
-        return cls(lead, piv, order, gaps, prefix_sums(gaps))
-
-
-def embed_targets(
-    c: Configuration, leader: int, pivotal: Direction, pattern: TargetPattern
-) -> Embedding:
-    """Anchor the pattern at the leader, reading gaps along pivotal."""
-    if pattern.n != c.n:
-        raise StructuralError(f"pattern has {pattern.n} gaps for {c.n} robots")
-    found = classify(c)
-    if not (isinstance(found, LeaderConfig) and found.leader == leader and found.pivotal == pivotal):
-        raise PreconditionError("embedding needs the leader of a leader configuration")
-    anchor = c.positions[leader]
-    s = pivotal.sign
-    return Embedding(
-        tuple(mod1(anchor + s * t) for t in prefix_sums(pattern.angles)),
-        anchor,
-        pivotal,
-    )
-
-
 def pattern_formed(c: Configuration, pattern: TargetPattern) -> bool:
     """True when the configuration realises the pattern in either direction."""
     if pattern.n != c.n:
@@ -299,36 +218,15 @@ def pattern_formed(c: Configuration, pattern: TargetPattern) -> bool:
     return c.den == pattern.den and canonical_cycle(c.cycle) == pattern.cycle
 
 
-def _goal_offsets(emb: Embedding) -> tuple[Fraction, ...]:
-    s = emb.direction.sign
-    return tuple(mod1(s * (t - emb.anchor)) for t in emb.targets)
-
-
-def _rfc_on(gaps: tuple[Fraction, ...], beta0: Fraction) -> bool:
+def _rfc_on(gaps: tuple, beta0) -> bool:
+    """Released (RFC): the leader's gap strictly least, its successor's gap
+    strictly second least, both under the pattern's smallest gap ``beta0``."""
     lead_margin = min(min(gaps[1:]), beta0)
     second_margin = min(min(gaps[2:]), beta0)
     return gaps[0] < lead_margin and gaps[1] < second_margin
 
 
-def is_rfc(c: Configuration, pattern: TargetPattern) -> bool:
-    """Leader's gap strictly least, its successor's gap strictly second least,
-    both under the pattern's smallest gap."""
-    frame = RoleFrame.from_configuration(c)
-    return _rfc_on(frame.gaps, pattern.angles[0])
-
-
-def is_pfc(c: Configuration, emb: Embedding) -> bool:
-    """An RFC in which every role past the leader's two neighbours is on target."""
-    frame = RoleFrame.from_configuration(c)
-    if frame.pivotal != emb.direction or c.positions[frame.leader] != emb.anchor:
-        raise PreconditionError("embedding does not match the configuration's leader")
-    goal = _goal_offsets(emb)
-    if not _rfc_on(frame.gaps, goal[1]):
-        return False
-    return all(frame.at[k] == goal[k] for k in range(3, c.n))
-
-
-def _move_ready_role(gaps: tuple, goal: tuple, full=FULL_TURN) -> Optional[int]:
+def _move_ready_role(gaps: tuple, goal: tuple, full: int) -> Optional[int]:
     """First role >= 3 that is off target with clearance to reach it.
 
     Clearance: the gap to the next robot on the destination side must exceed
@@ -352,17 +250,6 @@ def _move_ready_role(gaps: tuple, goal: tuple, full=FULL_TURN) -> Optional[int]:
     return None
 
 
-def move_ready(c: Configuration, emb: Embedding) -> Optional[int]:
-    """Index of the robot cleared to settle onto its target, or None if all
-    roles >= 3 already sit on theirs."""
-    frame = RoleFrame.from_configuration(c)
-    goal = _goal_offsets(emb)
-    if not _rfc_on(frame.gaps, goal[1]):
-        raise PreconditionError("Move-Ready detection needs a releasable configuration")
-    k = _move_ready_role(frame.gaps, goal)
-    return None if k is None else frame.order[k]
-
-
 def _break_tie(cycle: tuple[int, ...], full: int, floor: int) -> tuple:
     """The bisector robot's tie-breaking move; it reads ``cycle`` forward.
 
@@ -370,9 +257,9 @@ def _break_tie(cycle: tuple[int, ...], full: int, floor: int) -> tuple:
     its two readings tie and either neighbour will do.
     """
     off = prefix_sums(cycle)
-    cmp = lex_compare(cycle, cycle[::-1])
-    if cmp <= 0:
-        sign, near, nb, others = (1 if cmp else 0), cycle[0], off[1], off[2:]
+    rev = cycle[::-1]
+    if cycle <= rev:
+        sign, near, nb, others = (1 if cycle < rev else 0), cycle[0], off[1], off[2:]
     else:
         sign, near, nb, others = -1, cycle[-1], off[-1], off[1:-1]
     lo, hi = near - min(cycle), near - floor
@@ -541,14 +428,16 @@ def _to_decision(instr: tuple, s: Snapshot) -> Decision:
     return Decision(DecisionKind.MOVE, dest, pdir, branch)
 
 
-def _random_step(s: Snapshot, rng: Random, floor: Fraction = ZERO) -> Decision:
+def _random_step(s: Snapshot, rng: Random, floor: Fraction) -> Decision:
+    """Even-count tie-break: the observing nominee moves a random amount below
+    half of (min gap - floor) toward its smaller-reading neighbour."""
     cycle = s.cycle
-    cmp = lex_compare(cycle, cycle[::-1])
-    if cmp == 0:
+    rev = cycle[::-1]
+    if cycle == rev:
         # a nominee reading the same both ways would own the minimum twice,
         # which forces a rotation symmetry; cannot happen here
         raise InvariantViolationError("nominee with a palindromic view")
-    sign = 1 if cmp < 0 else -1
+    sign = 1 if cycle < rev else -1
     g_min = Fraction(min(cycle), s.den)
     k = rng.randrange(1, _RAND_DENOM)
     eps = Fraction(k, _RAND_DENOM) * (g_min - floor) / 2
@@ -556,17 +445,6 @@ def _random_step(s: Snapshot, rng: Random, floor: Fraction = ZERO) -> Decision:
     pdir = s.physical_direction(label)
     dest = mod1(s.observer_position + pdir.sign * eps)
     return Decision(DecisionKind.MOVE, dest, pdir, "random_tiebreak")
-
-
-def randomized_nominee_move(s: Snapshot, rng: Random) -> Decision:
-    """Tie-break for even robot counts: an activated nominee moves a random
-    amount below half the minimum gap toward its smaller-reading neighbour."""
-    if s.n % 2:
-        raise PreconditionError("randomized tie-break applies to even robot counts")
-    found = _classify_cycle(s.cycle)
-    if not isinstance(found, DoubleNomineeTied) or 0 not in (found.nominee_a, found.nominee_b):
-        raise PreconditionError("randomized tie-break needs an observing nominee in a tied configuration")
-    return _random_step(s, rng)
 
 
 def compute(

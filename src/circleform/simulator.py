@@ -27,7 +27,7 @@ from fractions import Fraction
 from random import Random
 from typing import Callable, Mapping, Optional, Sequence
 
-from .angles import Direction, Turn, lex_compare, mod1
+from .angles import Direction, Turn, mod1
 from .configuration import (
     ConfigClass,
     Configuration,
@@ -178,8 +178,6 @@ def make_policy(name: str, p: float = 0.5, fairness: Optional[int] = None) -> Ac
         raise PreconditionError(f"unknown scheduler {name!r}")
     if name == "random":
         return RandomSubset(p, fairness)
-    if name == "lazy":
-        return LazyAdversary(fairness)
     return POLICIES[name](fairness)
 
 
@@ -842,10 +840,10 @@ def _check_random_move(
     if not recorded.is_move:
         return ["tie-break record is not a move"]
     s = snapshot_of(c, idx, False)
-    cmp = lex_compare(s.cycle, s.cycle[::-1])
-    if cmp == 0:
+    rev = s.cycle[::-1]
+    if s.cycle == rev:
         return ["nominee with a palindromic view"]
-    expected_dir = Direction.FORWARD if cmp < 0 else Direction.REVERSE
+    expected_dir = Direction.FORWARD if s.cycle < rev else Direction.REVERSE
     msgs = []
     if recorded.path_direction is not expected_dir:
         msgs.append("tie-break moved away from its smaller reading")

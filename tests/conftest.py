@@ -6,7 +6,8 @@ from random import Random
 import pytest
 from hypothesis import strategies as st
 
-from circleform import Configuration, TargetPattern, classify, gen_instance, mod1
+from circleform import Configuration, TargetPattern, classify, gen_instance
+from circleform.angles import mod1
 from circleform.configuration import DoubleNomineeTied
 
 F = Fraction

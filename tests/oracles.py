@@ -18,15 +18,12 @@ from circleform import (
     Configuration,
     Decision,
     Direction,
-    Embedding,
     LeaderConfig,
     PreconditionError,
-    angle_between,
-    bisector_points,
+    TargetPattern,
     classify,
-    mod1,
 )
-from circleform.angles import lex_compare, prefix_sums
+from circleform.angles import angle_between, bisector_points, mod1, prefix_sums
 from circleform.configuration import (
     DoubleNomineeTied,
     Symmetric,
@@ -92,13 +89,15 @@ def brute_fold(positions: Sequence[Fraction]) -> int:
     return 1
 
 
-def brute_move_ready(c: Configuration, emb: Embedding) -> Optional[int]:
+def brute_move_ready(c: Configuration, pattern: TargetPattern) -> Optional[int]:
     """Definition-level scan for the next robot cleared to settle.
 
-    Walks robots outward from the leader along the pivotal direction, skipping
-    the first two; the first one off its target whose gap toward the target
-    side exceeds the travel by more than the second role gap wins.  Works on
-    physical angles only, independent of the library's role-offset frame.
+    Anchors the pattern at the leader, its gaps laid out along the pivotal
+    direction, then walks robots outward from the leader the same way,
+    skipping the first two; the first one off its target whose gap toward the
+    target side exceeds the travel by more than the second role gap wins.
+    Works on physical angles only, independent of the library's role-offset
+    frame.
     """
     found = classify(c)
     assert isinstance(found, LeaderConfig)
@@ -108,9 +107,12 @@ def brute_move_ready(c: Configuration, emb: Embedding) -> Optional[int]:
     pos = c.positions
     alpha1 = angle_between(pos[order[1]], pos[order[2]], piv)
     anchor = pos[found.leader]
+    targets = [anchor]
+    for beta in pattern.angles[:-1]:
+        targets.append(mod1(targets[-1] + piv.sign * beta))
     for k in range(3, n):
         r = pos[order[k]]
-        target = emb.targets[k]
+        target = targets[k]
         if r == target:
             continue
         if angle_between(anchor, target, piv) > angle_between(anchor, r, piv):
@@ -224,9 +226,9 @@ def reference_decide(cycle: tuple[int, ...], pat: tuple[int, ...], mutant: Optio
     if isinstance(found, DoubleNomineeTied):
         if found.bisector_robot != 0:
             return ("stay", "wait_tie")
-        cmp = lex_compare(cycle, cycle[::-1])
-        if cmp <= 0:
-            sign, near, nb, others = (1 if cmp else 0), cycle[0], off[1], off[2:]
+        rev = cycle[::-1]
+        if cycle <= rev:
+            sign, near, nb, others = (1 if cycle < rev else 0), cycle[0], off[1], off[2:]
         else:
             sign, near, nb, others = -1, cycle[-1], off[-1], off[1:-1]
         g_min = min(cycle)

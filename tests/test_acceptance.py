@@ -18,13 +18,12 @@ from circleform import (
     SymmetricConfigurationError,
     TargetPattern,
     classify,
-    mod1,
     nominees,
     run,
 )
-from circleform.angles import min_rotation
+from circleform.angles import min_rotation, mod1, prefix_sums
 from circleform.cli import gen_instance, main, make_policy, symmetric_instance
-from circleform.formation import embed_targets, is_rfc, move_ready
+from circleform.formation import _move_ready_role, _rfc_on, _role_gaps
 from circleform.simulator import (
     SYMMETRY_RULES,
     explore_schedules,
@@ -271,9 +270,12 @@ def test_criterion_10_oracle_agreement_on_random_instances():
     done = 0
     while done < 1000:
         c, pattern = _random_released(rng)
-        if not is_rfc(c, pattern):
-            continue
         cls = classify(c)
-        emb = embed_targets(c, cls.leader, cls.pivotal, pattern)
-        assert move_ready(c, emb) == oracles.brute_move_ready(c, emb), c.positions
+        assert isinstance(cls, LeaderConfig), c.positions
+        full, gaps, pat = _role_gaps(c, cls, pattern)
+        if not _rfc_on(gaps, pat[0]):
+            continue
+        k = _move_ready_role(gaps, prefix_sums(pat), full)
+        mine = None if k is None else (cls.leader + cls.pivotal.sign * k) % c.n
+        assert mine == oracles.brute_move_ready(c, pattern), c.positions
         done += 1

@@ -6,22 +6,19 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from circleform import (
-    Direction,
-    StructuralError,
+from circleform import Configuration, Direction, StructuralError, format_turn
+from circleform.angles import (
     angle_between,
     bisector_points,
     canonical_cycle,
-    format_turn,
     gaps_of,
-    lex_compare,
+    least_reading,
     min_rotation,
     mod1,
     parse_turn,
     prefix_sums,
-    rotational_fold,
+    rotate,
 )
-from circleform.angles import least_reading, rotate
 from oracles import brute_fold, brute_min_rotation
 
 F = Fraction
@@ -76,35 +73,41 @@ DEG = F(1, 360)
 
 
 class TestLexCompare:
+    """Gap readings compare lexicographically; ``least_reading`` picks the
+    least of a cycle's readings and says whether it runs reversed."""
+
     def test_worked_example_readings(self):
         fwd = tuple(k * DEG for k in (30, 90, 60, 75, 105))
         rev = tuple(reversed(fwd))
-        assert lex_compare(fwd, rev) == -1
-        assert lex_compare(rev, fwd) == 1
+        assert least_reading(fwd) == (fwd, 0, False)
+        assert least_reading(rev) == (fwd, 0, True)
 
     def test_equal(self):
+        # a palindromic reading ties with its reverse; forward wins the tie
         s = (F(1, 4), F(1, 4), F(1, 2))
-        assert lex_compare(s, s) == 0
+        assert least_reading(s) == (s, 0, False)
 
     def test_second_element_decides(self):
-        assert lex_compare((F(1, 4), F(1, 4), F(1, 2)), (F(1, 4), F(1, 2), F(1, 4))) == -1
+        s = (F(1, 4), F(1, 2), F(1, 4))
+        assert min_rotation(s) == ((F(1, 4), F(1, 4), F(1, 2)), 2)
 
-    def test_length_mismatch(self):
-        with pytest.raises(StructuralError):
-            lex_compare((F(1, 2),), (F(1, 4), F(1, 4)))
+    @given(gap_seqs)
+    def test_antisymmetric(self, s):
+        # reversing the cycle flips which reading is least, unless they tie
+        canon, _, r = least_reading(s)
+        canon_rev, _, r_rev = least_reading(s[::-1])
+        assert canon == canon_rev
+        if min_rotation(s)[0] == min_rotation(s[::-1])[0]:
+            assert not r and not r_rev
+        else:
+            assert r_rev is not r
 
-    @given(gap_seqs, gap_seqs)
-    def test_antisymmetric(self, s1, s2):
-        if len(s1) != len(s2):
-            s2 = s1
-        assert lex_compare(s1, s2) == -lex_compare(s2, s1)
-
-    @given(gap_seqs, gap_seqs, gap_seqs)
-    def test_transitive(self, a, b, c):
-        n = min(len(a), len(b), len(c))
-        a, b, c = a[:n], b[:n], c[:n]
-        if lex_compare(a, b) <= 0 and lex_compare(b, c) <= 0:
-            assert lex_compare(a, c) <= 0
+    @given(gap_seqs, st.integers(0, 7))
+    def test_transitive(self, s, j):
+        # the least reading is at most every reading of either direction
+        canon = least_reading(s)[0]
+        assert canon <= rotate(s, j)
+        assert canon <= rotate(s[::-1], j)
 
 
 class TestMinRotation:
@@ -151,24 +154,28 @@ class TestCanonicalCycle:
         assert (j, r) == ((rev[1], True) if rev[0] < fwd[0] else (fwd[1], False))
 
 
+def fold(pts) -> int:
+    return Configuration.from_positions(pts).fold()
+
+
 class TestRotationalFold:
     def test_square(self):
-        assert rotational_fold({F(0), F(1, 4), F(1, 2), F(3, 4)}) == 4
+        assert fold({F(0), F(1, 4), F(1, 2), F(3, 4)}) == 4
 
     def test_worked_example_is_asymmetric(self):
-        assert rotational_fold({F(0), F(1, 12), F(1, 3), F(1, 2), F(17, 24)}) == 1
+        assert fold({F(0), F(1, 12), F(1, 3), F(1, 2), F(17, 24)}) == 1
 
     def test_half_turn(self):
-        assert rotational_fold({F(0), F(1, 6), F(1, 2), F(2, 3)}) == 2
+        assert fold({F(0), F(1, 6), F(1, 2), F(2, 3)}) == 2
 
     @given(st.sets(turns, min_size=1, max_size=8))
     def test_matches_brute_force(self, pts):
-        assert rotational_fold(pts) == brute_fold(sorted(pts))
+        assert fold(pts) == brute_fold(sorted(pts))
 
     @given(st.sets(turns, min_size=1, max_size=8), turns)
     def test_invariant_under_rotation(self, pts, shift):
         rotated = {mod1(p + shift) for p in pts}
-        assert rotational_fold(rotated) == rotational_fold(pts)
+        assert fold(rotated) == fold(pts)
 
 
 class TestBisectorPoints:

@@ -16,13 +16,12 @@ from circleform import (
     PreconditionError,
     StructuralError,
     Symmetric,
-    arc_population,
     classify,
-    mod1,
     nominees,
-    pivotal_direction,
     snapshot_of,
 )
+from circleform.angles import mod1
+from circleform.configuration import arc_population
 from conftest import config, random_positions
 from oracles import brute_nominees, rooted_sequence
 
@@ -210,7 +209,7 @@ class TestArcPopulation:
 
 class TestPivotalDirection:
     def test_worked_example(self, single_nominee5):
-        assert pivotal_direction(single_nominee5, 0) is Direction.FORWARD
+        assert classify(single_nominee5) == LeaderConfig(0, Direction.FORWARD)
 
     def test_mirror_flips_it(self, single_nominee5):
         mirrored = Configuration.from_positions(
@@ -218,10 +217,6 @@ class TestPivotalDirection:
         )
         found = classify(mirrored)
         assert found.pivotal is Direction.REVERSE
-
-    def test_non_leader_rejected(self, single_nominee5):
-        with pytest.raises(PreconditionError):
-            pivotal_direction(single_nominee5, 2)
 
     def test_flipped_snapshot_same_physical_direction(self):
         # presentation-independence: relabeling cannot change where the

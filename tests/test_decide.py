@@ -23,10 +23,10 @@ from circleform import (
     TargetPattern,
     compute,
     gen_instance,
-    mod1,
     run,
     snapshot_of,
 )
+from circleform.angles import mod1
 from circleform.formation import _decide
 from circleform.simulator import make_policy
 

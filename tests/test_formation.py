@@ -9,30 +9,26 @@ from hypothesis import strategies as st
 
 from circleform import (
     Configuration,
-    Decision,
     DecisionKind,
     Direction,
     EmptyIntervalError,
     LeaderConfig,
     PatternError,
-    PreconditionError,
-    RoleFrame,
     StructuralError,
     TargetPattern,
-    angle_between,
     classify,
     compute,
-    embed_targets,
-    forbidden_epsilons_bisector,
-    is_pfc,
-    is_rfc,
-    mod1,
-    move_ready,
-    pattern_formed,
-    prefix_sums,
-    randomized_nominee_move,
-    select_in_interval,
     snapshot_of,
+)
+from circleform.angles import angle_between, mod1, prefix_sums
+from circleform.formation import (
+    _bisector_blocked,
+    _move_ready_role,
+    _rfc_on,
+    _role_gaps,
+    _settled,
+    pattern_formed,
+    select_in_interval,
 )
 from conftest import config, random_positions
 from oracles import brute_move_ready, on_some_bisector
@@ -42,6 +38,33 @@ F = Fraction
 
 def pat(*nums, den):
     return TargetPattern.from_angles([F(k, den) for k in nums])
+
+
+def role_points(c, pattern):
+    """The rule's role frame on the circle: (robot by role, target by role),
+    each at its offset from the leader along the pivotal direction."""
+    found = classify(c)
+    full, gaps, pgaps = _role_gaps(c, found, pattern)
+    anchor, s = c.positions[found.leader], found.pivotal.sign
+    return tuple(
+        tuple(mod1(anchor + s * F(x, full)) for x in prefix_sums(g)) for g in (gaps, pgaps)
+    )
+
+
+def released_and_settled(c, pattern):
+    """(RFC, PFC) of a leader configuration, as the rule reads them."""
+    _, gaps, pgaps = _role_gaps(c, classify(c), pattern)
+    rfc = _rfc_on(gaps, pgaps[0])
+    return rfc, rfc and _settled(gaps, pgaps)
+
+
+def move_ready_robot(c, pattern):
+    """Index of the robot the rule clears to settle, or None."""
+    found = classify(c)
+    full, gaps, pgaps = _role_gaps(c, found, pattern)
+    assert _rfc_on(gaps, pgaps[0])
+    k = _move_ready_role(gaps, prefix_sums(pgaps), full)
+    return None if k is None else (found.leader + found.pivotal.sign * k) % c.n
 
 
 @pytest.fixture
@@ -93,34 +116,33 @@ class TestTargetPattern:
 class TestEmbedTargets:
     def test_forward_cumulative_sums(self):
         c = config(0, F(1, 6), F(1, 2))
-        emb = embed_targets(c, 0, Direction.FORWARD, pat(2, 4, 6, den=12))
-        assert emb.targets == (F(0), F(1, 6), F(1, 2))
+        assert classify(c) == LeaderConfig(0, Direction.FORWARD)
+        _, targets = role_points(c, pat(2, 4, 6, den=12))
+        assert targets == (F(0), F(1, 6), F(1, 2))
 
     def test_reverse_cumulative_differences(self):
         c = config(F(1, 12), F(7, 12), F(11, 12))
-        emb = embed_targets(c, 0, Direction.REVERSE, pat(2, 4, 6, den=12))
-        assert emb.targets == (F(1, 12), F(11, 12), F(7, 12))
-
-    def test_wrong_leader_rejected(self, single_nominee5, pattern5):
-        with pytest.raises(PreconditionError):
-            embed_targets(single_nominee5, 2, Direction.FORWARD, pattern5)
+        assert classify(c) == LeaderConfig(0, Direction.REVERSE)
+        _, targets = role_points(c, pat(2, 4, 6, den=12))
+        assert targets == (F(1, 12), F(11, 12), F(7, 12))
 
     def test_size_mismatch_rejected(self, single_nominee5):
         with pytest.raises(StructuralError):
-            embed_targets(single_nominee5, 0, Direction.FORWARD, pat(2, 4, 6, den=12))
+            pattern_formed(single_nominee5, pat(2, 4, 6, den=12))
 
     def test_gaps_between_targets_are_the_betas(self, single_nominee5, pattern5):
-        emb = embed_targets(single_nominee5, 0, Direction.FORWARD, pattern5)
+        assert classify(single_nominee5) == LeaderConfig(0, Direction.FORWARD)
+        _, targets = role_points(single_nominee5, pattern5)
         n = pattern5.n
         for j in range(n):
-            got = angle_between(emb.targets[j], emb.targets[(j + 1) % n], emb.direction)
+            got = angle_between(targets[j], targets[(j + 1) % n], Direction.FORWARD)
             assert got == pattern5.angles[j]
 
 
 class TestPatternFormed:
     def test_embedding_realises_pattern(self, single_nominee5, pattern5):
-        emb = embed_targets(single_nominee5, 0, Direction.FORWARD, pattern5)
-        formed = Configuration.from_positions(emb.targets)
+        _, targets = role_points(single_nominee5, pattern5)
+        formed = Configuration.from_positions(targets)
         assert pattern_formed(formed, pattern5)
 
     def test_mirrored_embedding_counts(self, pattern5):
@@ -135,14 +157,13 @@ class TestPatternFormed:
 
 class TestSelectInInterval:
     def test_midpoint_when_unobstructed(self):
-        assert select_in_interval(F(0), F(1, 12)).chosen == F(1, 24)
+        assert select_in_interval(F(0), F(1, 12)) == F(1, 24)
 
     def test_falls_back_to_left_half(self):
-        assert select_in_interval(F(0), F(1, 2), [F(1, 4)]).chosen == F(1, 8)
+        assert select_in_interval(F(0), F(1, 2), [F(1, 4)]) == F(1, 8)
 
     def test_descends_two_levels(self):
-        choice = select_in_interval(F(1, 8), F(1, 4), [F(3, 16), F(5, 32)])
-        assert choice.chosen == F(7, 32)
+        assert select_in_interval(F(1, 8), F(1, 4), [F(3, 16), F(5, 32)]) == F(7, 32)
 
     def test_empty_interval_rejected(self):
         with pytest.raises(EmptyIntervalError):
@@ -156,29 +177,38 @@ class TestSelectInInterval:
     def test_always_lands_inside_and_clear(self, lo, hi, forbidden):
         if lo == hi:
             return
-        choice = select_in_interval(lo, hi, forbidden)
-        assert lo < choice.chosen < hi
-        assert choice.chosen not in forbidden
+        chosen = select_in_interval(lo, hi, forbidden)
+        assert lo < chosen < hi
+        assert chosen not in forbidden
+
+
+def blocked_moves(c, mover, neighbor, direction):
+    """_bisector_blocked for the robot at ``mover`` heading along ``direction``
+    toward ``neighbor``, on c's offsets from the mover; the amounts as turns."""
+    full = c.den  # every offset between two robots is a whole multiple of 1/den
+
+    def offset(x):
+        return int(mod1(x - mover) * full)
+
+    others = [offset(x) for x in c.positions if x not in (mover, neighbor)]
+    out = _bisector_blocked(offset(neighbor), direction.sign, others, full)
+    return {F(e, full) for e in out}
 
 
 class TestForbiddenEpsilons:
     def test_no_other_robots(self):
         c = config(0, F(1, 3))
-        assert forbidden_epsilons_bisector(c, F(0), F(1, 3), Direction.FORWARD) == frozenset()
+        assert blocked_moves(c, F(0), F(1, 3), Direction.FORWARD) == set()
 
     def test_robot_on_current_bisector_contributes_zero(self):
         c = config(0, F(1, 6), F(1, 3))
-        out = forbidden_epsilons_bisector(c, F(0), F(1, 3), Direction.FORWARD)
+        out = blocked_moves(c, F(0), F(1, 3), Direction.FORWARD)
         assert F(0) in out
-
-    def test_degenerate_pair_rejected(self, single_nominee5):
-        with pytest.raises(PreconditionError):
-            forbidden_epsilons_bisector(single_nominee5, F(0), F(0), Direction.FORWARD)
 
     def test_exactly_the_occupancy_roots(self, tied5):
         mover, neighbor = F(0), F(1, 12)
         others = [p for p in tied5.positions if p not in (mover, neighbor)]
-        out = forbidden_epsilons_bisector(tied5, mover, neighbor, Direction.FORWARD)
+        out = blocked_moves(tied5, mover, neighbor, Direction.FORWARD)
         for eps in out:
             moved = mod1(mover + eps)
             assert on_some_bisector(others, moved, neighbor)
@@ -192,72 +222,62 @@ class TestForbiddenEpsilons:
 class TestRfcPfc:
     def test_constructed_rfc(self, rfc5, pattern5):
         assert classify(rfc5) == LeaderConfig(0, Direction.FORWARD)
-        assert is_rfc(rfc5, pattern5)
+        assert released_and_settled(rfc5, pattern5)[0]
 
     def test_duplicate_lead_gap_is_not_released(self, pattern5):
         gaps = (F(1, 10), F(3, 10), F(1, 10), F(2, 10), F(3, 10))
         c = Configuration.from_positions(prefix_sums(gaps))
-        assert not is_rfc(c, pattern5)
+        assert not released_and_settled(c, pattern5)[0]
 
     def test_second_gap_at_pattern_floor_is_not_released(self, pattern5):
         # alpha1 equal to beta0 misses the strict corridor
         c = config(0, F(1, 100), F(1, 100) + F(1, 18), F(7, 18), F(12, 18))
-        assert not is_rfc(c, pattern5)
+        assert not released_and_settled(c, pattern5)[0]
 
     def test_pfc_when_tail_settled(self, rfc5, pattern5):
-        emb = embed_targets(rfc5, 0, Direction.FORWARD, pattern5)
-        assert is_pfc(rfc5, emb)
+        assert released_and_settled(rfc5, pattern5)[1]
 
     def test_not_pfc_when_tail_robot_off_target(self, pattern5):
         c = config(0, F(1, 100), F(3, 100), F(7, 18) + F(1, 200), F(12, 18))
-        emb = embed_targets(c, 0, Direction.FORWARD, pattern5)
-        assert is_rfc(c, pattern5)
-        assert not is_pfc(c, emb)
+        assert released_and_settled(c, pattern5) == (True, False)
 
     def test_three_robots_vacuously_partial(self):
         p = pat(2, 4, 6, den=12)
         c = config(0, F(1, 100), F(3, 100))
-        assert is_rfc(c, p)
-        emb = embed_targets(c, 0, Direction.FORWARD, p)
-        assert is_pfc(c, emb)
+        assert released_and_settled(c, p) == (True, True)
 
 
 class TestMoveReady:
     def test_absent_when_settled(self, rfc5, pattern5):
-        emb = embed_targets(rfc5, 0, Direction.FORWARD, pattern5)
-        assert move_ready(rfc5, emb) is None
+        assert move_ready_robot(rfc5, pattern5) is None
 
     def test_target_between_predecessor_and_robot(self, pattern5):
         c = config(0, F(1, 100), F(3, 100), F(7, 18) + F(1, 200), F(12, 18))
-        emb = embed_targets(c, 0, Direction.FORWARD, pattern5)
-        assert move_ready(c, emb) == 3
-        assert brute_move_ready(c, emb) == 3
+        assert move_ready_robot(c, pattern5) == 3
+        assert brute_move_ready(c, pattern5) == 3
 
     def test_non_rfc_rejected(self, single_nominee5, pattern5):
-        found = classify(single_nominee5)
-        emb = embed_targets(single_nominee5, found.leader, found.pivotal, pattern5)
-        with pytest.raises(PreconditionError):
-            move_ready(single_nominee5, emb)
+        # outside a released configuration the rule does not scan for a
+        # Move-Ready robot: every role past the second holds still
+        assert not released_and_settled(single_nominee5, pattern5)[0]
+        ds = decisions_of(single_nominee5, pattern5)
+        assert [ds[i].branch for i in (3, 4)] == ["hold", "hold"]
 
 
 class TestRoleFrame:
-    def test_orders_from_leader_along_pivotal(self, rfc5):
-        frame = RoleFrame.from_configuration(rfc5)
-        assert frame.leader == 0
-        assert frame.order == (0, 1, 2, 3, 4)
-        assert frame.gaps == rfc5.gaps
-        assert frame.at[0] == 0
+    def test_orders_from_leader_along_pivotal(self, rfc5, pattern5):
+        assert classify(rfc5).leader == 0
+        robots, _ = role_points(rfc5, pattern5)
+        assert robots == tuple(rfc5.positions[i] for i in (0, 1, 2, 3, 4))
+        full, gaps, _ = _role_gaps(rfc5, classify(rfc5), pattern5)
+        assert tuple(F(g, full) for g in gaps) == rfc5.gaps
+        assert robots[0] == rfc5.positions[0]
 
-    def test_reverse_leader_reads_backwards(self):
+    def test_reverse_leader_reads_backwards(self, pattern5):
         c = config(0, F(1, 36), F(11, 36), F(20, 36), F(27, 36))
-        frame = RoleFrame.from_configuration(c)
-        assert frame.leader == 1
-        assert frame.pivotal is Direction.REVERSE
-        assert frame.order == (1, 0, 4, 3, 2)
-
-    def test_tied_input_rejected(self, tied5):
-        with pytest.raises(PreconditionError):
-            RoleFrame.from_configuration(tied5)
+        assert classify(c) == LeaderConfig(1, Direction.REVERSE)
+        robots, _ = role_points(c, pattern5)
+        assert robots == tuple(c.positions[i] for i in (1, 0, 4, 3, 2))
 
 
 def decisions_of(c, pattern, **kw):
@@ -294,8 +314,8 @@ class TestComputeBranches:
         after = Configuration.from_positions(
             [p if i != 2 else ds[2].destination for i, p in enumerate(c.positions)]
         )
-        frame = RoleFrame.from_configuration(after)
-        assert frame.gaps[0] < min(min(frame.gaps[1:]), pattern5.angles[0])
+        _, gaps, pgaps = _role_gaps(after, classify(after), pattern5)
+        assert gaps[0] < min(min(gaps[1:]), pgaps[0])
 
     def test_second_neighbour_tightens_its_gap(self, pattern5):
         c = config(0, F(1, 36), F(11, 36), F(20, 36), F(27, 36))
@@ -371,11 +391,15 @@ class TestComputeBranches:
 
 
 class TestRandomizedTieBreak:
+    # a pattern with gap floor 0, so a draw may use half the whole min gap
+    P4 = pat(1, 3, 4, 4, den=12)
+
     def test_moves_below_half_the_min_gap(self, mirror_tied4):
+        assert self.P4.min_gap_floor == 0
         g_min = min(mirror_tied4.gaps)
         for i in (0, 3):
             rng = Random(5)
-            d = randomized_nominee_move(snapshot_of(mirror_tied4, i, False), rng)
+            d = compute(snapshot_of(mirror_tied4, i, False), self.P4, rng=rng)
             assert d.branch == "random_tiebreak"
             travel = mod1(
                 d.path_direction.sign * (d.destination - mirror_tied4.positions[i])
@@ -384,23 +408,22 @@ class TestRandomizedTieBreak:
 
     def test_seed_determinism(self, mirror_tied4):
         s = snapshot_of(mirror_tied4, 0, False)
-        assert randomized_nominee_move(s, Random(11)) == randomized_nominee_move(
-            s, Random(11)
-        )
+        assert compute(s, self.P4, rng=Random(11)) == compute(s, self.P4, rng=Random(11))
 
-    def test_odd_count_rejected(self, tied5):
-        with pytest.raises(PreconditionError):
-            randomized_nominee_move(snapshot_of(tied5, 0, False), Random(1))
+    def test_odd_count_rejected(self, tied5, pattern5):
+        # an odd count breaks its tie deterministically, randomness or not
+        d = compute(snapshot_of(tied5, 0, False), pattern5, rng=Random(1))
+        assert d.branch == "break_tie"
 
     def test_non_nominee_rejected(self, mirror_tied4):
-        with pytest.raises(PreconditionError):
-            randomized_nominee_move(snapshot_of(mirror_tied4, 1, False), Random(1))
+        d = compute(snapshot_of(mirror_tied4, 1, False), self.P4, rng=Random(1))
+        assert d.branch == "wait_tie"
 
     def test_compute_takes_the_random_path_only_when_tied(
         self, mirror_tied4, single_nominee5, pattern5
     ):
         rng = Random(7)
-        p4 = pat(1, 3, 4, 4, den=12)
+        p4 = self.P4
         d = compute(snapshot_of(mirror_tied4, 0, False), p4, rng=rng)
         assert d.branch == "random_tiebreak"
         d = compute(snapshot_of(single_nominee5, 0, False), pattern5, rng=rng)

@@ -200,7 +200,7 @@ class TestRun:
         assert len(records) == report.rounds
 
     def test_already_formed_ends_in_one_epoch(self, pattern5):
-        from circleform import prefix_sums
+        from circleform.angles import prefix_sums
 
         c = Configuration.from_positions(prefix_sums(pattern5.angles))
         report, records = run(c, pattern5, FullSync(), seed=0)
@@ -288,7 +288,7 @@ class TestRun:
 
 class TestPhases:
     def test_labels(self, single_nominee5, tied5, pattern5):
-        from circleform import prefix_sums
+        from circleform.angles import prefix_sums
 
         assert phase_of(single_nominee5, pattern5) == "lead"
         assert phase_of(tied5, pattern5) == "tied"
