@@ -218,7 +218,7 @@ def pattern_formed(c: Configuration, pattern: TargetPattern) -> bool:
     return c.den == pattern.den and canonical_cycle(c.cycle) == pattern.cycle
 
 
-def _rfc_on(gaps: tuple, beta0) -> bool:
+def _rfc_on(gaps: tuple[int, ...], beta0: int) -> bool:
     """Released (RFC): the leader's gap strictly least, its successor's gap
     strictly second least, both under the pattern's smallest gap ``beta0``."""
     lead_margin = min(min(gaps[1:]), beta0)

@@ -67,6 +67,19 @@ def move_ready_robot(c, pattern):
     return None if k is None else (found.leader + found.pivotal.sign * k) % c.n
 
 
+def blocked_moves(c, mover, neighbor, direction):
+    """_bisector_blocked for the robot at ``mover`` heading along ``direction``
+    toward ``neighbor``, on c's offsets from the mover; the amounts as turns."""
+    full = c.den  # every offset between two robots is a whole multiple of 1/den
+
+    def offset(x):
+        return int(mod1(x - mover) * full)
+
+    others = [offset(x) for x in c.positions if x not in (mover, neighbor)]
+    out = _bisector_blocked(offset(neighbor), direction.sign, others, full)
+    return {F(e, full) for e in out}
+
+
 @pytest.fixture
 def rfc5(pattern5):
     """RFC for pattern5: roles 3 and 4 already settled on their targets."""
@@ -180,19 +193,6 @@ class TestSelectInInterval:
         chosen = select_in_interval(lo, hi, forbidden)
         assert lo < chosen < hi
         assert chosen not in forbidden
-
-
-def blocked_moves(c, mover, neighbor, direction):
-    """_bisector_blocked for the robot at ``mover`` heading along ``direction``
-    toward ``neighbor``, on c's offsets from the mover; the amounts as turns."""
-    full = c.den  # every offset between two robots is a whole multiple of 1/den
-
-    def offset(x):
-        return int(mod1(x - mover) * full)
-
-    others = [offset(x) for x in c.positions if x not in (mover, neighbor)]
-    out = _bisector_blocked(offset(neighbor), direction.sign, others, full)
-    return {F(e, full) for e in out}
 
 
 class TestForbiddenEpsilons:
