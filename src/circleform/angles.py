@@ -21,7 +21,7 @@ from functools import lru_cache
 from itertools import accumulate
 from typing import Sequence
 
-from .errors import DegenerateInputError, StructuralError
+from .errors import StructuralError
 
 Turn = Fraction
 
@@ -67,22 +67,6 @@ class Direction(Enum):
         return self.value
 
 
-def angle_between(a: Fraction, b: Fraction, d: Direction) -> Fraction:
-    """Angular distance from point a to point b walking in direction d."""
-    if d is Direction.FORWARD:
-        return mod1(b - a)
-    return mod1(a - b)
-
-
-def rotate(seq: Sequence[Fraction], j: int) -> tuple[Fraction, ...]:
-    """Cyclic left rotation by j places."""
-    n = len(seq)
-    if n == 0:
-        return ()
-    j %= n
-    return tuple(seq[j:]) + tuple(seq[:j])
-
-
 def min_rotation(seq: Sequence[Fraction]) -> tuple[tuple[Fraction, ...], int]:
     """Lexicographically least cyclic rotation of seq, with its offset.
 
@@ -107,8 +91,8 @@ def min_rotation(seq: Sequence[Fraction]) -> tuple[tuple[Fraction, ...], int]:
 def least_reading(seq: Sequence[Fraction]) -> tuple[tuple[Fraction, ...], int, bool]:
     """(canon, j, r): the canonical cycle and where seq reads it.
 
-    ``canon == rotate(seq, j)``, or ``rotate(seq[::-1], j)`` when ``r`` is
-    set.  Equal readings prefer the forward one, then the smallest offset.
+    ``canon == seq[j:] + seq[:j]``, read on ``seq[::-1]`` instead when ``r``
+    is set.  Equal readings prefer the forward one, then the smallest offset.
     """
     fwd, jf = min_rotation(seq)
     rev, jr = min_rotation(tuple(seq)[::-1])
@@ -152,17 +136,6 @@ def least_period(seq: Sequence) -> int:
         if n % p == 0 and seq[p:] == seq[:-p]:
             return p
     return n
-
-
-def bisector_points(a: Fraction, b: Fraction) -> tuple[Fraction, Fraction]:
-    """The two antipodal circle points of the perpendicular bisector of chord ab.
-
-    Returned as ((a+b)/2 mod 1, (a+b)/2 + 1/2 mod 1); symmetric in a and b.
-    """
-    if mod1(a) == mod1(b):
-        raise DegenerateInputError("bisector of a point with itself is undefined")
-    mid = mod1((a + b) / 2)
-    return mid, mod1(mid + Fraction(1, 2))
 
 
 def prefix_sums(seq: Sequence[Fraction]) -> tuple[Fraction, ...]:

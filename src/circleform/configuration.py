@@ -196,26 +196,16 @@ def nominees(c: Configuration) -> list[tuple[int, Direction]]:
     return found
 
 
-def arc_population(
-    c: Configuration, nominee_a: int, nominee_b: int
-) -> tuple[int, int, list[int]]:
-    """Partition robots between the two bisector-bounded arcs of the nominees.
-
-    Returns (count_a, count_b, on_bisector).  The counts include the nominees
-    themselves and exclude exactly the robots sitting on the two bisector
-    points, so count_a + count_b + len(on_bisector) == n.
-    """
-    if nominee_a == nominee_b:
-        raise PreconditionError("arc_population needs two distinct nominees")
-    return _arc_split(c.cycle, nominee_a, nominee_b)
-
-
 def _arc_split(gaps: tuple[int, ...], ia: int, ib: int) -> tuple[int, int, list[int]]:
-    """arc_population on an integer gap cycle, in doubled coordinates.
+    """Partition robots between the two bisector-bounded arcs of robots
+    ``ia`` and ``ib`` of an integer gap cycle.
 
-    Robot k sits at 2 * offset[k] of a turn of 2 * sum(gaps), so the two
-    bisector points of robots a and b, (a + b) / 2 and half a turn on, are
-    whole numbers too.
+    Returns (count_a, count_b, on_bisector).  The counts include the two
+    robots themselves and exclude exactly the robots sitting on the two
+    bisector points, so count_a + count_b + len(on_bisector) == n.  Robot
+    k sits at 2 * offset[k] of a turn of 2 * sum(gaps), so the bisector
+    points of robots a and b, (a + b) / 2 and half a turn on, are whole
+    numbers.
     """
     full = sum(gaps)
     at = [2 * x for x in prefix_sums(gaps)]

@@ -5,10 +5,6 @@ class CircleFormError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class DegenerateInputError(CircleFormError):
-    """An operation received geometrically degenerate input (e.g. two equal points)."""
-
-
 class StructuralError(CircleFormError):
     """Inputs disagree on shape: mismatched lengths, wrong robot count, bad JSON layout."""
 

@@ -13,7 +13,7 @@ replayable.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -128,17 +128,19 @@ class Decision:
     """One robot's computed action.
 
     ``branch`` names the rule branch that produced the action; traces carry
-    it so replays can be checked branch by branch.
+    it so replays can be checked branch by branch.  ``is_move`` is stored
+    once, since the run loop asks it of every decision every round; it takes
+    no part in equality, hashing or ``repr``.
     """
 
     kind: DecisionKind
     destination: Optional[Fraction] = None
     path_direction: Optional[Direction] = None
     branch: str = ""
+    is_move: bool = field(init=False, repr=False, compare=False)
 
-    @property
-    def is_move(self) -> bool:
-        return self.kind is DecisionKind.MOVE
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "is_move", self.kind is DecisionKind.MOVE)
 
 
 def select_in_interval(lo: Fraction, hi: Fraction, forbidden: Iterable[Fraction] = ()) -> Fraction:

@@ -362,15 +362,20 @@ _NO_MOTION = "full activation produced no motion before formation"
 
 class _Frame:
     """One position state: positions by robot id, their sorted order, the
-    configuration, and lazily its class, its phase and per-robot decisions.
+    configuration, and lazily its class, its phase, per-robot decisions, the
+    movers and the checks owed by a round that ends on it.
 
     Decisions are pure functions of the observed geometry (the orientation
     flip never changes the physical outcome, which ``explore_schedules``
-    asserts exhaustively), so while no move lands the per-robot decisions,
-    the classification, and the phase are all reusable across rounds.
+    asserts exhaustively), so while no move lands all of these are reusable
+    across rounds.  The movers set, computed for the robots alive when first
+    asked, stays valid while robots terminate on this frame: a robot that
+    terminates never was a mover.  The after-state checks (``audit``) depend
+    only on the frame and the lock a round enters with, so each is computed
+    once per lock.
     """
 
-    __slots__ = ("pos", "order", "idx_of", "c", "dec", "_cls", "_phase")
+    __slots__ = ("pos", "order", "idx_of", "c", "dec", "_cls", "_phase", "_movers", "_audit")
 
     def __init__(self, pos: Sequence[Turn]):
         self.pos = tuple(pos)
@@ -380,6 +385,8 @@ class _Frame:
         self.dec: dict[int, Decision] = {}
         self._cls: Optional[ConfigClass] = None
         self._phase: Optional[str] = None
+        self._movers: Optional[frozenset] = None
+        self._audit: dict[_Lock, tuple[_Lock, list[list[str]]]] = {}
 
     def classify(self) -> ConfigClass:
         if self._cls is None:
@@ -404,6 +411,47 @@ class _Frame:
             d = compute(snapshot_of(self.c, self.idx_of[rid], flip), pattern, rng, mutant)
             self.dec[rid] = d
         return d
+
+    def movers(
+        self, alive: Sequence[int], flips: Mapping[int, bool], pattern: TargetPattern,
+        rng: Optional[Random], mutant: Optional[str],
+    ) -> frozenset:
+        """The ``alive`` robots whose decision here is a move, deciding them
+        in id order the first time it is asked (so rand-mode draws keep
+        their order)."""
+        if self._movers is None:
+            self._movers = frozenset(
+                rid for rid in alive if self.decide(rid, flips[rid], pattern, rng, mutant).is_move
+            )
+        return self._movers
+
+    def audit(self, lock: _Lock, pattern: TargetPattern) -> tuple[_Lock, list[list[str]]]:
+        """The lock after a round that ends here, entered with ``lock``, and
+        the after-state failures: symmetry created before formation; leader
+        or pivotal direction changed, or leadership lost, after release (the
+        lock is taken at the first released round).  Callers must not
+        mutate the result."""
+        got = self._audit.get(lock)
+        if got is not None:
+            return got
+        found: list[list[str]] = []
+        out = lock
+        phase = self.phase(pattern)
+        if phase != "formed":
+            cls = self.classify()
+            if isinstance(cls, Symmetric):
+                found.append([f"{cls.fold}-fold symmetry created before formation"])
+            if isinstance(cls, LeaderConfig):
+                current = (self.order[cls.leader], cls.pivotal)
+                if lock is None:
+                    if phase in ("rfc", "pfc"):
+                        out = current
+                elif current != lock:
+                    found.append(["leader or direction changed after release"])
+            elif lock is not None:
+                found.append(["leadership lost after release"])
+        got = self._audit[lock] = (out, found)
+        return got
 
     def collision(self, decisions: Mapping[int, Decision]) -> Optional[str]:
         """How the decisions, keyed by robot id, collide; None if they do not."""
@@ -478,44 +526,32 @@ def _check_transition(
     """Audit one round, ``before`` to ``after`` under ``decisions`` (by robot id).
 
     Returns the lock after the round and one message list per failed check,
-    in this order: symmetry created before formation; leader or pivotal
-    direction changed, or leadership lost, after release (the lock is taken
-    at the first released round); coincident simultaneous tie-break draws;
-    the lone mover's branch postconditions; a full activation of the
-    ``alive`` robots that moved nobody before formation.
+    in this order: the after-state checks (``_Frame.audit``, memoised on
+    ``after``); coincident simultaneous tie-break draws; the lone mover's
+    branch postconditions; a full activation of the ``alive`` robots that
+    moved nobody before formation.  The move checks run only when something
+    moved, and the last check only when nothing did, so an idle round costs
+    O(|decisions|) once its after-state checks are memoised.
     """
-    found: list[list[str]] = []
-    phase = after.phase(pattern)
-    formed = phase == "formed"
-    if not formed:
-        cls = after.classify()
-        if isinstance(cls, Symmetric):
-            found.append([f"{cls.fold}-fold symmetry created before formation"])
-        if isinstance(cls, LeaderConfig):
-            current = (after.order[cls.leader], cls.pivotal)
-            if lock is None:
-                if phase in ("rfc", "pfc"):
-                    lock = current
-            elif current != lock:
-                found.append(["leader or direction changed after release"])
-        elif lock is not None:
-            found.append(["leadership lost after release"])
+    lock, state_found = after.audit(lock, pattern)
+    found = list(state_found)
+    formed = after.phase(pattern) == "formed"
     moves = [(rid, d) for rid, d in decisions.items() if d.is_move]
-    travels = [
-        mod1(d.path_direction.sign * (d.destination - before.pos[rid]))
-        for rid, d in moves
-        if d.branch == "random_tiebreak"
-    ]
-    if len(set(travels)) < len(travels):
-        found.append(["simultaneous tie-break draws coincide"])
-    if formed:
-        return lock, found
-    if len(moves) == 1:
-        msgs = _branch_postconditions(after, before, moves[0][1].branch, pattern)
-        if msgs:
-            found.append(msgs)
+    if moves:
+        travels = [
+            mod1(d.path_direction.sign * (d.destination - before.pos[rid]))
+            for rid, d in moves
+            if d.branch == "random_tiebreak"
+        ]
+        if len(set(travels)) < len(travels):
+            found.append(["simultaneous tie-break draws coincide"])
+        if not formed and len(moves) == 1:
+            msgs = _branch_postconditions(after, before, moves[0][1].branch, pattern)
+            if msgs:
+                found.append(msgs)
     elif (
-        not moves
+        not formed
+        and len(decisions) == len(alive)
         and all(d.kind is DecisionKind.STAY for d in decisions.values())
         and decisions.keys() == set(alive)
     ):
@@ -539,6 +575,10 @@ class _EpochLedger:
     landing in every released epoch, and termination within an epoch of
     formation.  ``halted`` is set when a full activation moved nobody or the
     epoch ``budget`` ran out.
+
+    A round costs O(|decisions|): the robots not yet activated this epoch
+    are kept as ``_uncovered``, and ``alive`` (a sorted tuple, with
+    ``alive_set`` beside it) is rebuilt only when a robot terminates.
     """
 
     def __init__(
@@ -549,12 +589,13 @@ class _EpochLedger:
         self.bound = formation_bound(n, mode)
         self.budget = budget
         self.terminated: set[int] = set()
-        self.alive = list(range(n))
+        self.alive = tuple(range(n))
+        self.alive_set = frozenset(self.alive)
         self.epoch = 1
         self.formed_epoch: Optional[int] = None
         self.joint_tiebreaks = 0
         self.halted = False
-        self._coverage: set[int] = set()
+        self._uncovered = set(self.alive)
         self._lock: _Lock = None
         self._released: Optional[int] = None
         self._landings = 0
@@ -569,7 +610,8 @@ class _EpochLedger:
         ended = {rid for rid, d in decisions.items() if d.kind is DecisionKind.TERMINATE}
         if ended:
             self.terminated |= ended
-            self.alive = [i for i in range(self.n) if i not in self.terminated]
+            self.alive = tuple(i for i in self.alive if i not in ended)
+            self.alive_set = frozenset(self.alive)
         out: list[str] = []
         phase = after.phase(self.pattern)
         if phase == "formed" and self.formed_epoch is None:
@@ -595,10 +637,10 @@ class _EpochLedger:
             self.halted = True
             return out
 
-        self._coverage.update(decisions)
-        alive = self.alive
-        if alive and not self._coverage.issuperset(alive):
+        self._uncovered.difference_update(decisions)
+        if self._uncovered:
             return out
+        alive = self.alive
         # epoch boundary: every still-running robot completed a cycle
         epoch, n = self.epoch, self.n
         if epoch == 1 and phase in ("tied", "symmetric"):
@@ -618,7 +660,7 @@ class _EpochLedger:
         if not alive:
             return out
         self.epoch += 1
-        self._coverage.clear()
+        self._uncovered = set(alive)
         self._landings = 0
         self._start_phase = phase
         if self.budget is not None and self.epoch > self.budget:
@@ -692,33 +734,32 @@ def run(
         try:
             movers: frozenset = frozenset()
             if policy.needs_movers:
-                movers = frozenset(
-                    rid for rid in alive
-                    if state.decide(rid, flips[rid], pattern, rng, mutant).is_move
-                )
-            active = policy.select(rnd, tuple(alive), movers)
-            if not active or not active <= set(alive):
+                movers = state.movers(alive, flips, pattern, rng, mutant)
+            active = policy.select(rnd, alive, movers)
+            if not active or not active <= ledger.alive_set:
                 report.violations.append(f"round {rnd}: scheduler broke the activation contract")
                 break
+            activated = tuple(sorted(active))
             decisions = {
-                rid: state.decide(rid, flips[rid], pattern, rng, mutant)
-                for rid in sorted(active)
+                rid: state.decide(rid, flips[rid], pattern, rng, mutant) for rid in activated
             }
         except CircleFormError as e:
             report.violations.append(f"round {rnd}: {e}")
             break
 
-        activated = tuple(sorted(active))
-        collision = state.collision(decisions)
+        # on an idle round the frame is unchanged: no collision, nothing lands
+        before = state
+        collision = None
+        if any(d.is_move for d in decisions.values()):
+            collision = state.collision(decisions)
+            if collision is None:
+                state = state.moved(decisions)
+        records.append(RoundRecord(rnd, ledger.epoch, activated, decisions,
+                                   before.pos, state.pos, state.classify()))
         if collision is not None:
             report.collisions += 1
             report.violations.append(f"round {rnd}: {collision}")
-            records.append(RoundRecord(rnd, ledger.epoch, activated, decisions,
-                                       state.pos, state.pos, state.classify()))
             break
-        before, state = state, state.moved(decisions)
-        records.append(RoundRecord(rnd, ledger.epoch, activated, decisions,
-                                   before.pos, state.pos, state.classify()))
         report.violations += ledger.round(rnd, before, state, decisions)
 
     report.formed = ledger.formed_epoch is not None

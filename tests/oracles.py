@@ -7,7 +7,9 @@ oracle enumerates everything instead.
 
 ``reference_decide`` is the one exception: it is the decision rule in its
 per-observer form, which analyses every rooted reading on its own, kept as
-the reference for the rule that surveys each configuration once.
+the reference for the rule that surveys each configuration once.  The
+first four functions are small angle and arc helpers that only the tests
+need.
 """
 
 from fractions import Fraction
@@ -17,16 +19,18 @@ from circleform import (
     CollisionWitness,
     Configuration,
     Decision,
+    DecisionKind,
     Direction,
     LeaderConfig,
     PreconditionError,
     TargetPattern,
     classify,
 )
-from circleform.angles import angle_between, bisector_points, mod1, prefix_sums
+from circleform.angles import mod1, prefix_sums
 from circleform.configuration import (
     DoubleNomineeTied,
     Symmetric,
+    _arc_split,
     _classify_cycle,
     _rooted,
 )
@@ -38,6 +42,43 @@ from circleform.formation import (
     _rfc_on,
     _settled,
 )
+
+
+def angle_between(a: Fraction, b: Fraction, d: Direction) -> Fraction:
+    """Angular distance from point a to point b walking in direction d."""
+    if d is Direction.FORWARD:
+        return mod1(b - a)
+    return mod1(a - b)
+
+
+def rotate(seq: Sequence, j: int) -> tuple:
+    """Cyclic left rotation by j places."""
+    n = len(seq)
+    if n == 0:
+        return ()
+    j %= n
+    return tuple(seq[j:]) + tuple(seq[:j])
+
+
+def bisector_points(a: Fraction, b: Fraction) -> tuple[Fraction, Fraction]:
+    """The two antipodal circle points of the perpendicular bisector of chord ab.
+
+    Returned as ((a+b)/2 mod 1, (a+b)/2 + 1/2 mod 1); symmetric in a and b.
+    """
+    if mod1(a) == mod1(b):
+        raise ValueError("bisector of a point with itself is undefined")
+    mid = mod1((a + b) / 2)
+    return mid, mod1(mid + Fraction(1, 2))
+
+
+def arc_population(
+    c: Configuration, nominee_a: int, nominee_b: int
+) -> tuple[int, int, list[int]]:
+    """The library's arc split (``_arc_split``) on a configuration's cycle,
+    for two distinct robots: (count_a, count_b, on_bisector)."""
+    if nominee_a == nominee_b:
+        raise PreconditionError("arc_population needs two distinct nominees")
+    return _arc_split(c.cycle, nominee_a, nominee_b)
 
 
 def rooted_sequence(
@@ -308,3 +349,18 @@ def reference_tied_nominee(cycle: tuple[int, ...], pat: tuple[int, ...]) -> bool
         return False
     found = _classify_cycle(cycle)
     return isinstance(found, DoubleNomineeTied) and 0 in (found.nominee_a, found.nominee_b)
+
+
+def reference_epochs(records: Sequence, n: int) -> list[int]:
+    """Each record's epoch, recounted from the activated sets and the
+    ``TERMINATE`` decisions alone: an epoch ends after the first round by
+    which every robot still running has been activated since it began."""
+    out = []
+    epoch, activated, running = 1, set(), set(range(n))
+    for rec in records:
+        out.append(epoch)
+        activated |= set(rec.activated)
+        running -= {r for r in rec.activated if rec.decisions[r].kind is DecisionKind.TERMINATE}
+        if running and running <= activated:
+            epoch, activated = epoch + 1, set()
+    return out

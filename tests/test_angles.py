@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 
 from circleform import Configuration, Direction, StructuralError, format_turn
 from circleform.angles import (
-    angle_between,
-    bisector_points,
     canonical_cycle,
     gaps_of,
     least_reading,
@@ -17,9 +15,8 @@ from circleform.angles import (
     mod1,
     parse_turn,
     prefix_sums,
-    rotate,
 )
-from oracles import brute_fold, brute_min_rotation
+from oracles import angle_between, bisector_points, brute_fold, brute_min_rotation, rotate
 
 F = Fraction
 

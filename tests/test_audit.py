@@ -9,15 +9,16 @@ its round is recorded).
 """
 
 import re
+from random import Random
 
 import pytest
 
 import golden_corpus as gc
+from circleform import DecisionKind, compute, snapshot_of
 from circleform.formation import gen_instance
-from circleform.simulator import FullSync, make_policy, run, verify_trace
+from circleform.simulator import FullSync, _Frame, make_policy, run, verify_trace
 from conftest import tied_even_instance
-
-SCHEDULERS = ("fsync", "rr", "random", "lazy")
+from oracles import reference_epochs
 
 
 def traceable(violations, records) -> list[str]:
@@ -53,7 +54,7 @@ def test_verify_reports_what_run_reported(report, records):
 
 
 def _clean_starts():
-    for name in SCHEDULERS:
+    for name in gc.SCHEDULERS:
         yield "det", name, gen_instance(7, 70_001)
         yield "det", name, (gc.TIED5, gc.PATTERN5)
         yield "rand", name, gen_instance(6, 60_001)
@@ -66,3 +67,89 @@ def test_clean_runs_verify_clean(mode, name, start):
     report, records = run(c0, pattern, make_policy(name), mode=mode, seed=11)
     assert report.ok, report.violations
     assert verify_trace(records, pattern, mode) == []
+
+
+# ---------------------------------------------------------------------------
+# epoch accounting and the idle-round fast paths, against slow recounts
+
+
+def _seeded_starts():
+    """Seeded det and rand starts; under rr and random some robots terminate
+    while others are still owed their activation in the same epoch."""
+    for name in gc.SCHEDULERS:
+        for n in (5, 7, 9):
+            yield "det", name, gen_instance(n, 90_000 + n), None
+        yield "det", name, (gc.MUTANT_START, gc.PATTERN5), "eps1-lower"
+        for n in (4, 6):
+            yield "rand", name, gen_instance(n, 90_000 + n), None
+        yield "rand", name, tied_even_instance(6, 90_006), None
+
+
+def _mid_epoch_terminations(records) -> int:
+    return sum(
+        b.epoch == a.epoch
+        and any(a.decisions[r].kind is DecisionKind.TERMINATE for r in a.activated)
+        for a, b in zip(records, records[1:])
+    )
+
+
+@pytest.mark.parametrize("case", gc.cases(), ids=gc.case_name)
+def test_golden_epochs_match_the_recount(case):
+    _, records = gc.run_case(case)
+    assert [rec.epoch for rec in records] == reference_epochs(records, case[1])
+
+
+def test_seeded_epochs_match_the_recount():
+    mid_epoch = dict.fromkeys(gc.SCHEDULERS, 0)
+    for mode, name, (c0, pattern), mutant in _seeded_starts():
+        _, records = run(c0, pattern, make_policy(name), mode=mode, seed=7, mutant=mutant)
+        assert [rec.epoch for rec in records] == reference_epochs(records, c0.n)
+        mid_epoch[name] += _mid_epoch_terminations(records)
+    # fsync activates every robot every round, and lazy wakes all the
+    # terminating robots together, so only rr and random end robots mid-epoch
+    assert mid_epoch["rr"] and mid_epoch["random"]
+
+
+@pytest.mark.parametrize(
+    "mode, name, start, mutant",
+    [
+        pytest.param(*s, id=f"{s[0]}-{s[1]}-n{s[2][0].n}{'-' + s[3] if s[3] else ''}-{k}")
+        for k, s in enumerate(_seeded_starts())
+    ],
+)
+def test_fast_paths_match_fresh_work(monkeypatch, mode, name, start, mutant):
+    c0, pattern = start
+    audits, movers = [], []
+    audit, find_movers = _Frame.audit, _Frame.movers
+
+    def spy_audit(frame, lock, pat):
+        got = audit(frame, lock, pat)
+        audits.append((frame.pos, lock, got))
+        return got
+
+    def spy_movers(frame, alive, *rest):
+        got = find_movers(frame, alive, *rest)
+        movers.append((frame.pos, tuple(alive), got))
+        return got
+
+    monkeypatch.setattr(_Frame, "audit", spy_audit)
+    monkeypatch.setattr(_Frame, "movers", spy_movers)
+    _, records = run(c0, pattern, make_policy(name), mode=mode, seed=7, mutant=mutant)
+    monkeypatch.undo()
+
+    # idle rounds reuse the memo, so a state is audited more often than it is built
+    assert len(audits) > len({(pos, lock) for pos, lock, _ in audits})
+    for pos, lock, got in audits:
+        assert got == _Frame(pos).audit(lock, pattern)
+    for pos, alive, got in movers:
+        fresh = _Frame(pos)
+        want = {
+            rid for rid in alive
+            if compute(snapshot_of(fresh.c, fresh.idx_of[rid], False), pattern,
+                       Random(0) if mode == "rand" else None, mutant).is_move
+        }
+        assert got == want
+    assert movers or name != "lazy"
+    for rec in records:
+        if not any(d.is_move for d in rec.decisions.values()):
+            assert rec.positions_after == rec.positions_before

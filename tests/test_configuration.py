@@ -21,9 +21,8 @@ from circleform import (
     snapshot_of,
 )
 from circleform.angles import mod1
-from circleform.configuration import arc_population
 from conftest import config, random_positions
-from oracles import brute_nominees, rooted_sequence
+from oracles import arc_population, brute_nominees, rooted_sequence
 
 F = Fraction
 DEG = F(1, 360)

@@ -20,7 +20,7 @@ from circleform import (
     compute,
     snapshot_of,
 )
-from circleform.angles import angle_between, mod1, prefix_sums
+from circleform.angles import mod1, prefix_sums
 from circleform.formation import (
     _bisector_blocked,
     _move_ready_role,
@@ -31,7 +31,7 @@ from circleform.formation import (
     select_in_interval,
 )
 from conftest import config, random_positions
-from oracles import brute_move_ready, on_some_bisector
+from oracles import angle_between, brute_move_ready, on_some_bisector
 
 F = Fraction
 

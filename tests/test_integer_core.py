@@ -29,7 +29,7 @@ from circleform import (
     snapshot_of,
 )
 from circleform.angles import mod1
-from circleform.configuration import arc_population
+from circleform.configuration import _arc_split
 from circleform.cli import gen_instance, make_policy
 from circleform.simulator import explore_schedules
 
@@ -164,7 +164,7 @@ def _check_against_brute(c: Configuration) -> None:
         return
     a, b = sorted(brute)
     count_a, count_b, on_bis = oracles.brute_arc_population(c.positions, a, b)
-    assert arc_population(c, a, b) == (count_a, count_b, on_bis)
+    assert _arc_split(c.cycle, a, b) == (count_a, count_b, on_bis)
     if count_a == count_b:
         assert found == DoubleNomineeTied(a, b, on_bis[0] if len(on_bis) == 1 else None)
     else:

@@ -3,19 +3,24 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from circleform import (
     Configuration,
     Decision,
     DecisionKind,
     Direction,
+    DoubleNomineeTied,
     InvariantViolationError,
     LeaderConfig,
     PreconditionError,
     StructuralError,
     SymmetricConfigurationError,
     TargetPattern,
+    classify,
 )
+from circleform.angles import mod1
 from circleform.cli import gen_instance
 from circleform.simulator import (
     POLICIES,
@@ -33,6 +38,7 @@ from circleform.simulator import (
     fsync_symmetry_experiment,
     phase_of,
     run,
+    verify_trace,
 )
 from conftest import config
 
@@ -284,6 +290,53 @@ class TestRun:
         assert report.ok, report.violations
         assert report.joint_tiebreaks >= 1
         assert report.formed_epoch <= report.bound == mirror_tied4.n + 6
+
+
+@st.composite
+def near_floor_starts(draw):
+    """(mode, start, pattern): a seeded instance whose smallest gap is pulled
+    down to just above the pattern's gap floor."""
+    mode = draw(st.sampled_from(("det", "rand")))
+    n = draw(st.sampled_from((3, 5, 7) if mode == "det" else (4, 6)))
+    c0, pattern = gen_instance(n, draw(st.integers(0, 10**6)))
+    keep = draw(st.sampled_from((F(1, 1000), F(1, 20), F(1, 2))))
+    pos = list(c0.positions)
+    i = min(range(n), key=c0.gaps.__getitem__)
+    floor = pattern.min_gap_floor
+    pos[(i + 1) % n] = mod1(pos[i] + floor + keep * (c0.gaps[i] - floor))
+    c = Configuration.from_positions(pos)
+    assume(c.fold() == 1)
+    return mode, c, pattern
+
+
+@st.composite
+def tied_starts(draw):
+    """(mode, start, pattern): a mirror-symmetric start in the tied class,
+    with a robot on the mirror axis when the count is odd."""
+    mode = draw(st.sampled_from(("det", "rand")))
+    n = draw(st.sampled_from((5, 7) if mode == "det" else (4, 6)))
+    half = draw(st.sets(st.integers(1, 499), min_size=n // 2, max_size=n // 2))
+    pts = {F(k, 1000) for k in half} | {1 - F(k, 1000) for k in half}
+    if n % 2:
+        pts.add(F(0))
+    c = Configuration.from_positions(pts)
+    assume(c.fold() == 1 and isinstance(classify(c), DoubleNomineeTied))
+    _, pattern = gen_instance(n, draw(st.integers(0, 10**6)))
+    assume(pattern.admits(c))
+    return mode, c, pattern
+
+
+class TestRunsVerify:
+    """Whatever a run records, offline verification accepts."""
+
+    @given(st.one_of(near_floor_starts(), tied_starts()), st.sampled_from(sorted(POLICIES)),
+           st.integers(0, 1000))
+    @settings(max_examples=100, deadline=None)
+    def test_run_traces_verify_clean(self, start, name, seed):
+        mode, c0, pattern = start
+        report, records = run(c0, pattern, POLICIES[name](), mode=mode, seed=seed)
+        assert report.ok, report.violations
+        assert verify_trace(records, pattern, mode) == []
 
 
 class TestPhases:
