@@ -50,7 +50,6 @@ from .formats import (
 from .simulator import (
     POLICIES,
     SYMMETRY_RULES,
-    OrientationAdversary,
     RoundRecord,
     RunReport,
     batch,
@@ -222,11 +221,9 @@ def _cmd_run(args) -> int:
     pattern = load_pattern(args.pattern)
     seed = _resolve_seed(args.seed)
     policy = make_policy(args.scheduler, args.p, args.fairness)
-    orientation = OrientationAdversary(args.orientation)
     try:
         report, records = run(
-            c0, pattern, policy, orientation,
-            mode=args.mode, seed=seed, max_epochs=args.max_epochs,
+            c0, pattern, policy, mode=args.mode, seed=seed, max_epochs=args.max_epochs
         )
     except SymmetricConfigurationError as e:
         print(f"Unsolvable: {e}")
@@ -362,8 +359,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--max-epochs", type=int, default=None)
     p.add_argument("--mode", choices=("det", "rand"), default="det")
-    p.add_argument("--orientation", choices=("random", "fixed-false", "fixed-true"),
-                   default="random")
     p.add_argument("--trace", default=None, help="write a JSONL trace here")
     p.add_argument("--svg", default=None, help="write per-epoch SVG frames here")
     p.set_defaults(func=_cmd_run)
@@ -381,7 +376,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("explore", help="exhaustively check schedules")
     p.add_argument("--config", required=True)
     p.add_argument("--pattern", required=True)
-    p.add_argument("--budget", type=int, required=True, help="rounds to explore (<= 6)")
+    p.add_argument("--budget", type=int, required=True, help="rounds to explore (0 to 6)")
     p.add_argument("--mutant", default=None, help="run a deliberately weakened rule")
     p.set_defaults(func=_cmd_explore)
 

@@ -1,15 +1,19 @@
 """Scheduled execution of the formation rule, and its audit.
 
-Activation policies, the orientation adversary, exact collision detection,
-full runs, offline trace verification, batch sweeps, exhaustive schedule
-exploration for small instances, and the fully synchronous symmetry
-experiment.
+Activation policies, exact collision detection, full runs, offline trace
+verification, batch sweeps, exhaustive schedule exploration for small
+instances, and the fully synchronous symmetry experiment.
 
-One audit serves ``run``, ``verify_trace`` and ``explore_schedules``.  A
-``_Frame`` holds one position state; ``_check_transition`` checks one round
-from the frame before it to the frame after it (symmetry creation, the
-leader/direction lock, coincident tie-break draws, branch postconditions,
-motion under full activation); ``_EpochLedger`` adds epoch accounting on top
+A robot's physical move does not depend on which way it reads the circle,
+and ``explore_schedules`` checks both readings on every state it visits, so
+robots are decided from one reading.  One audit serves ``run``,
+``verify_trace`` and ``explore_schedules``.  A ``_Frame`` holds one position
+state and caches its robots' decisions (``_Frame.decide``, shared by all
+three); ``_Frame.collision`` skips idle rounds, where nobody moves.
+``_check_transition`` checks one round from the frame before it to the frame
+after it (symmetry creation, the leader/direction lock, coincident tie-break
+draws, branch postconditions, motion under full activation);
+``_EpochLedger`` adds epoch accounting on top
 for ``run`` and ``verify_trace``.  ``explore_schedules`` has no epochs and
 keeps the lock in its state instead.
 
@@ -181,32 +185,6 @@ def make_policy(name: str, p: float = 0.5, fairness: Optional[int] = None) -> Ac
     return POLICIES[name](fairness)
 
 
-@dataclass
-class OrientationAdversary:
-    """Hands each activated robot a fresh orientation every activation.
-
-    ``random`` redraws a coin per robot per round; the fixed modes pin all
-    robots to one handedness, which is the worst systematic skew available.
-    """
-
-    mode: str = "random"
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("random", "fixed-false", "fixed-true"):
-            raise PreconditionError(f"unknown orientation mode {self.mode!r}")
-        self._rng = Random(0)
-
-    def reset(self, seed: int) -> None:
-        self._rng = Random(seed)
-
-    def flips(self, ids: Sequence[int]) -> dict[int, bool]:
-        if self.mode == "fixed-false":
-            return {i: False for i in ids}
-        if self.mode == "fixed-true":
-            return {i: True for i in ids}
-        return {i: self._rng.random() < 0.5 for i in sorted(ids)}
-
-
 # ---------------------------------------------------------------------------
 # collision detection
 
@@ -365,12 +343,11 @@ class _Frame:
     configuration, and lazily its class, its phase, per-robot decisions, the
     movers and the checks owed by a round that ends on it.
 
-    Decisions are pure functions of the observed geometry (the orientation
-    flip never changes the physical outcome, which ``explore_schedules``
-    asserts exhaustively), so while no move lands all of these are reusable
-    across rounds.  The movers set, computed for the robots alive when first
-    asked, stays valid while robots terminate on this frame: a robot that
-    terminates never was a mover.  The after-state checks (``audit``) depend
+    Decisions are pure functions of one reading, ``snapshot_of(..., False)``,
+    so while no move lands all of these are reusable across rounds.  The
+    movers set, computed for the robots alive when first asked, stays valid
+    while robots terminate on this frame: a robot that terminates never was
+    a mover.  The after-state checks (``audit``) depend
     only on the frame and the lock a round enters with, so each is computed
     once per lock.
     """
@@ -399,21 +376,16 @@ class _Frame:
         return self._phase
 
     def decide(
-        self,
-        rid: int,
-        flip: bool,
-        pattern: TargetPattern,
-        rng: Optional[Random],
-        mutant: Optional[str],
+        self, rid: int, pattern: TargetPattern, rng: Optional[Random], mutant: Optional[str]
     ) -> Decision:
         d = self.dec.get(rid)
         if d is None:
-            d = compute(snapshot_of(self.c, self.idx_of[rid], flip), pattern, rng, mutant)
+            d = compute(snapshot_of(self.c, self.idx_of[rid], False), pattern, rng, mutant)
             self.dec[rid] = d
         return d
 
     def movers(
-        self, alive: Sequence[int], flips: Mapping[int, bool], pattern: TargetPattern,
+        self, alive: Sequence[int], pattern: TargetPattern,
         rng: Optional[Random], mutant: Optional[str],
     ) -> frozenset:
         """The ``alive`` robots whose decision here is a move, deciding them
@@ -421,7 +393,7 @@ class _Frame:
         their order)."""
         if self._movers is None:
             self._movers = frozenset(
-                rid for rid in alive if self.decide(rid, flips[rid], pattern, rng, mutant).is_move
+                rid for rid in alive if self.decide(rid, pattern, rng, mutant).is_move
             )
         return self._movers
 
@@ -454,7 +426,12 @@ class _Frame:
         return got
 
     def collision(self, decisions: Mapping[int, Decision]) -> Optional[str]:
-        """How the decisions, keyed by robot id, collide; None if they do not."""
+        """How the decisions, keyed by robot id, collide; None if they do not.
+
+        A round in which nobody moves is idle: a frame's positions are
+        distinct, so nothing can meet and nothing is checked."""
+        if not any(d.is_move for d in decisions.values()):
+            return None
         w = detect_collision(self.c, {self.idx_of[r]: d for r, d in decisions.items()})
         if w is None:
             return None
@@ -682,7 +659,6 @@ def run(
     c0: Configuration,
     pattern: TargetPattern,
     policy: ActivationPolicy,
-    orientation: Optional[OrientationAdversary] = None,
     *,
     mode: str = "det",
     seed: int = 0,
@@ -691,13 +667,17 @@ def run(
 ) -> tuple[RunReport, list[RoundRecord]]:
     """Drive a full run until every robot terminates or the budget runs out.
 
-    Every round is audited as it happens (``_EpochLedger``): the audit
-    records (never raises) violations of the progress and stability
-    guarantees.  Collisions, scheduler contract breaks, decision errors, a
-    full activation that moves nobody, and an exhausted epoch budget end the
-    run.
+    Decisions come from the frame's cache (``_Frame.decide``); an idle round
+    leaves the frame as it was and is not checked for collisions.  Every
+    round is audited as it happens (``_EpochLedger``): the audit records
+    (never raises) violations of the progress and stability guarantees.
+    Collisions, scheduler contract breaks, decision errors, a full
+    activation that moves nobody, and an exhausted epoch budget
+    (``max_epochs``, at least 1) end the run.
     """
     n = c0.n
+    if max_epochs is not None and max_epochs < 1:
+        raise PreconditionError(f"epoch budget must be at least 1, got {max_epochs}")
     if pattern.n != n:
         raise StructuralError(f"pattern has {pattern.n} gaps for {n} robots")
     if mode not in ("det", "rand"):
@@ -711,10 +691,9 @@ def run(
         raise SymmetricConfigurationError(fold)
     _check_gap_floor(c0, pattern)
 
-    orientation = orientation if orientation is not None else OrientationAdversary()
     master = Random(seed)
     policy.reset(n, master.getrandbits(64))
-    orientation.reset(master.getrandbits(64))
+    master.getrandbits(64)  # the retired orientation stream's seed: keeps the tie-break seed
     rng = Random(master.getrandbits(64)) if mode == "rand" else None
     budget = max_epochs if max_epochs is not None else n + 6
     ledger = _EpochLedger(n, mode, pattern, budget)
@@ -729,31 +708,25 @@ def run(
         if not alive:
             break
         rnd += 1
-        flips = orientation.flips(alive)
 
         try:
             movers: frozenset = frozenset()
             if policy.needs_movers:
-                movers = state.movers(alive, flips, pattern, rng, mutant)
+                movers = state.movers(alive, pattern, rng, mutant)
             active = policy.select(rnd, alive, movers)
             if not active or not active <= ledger.alive_set:
                 report.violations.append(f"round {rnd}: scheduler broke the activation contract")
                 break
             activated = tuple(sorted(active))
-            decisions = {
-                rid: state.decide(rid, flips[rid], pattern, rng, mutant) for rid in activated
-            }
+            decisions = {rid: state.decide(rid, pattern, rng, mutant) for rid in activated}
         except CircleFormError as e:
             report.violations.append(f"round {rnd}: {e}")
             break
 
-        # on an idle round the frame is unchanged: no collision, nothing lands
         before = state
-        collision = None
-        if any(d.is_move for d in decisions.values()):
-            collision = state.collision(decisions)
-            if collision is None:
-                state = state.moved(decisions)
+        collision = state.collision(decisions)
+        if collision is None:
+            state = state.moved(decisions)
         records.append(RoundRecord(rnd, ledger.epoch, activated, decisions,
                                    before.pos, state.pos, state.classify()))
         if collision is not None:
@@ -781,13 +754,15 @@ def verify_trace(
     """Replay a trace and list everything inconsistent about it.
 
     The replay re-derives the decision each activated robot must have
-    computed from the recorded pre-round positions, and checks continuity,
-    collisions, that every robot ends where its decision puts it, and the
-    recorded class.  Every round without a collision then goes through the
-    audit ``run`` applies (``_EpochLedger``), so verification reports what
-    the inline audit reports.  In ``rand`` mode a recorded tie-break move is
-    checked for validity (a nominee, the right direction, a draw inside the
-    allowed window) instead of exact equality, since the draw itself is not
+    computed from the recorded pre-round positions, through the frame cache
+    ``run`` uses (a frame lives while records leave it unchanged), and checks
+    continuity, collisions on records with a move, that every robot ends
+    where its decision puts it, and the recorded class.  Every round without
+    a collision then goes through the audit ``run`` applies
+    (``_EpochLedger``), so verification reports what the inline audit
+    reports.  In ``rand`` mode a recorded tie-break move is checked for
+    validity (a nominee, the right direction, a draw inside the allowed
+    window) instead of exact equality, since the draw itself is not
     reproducible from the trace.
     """
     if mode not in ("det", "rand"):
@@ -830,7 +805,7 @@ def verify_trace(
                 )
                 continue
             try:
-                expected = compute(snapshot_of(before.c, idx, False), pattern)
+                expected = before.decide(rid, pattern, None, None)
             except CircleFormError as e:
                 problems.append(f"{where}: robot {rid}: {e}")
                 continue
@@ -914,6 +889,8 @@ def batch(
     Errors raised by a run (for example a parity/mode mismatch) count as
     violations in the cell instead of crashing the sweep.
     """
+    if trials < 0 or (max_epochs is not None and max_epochs < 1):
+        raise PreconditionError(f"need trials >= 0, max_epochs >= 1; got {trials}, {max_epochs}")
     rows: list[dict] = []
     for n in ns:
         cells = {
@@ -993,14 +970,16 @@ def explore_schedules(
     mutant: Optional[str] = None,
     state_cap: int = 200_000,
 ) -> ExploreReport:
-    """Check every schedule prefix up to ``round_budget`` rounds.
+    """Check every schedule prefix up to ``round_budget`` rounds (at least 0).
 
-    Both orientation assignments are evaluated for every robot and must agree
-    physically, which collapses the flip dimension; activation subsets that
-    differ only in robots deciding to stay reach identical states, so subsets
-    are enumerated over the robots whose decisions have an effect.  States
-    are memoised, making the walk exhaustive over reachable states rather
-    than over the exponentially redundant schedule tree.
+    Every robot is decided through the frame's cache (``_Frame.decide``,
+    the reading ``run`` uses) and cross-checked against its other reading;
+    the two must agree physically, which collapses the flip dimension.
+    Activation subsets that differ only in robots deciding to stay reach
+    identical states, so subsets are enumerated over the robots whose
+    decisions have an effect.  States are memoised, making the walk
+    exhaustive over reachable states rather than over the exponentially
+    redundant schedule tree.
 
     Verified per edge: no collision, no classification failure, and the
     round checks ``run`` applies (``_check_transition``): no symmetry
@@ -1011,11 +990,8 @@ def explore_schedules(
     n = c0.n
     if n > 5:
         raise PreconditionError("exhaustive exploration is capped at 5 robots")
-    if round_budget > 6:
-        raise PreconditionError(
-            "round budget capped at 6 (roughly "
-            f"{(2 ** n - 1) ** round_budget:,} raw schedules)"
-        )
+    if not 0 <= round_budget <= 6:
+        raise PreconditionError(f"round budget {round_budget} is outside 0..6")
     if pattern.n != n:
         raise StructuralError(f"pattern has {pattern.n} gaps for {n} robots")
     fold = c0.fold()
@@ -1044,12 +1020,10 @@ def explore_schedules(
             continue
         frame = _Frame(positions)
 
-        dec: dict[int, Decision] = {}
         for rid in alive:
-            i = frame.idx_of[rid]
             try:
-                d0 = compute(snapshot_of(frame.c, i, False), pattern, None, mutant)
-                d1 = compute(snapshot_of(frame.c, i, True), pattern, None, mutant)
+                d0 = frame.decide(rid, pattern, None, mutant)
+                d1 = compute(snapshot_of(frame.c, frame.idx_of[rid], True), pattern, None, mutant)
             except CircleFormError as e:
                 return fail(path + ((rid,),), f"robot {rid}: {e}", positions)
             same = d0.kind is d1.kind and d0.destination == d1.destination
@@ -1061,8 +1035,8 @@ def explore_schedules(
                     f"robot {rid}: decision depends on presentation orientation",
                     positions,
                 )
-            dec[rid] = d0
 
+        dec = frame.dec
         relevant = [rid for rid in alive if dec[rid].kind is not DecisionKind.STAY]
         stayers = [rid for rid in alive if rid not in set(relevant)]
         for mask in range(2 ** len(relevant)):

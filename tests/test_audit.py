@@ -14,7 +14,7 @@ from random import Random
 import pytest
 
 import golden_corpus as gc
-from circleform import DecisionKind, compute, snapshot_of
+from circleform import DecisionKind, compute, read_trace, simulator, snapshot_of
 from circleform.formation import gen_instance
 from circleform.simulator import FullSync, _Frame, make_policy, run, verify_trace
 from conftest import tied_even_instance
@@ -51,6 +51,23 @@ def test_verify_reports_what_run_reported(report, records):
     assert report.violations
     wanted = traceable(report.violations, records)
     assert in_order(wanted, verify_trace(records, gc.PATTERN5, "det"))
+
+
+def test_verify_checks_collisions_only_on_records_with_a_move(monkeypatch):
+    case = ("det", 7, 1_007, "lazy", False)
+    records = read_trace(gc.GOLDEN / gc.case_name(case))
+    calls = []
+    detect = simulator.detect_collision
+
+    def counting(c, decisions):
+        calls.append(c)
+        return detect(c, decisions)
+
+    monkeypatch.setattr(simulator, "detect_collision", counting)
+    assert verify_trace(records, gc.start(case)[1], "det") == []
+    moving = sum(any(d.is_move for d in rec.decisions.values()) for rec in records)
+    assert 0 < moving < len(records)
+    assert len(calls) == moving
 
 
 def _clean_starts():

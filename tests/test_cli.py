@@ -210,6 +210,12 @@ class TestBatchCommand:
         code = main(["batch", "--ns", "3", "--trials", "0", "--schedulers", "fsync"])
         assert code == 0
 
+    def test_negative_counts_exit_one(self, capsys):
+        assert main(["batch", "--ns", "5", "--trials", "-2", "--schedulers", "fsync"]) == 1
+        assert main(["batch", "--ns", "5", "--trials", "1", "--max-epochs", "0"]) == 1
+        with pytest.raises(PreconditionError):
+            batch([5], -2, ["fsync"])
+
     def test_even_n_det_cell_fails(self, capsys):
         code = main(["batch", "--ns", "4", "--trials", "2", "--schedulers", "fsync"])
         assert code == 2
@@ -308,6 +314,37 @@ class TestVerifyCommand:
         code = main(["verify", "--trace", str(tpath), "--pattern", ppath])
         assert code == 2
         assert "the rule gives" in capsys.readouterr().out
+
+    def test_edited_stay_on_a_repeated_idle_frame_is_flagged(
+        self, tmp_path, capsys, single_nominee5, pattern5
+    ):
+        # lazy keeps the start frame for many idle rounds, so robot 1 is
+        # decided on it from the frame's cache from round 2 on; the edit in
+        # rounds 1 and 2 must be checked against the rule both times
+        cpath, ppath = write_instance(tmp_path, single_nominee5, pattern5)
+        tpath = tmp_path / "trace.jsonl"
+        assert main(["run", "--config", cpath, "--pattern", ppath,
+                     "--scheduler", "lazy", "--trace", str(tpath)]) == 0
+        records = read_trace(tpath)
+        for i in (0, 1):
+            rec = records[i]
+            assert rec.positions_before == rec.positions_after == records[0].positions_before
+            d = rec.decisions[1]
+            assert not d.is_move and d.branch != "hold"
+            decisions = dict(rec.decisions)
+            decisions[1] = d.__class__(d.kind, d.destination, d.path_direction, "hold")
+            records[i] = rec.__class__(
+                rec.round, rec.epoch, rec.activated, decisions,
+                rec.positions_before, rec.positions_after, rec.config_class,
+            )
+        write_trace(records, tpath)
+        capsys.readouterr()
+        code = main(["verify", "--trace", str(tpath), "--pattern", ppath])
+        assert code == 2
+        out = capsys.readouterr().out
+        for rnd in (1, 2):
+            assert f"round {rnd}: robot 1 recorded" in out
+        assert out.count("the rule gives") == 2
 
     def test_truncated_line_names_its_number(self, traced_run, capsys):
         tpath, ppath = traced_run

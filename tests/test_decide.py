@@ -6,7 +6,9 @@ instruction off one shared analysis of the configuration.  Every robot of
 every configuration that the seeded runs below visit, in both of its
 readings, must get exactly the instruction ``oracles.reference_decide``
 derives from that one reading on its own.  So must hypothesis-drawn
-mirrored, tied and wide-denominator cycles.
+mirrored, tied and wide-denominator cycles.  And the two readings of every
+robot of every visited state must take the same physical action, which is
+why ``run`` and ``verify_trace`` decide from one reading.
 """
 
 from fractions import Fraction
@@ -67,24 +69,63 @@ def _outcome(cycle, pat, mutant, decide):
         return ("raised", type(exc).__name__)
 
 
+def _visited_positions(records) -> set:
+    return {tuple(sorted(records[0].positions_before))} | {
+        tuple(sorted(rec.positions_after)) for rec in records
+    }
+
+
 @pytest.fixture(scope="module")
-def visited() -> dict:
+def start_states() -> set:
+    """(sorted positions, pattern, mutant) of every state the ``_starts``
+    runs visit under every scheduler."""
+    out = set()
+    for c0, pattern, mode, mutant in _starts():
+        for name in gc.SCHEDULERS:
+            _, records = run(c0, pattern, make_policy(name), mode=mode, seed=7, mutant=mutant)
+            out |= {(pos, pattern, mutant) for pos in _visited_positions(records)}
+    return out
+
+
+@pytest.fixture(scope="module")
+def visited(start_states) -> dict:
     """(cycle, pattern cycle, mutant) -> (snapshot, pattern) for every robot
     reading, in both orientations, of every configuration the runs visit.
     Configurations of a mutant run are read with and without the mutant."""
     out = {}
-    for c0, pattern, mode, mutant in _starts():
-        for name in gc.SCHEDULERS:
-            _, records = run(c0, pattern, make_policy(name), mode=mode, seed=7, mutant=mutant)
-            shapes = {c0.positions} | {rec.positions_after for rec in records}
-            for pos in shapes:
-                c = Configuration.from_positions(pos)
-                for i in range(c.n):
-                    for flip in (False, True):
-                        s = snapshot_of(c, i, flip)
-                        for m in {None, mutant}:
-                            out[(s.cycle, pattern.cycle, m)] = (s, pattern)
+    for pos, pattern, mutant in start_states:
+        c = Configuration.from_positions(pos)
+        for i in range(c.n):
+            for flip in (False, True):
+                s = snapshot_of(c, i, flip)
+                for m in {None, mutant}:
+                    out[(s.cycle, pattern.cycle, m)] = (s, pattern)
     return out
+
+
+def _action(d):
+    return d.kind, d.destination, d.path_direction if d.is_move else None, d.branch
+
+
+def test_both_readings_take_the_same_physical_action(start_states):
+    # the rule is chirality-free: which way a robot reads the circle never
+    # changes where it goes, how it gets there, or which branch sends it
+    states = set(start_states)
+    for case in gc.cases():
+        _, records = gc.run_case(case)
+        states |= {(pos, gc.start(case)[1], None) for pos in _visited_positions(records)}
+    pairs = draws = 0
+    for k, (pos, pattern, mutant) in enumerate(sorted(states, key=repr)):
+        c = Configuration.from_positions(pos)
+        for i in range(c.n):
+            plain, flipped = snapshot_of(c, i, False), snapshot_of(c, i, True)
+            for seed in (None, k):
+                a = compute(plain, pattern, None if seed is None else Random(seed), mutant)
+                b = compute(flipped, pattern, None if seed is None else Random(seed), mutant)
+                assert _action(a) == _action(b), (pos, i, seed)
+                pairs += 1
+                draws += a.branch == "random_tiebreak"
+    assert len(states) > 250 and pairs > 4_000 and draws >= 6
 
 
 def test_decide_matches_reference_on_visited_configurations(visited):

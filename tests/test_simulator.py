@@ -29,7 +29,6 @@ from circleform.simulator import (
     CollisionWitness,
     FullSync,
     LazyAdversary,
-    OrientationAdversary,
     RandomSubset,
     RoundRobinSingleton,
     detect_collision,
@@ -115,23 +114,6 @@ class TestPolicies:
         assert len(first) == 1
 
 
-class TestOrientationAdversary:
-    def test_fixed_modes(self):
-        assert OrientationAdversary("fixed-false").flips((0, 1)) == {0: False, 1: False}
-        assert OrientationAdversary("fixed-true").flips((0, 1)) == {0: True, 1: True}
-
-    def test_random_mode_is_seeded(self):
-        a, b = OrientationAdversary(), OrientationAdversary()
-        a.reset(5)
-        b.reset(5)
-        for _ in range(10):
-            assert a.flips((0, 1, 2)) == b.flips((0, 1, 2))
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(PreconditionError):
-            OrientationAdversary("sometimes")
-
-
 class TestDetectCollision:
     def test_crossing_a_stationary_robot(self):
         c = config(0, F(1, 2))
@@ -179,10 +161,7 @@ class _PickThree(ActivationPolicy):
 class TestFirstRound:
     def test_singleton_stay_changes_nothing(self, single_nominee5, pattern5):
         # robot 3 of the worked example holds until release
-        _, records = run(
-            single_nominee5, pattern5, _PickThree(), OrientationAdversary("fixed-false"),
-            seed=0, max_epochs=1,
-        )
+        _, records = run(single_nominee5, pattern5, _PickThree(), seed=0, max_epochs=1)
         rec = records[0]
         after = Configuration.from_positions(rec.positions_after)
         assert after == single_nominee5
@@ -235,18 +214,10 @@ class TestRun:
         assert not report.ok
         assert any("budget" in v for v in report.violations)
 
-    def test_orientation_skew_changes_nothing(self, single_nominee5, pattern5):
-        baseline, _ = run(single_nominee5, pattern5, FullSync(), seed=0)
-        for mode in ("fixed-true", "fixed-false", "random"):
-            report, _ = run(
-                single_nominee5,
-                pattern5,
-                FullSync(),
-                OrientationAdversary(mode),
-                seed=0,
-            )
-            assert report.ok
-            assert report.formed_epoch == baseline.formed_epoch
+    @pytest.mark.parametrize("budget", [0, -3])
+    def test_epoch_budget_below_one_is_refused(self, single_nominee5, pattern5, budget):
+        with pytest.raises(PreconditionError, match="epoch budget"):
+            run(single_nominee5, pattern5, FullSync(), seed=0, max_epochs=budget)
 
     def test_even_count_needs_randomized_mode(self, mirror_tied4):
         p = TargetPattern.from_angles([F(1, 12), F(3, 12), F(4, 12), F(4, 12)])
@@ -393,6 +364,11 @@ class TestExploreSchedules:
         c0, pattern = gen_instance(3, 2)
         with pytest.raises(PreconditionError):
             explore_schedules(c0, pattern, 7)
+
+    def test_refuses_a_negative_budget(self):
+        c0, pattern = gen_instance(3, 2)
+        with pytest.raises(PreconditionError, match="round budget"):
+            explore_schedules(c0, pattern, -1)
 
     def test_refuses_a_start_below_the_gap_floor(self):
         p = TargetPattern.from_angles([F(30, 100), F(31, 100), F(39, 100)])
