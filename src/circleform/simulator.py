@@ -797,11 +797,10 @@ def verify_trace(
                 problems.append(f"{where}: robot {rid} was activated after terminating")
                 continue
             recorded = rec.decisions[rid]
-            idx = before.idx_of[rid]
             if mode == "rand" and recorded.branch == "random_tiebreak":
                 problems.extend(
                     f"{where}: robot {rid}: {msg}"
-                    for msg in _check_random_move(before.c, idx, recorded, pattern)
+                    for msg in _check_random_move(before.c, before.idx_of[rid], recorded, pattern)
                 )
                 continue
             try:
