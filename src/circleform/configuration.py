@@ -13,7 +13,7 @@ equal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
@@ -28,21 +28,34 @@ _CACHE = 1 << 16
 
 @dataclass(frozen=True)
 class Configuration:
-    """n distinct robot positions, sorted ascending in the presentation frame."""
+    """n distinct robot positions, sorted ascending in the presentation frame.
+
+    Positions are exact rationals, checked once as integer numerators over
+    their common denominator: the numerators ``cycle`` is derived from."""
 
     positions: tuple[Fraction, ...]
+    cycle: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pos = self.positions
         if not pos:
             raise StructuralError("a configuration needs at least one robot")
-        if not (0 <= pos[0] and pos[-1] < 1 and all(map(lt, pos, pos[1:]))):
+        try:
+            den = lcm(*(p.denominator for p in pos))
+            nums = [p.numerator * (den // p.denominator) for p in pos]
+        except AttributeError:
+            raise StructuralError("positions must be exact rationals") from None
+        if not (0 <= nums[0] and nums[-1] < den and all(map(lt, nums, nums[1:]))):
             # strictly ascending in [0, 1) fails: name the first broken rule
-            if any(not (0 <= p < 1) for p in pos):
+            if any(not (0 <= x < den) for x in nums):
                 raise StructuralError("positions must be normalised into [0, 1)")
-            if list(pos) != sorted(pos):
+            if nums != sorted(nums):
                 raise StructuralError("positions must be sorted ascending")
             raise StructuralError("positions must be distinct")
+        cycle = [b - a for a, b in zip(nums, nums[1:])]
+        cycle.append(nums[0] + den - nums[-1])
+        g = gcd(*cycle)
+        object.__setattr__(self, "cycle", tuple(x // g for x in cycle))
 
     @classmethod
     def from_positions(cls, positions: Iterable[Fraction]) -> "Configuration":
@@ -52,17 +65,6 @@ class Configuration:
     @property
     def n(self) -> int:
         return len(self.positions)
-
-    @cached_property
-    def cycle(self) -> tuple[int, ...]:
-        """Cyclic gaps as coprime ints over ``den``: gaps[i] * den."""
-        pos = self.positions
-        den = lcm(*(p.denominator for p in pos))
-        nums = [p.numerator * (den // p.denominator) for p in pos]
-        cycle = [b - a for a, b in zip(nums, nums[1:])]
-        cycle.append(nums[0] + den - nums[-1])
-        g = gcd(*cycle)
-        return tuple(x // g for x in cycle)
 
     @cached_property
     def den(self) -> int:

@@ -3,11 +3,14 @@
 The decision logic runs on integer gaps.  Every robot reading one
 configuration derives the same leader, pivotal direction and role frame, so
 the rule surveys each configuration shape once, cached per canonical gap
-cycle (``_survey``), and gives each observer its instruction from its own
-reading of that cycle (``_decide``, cached per rooted gap cycle); a thin
-wrapper maps the result back onto the shared circle.  All interval choices
-are made deterministically by midpoint subdivision so runs are exactly
-replayable.
+cycle (``_survey``), and turns the survey into one instruction table per
+gap cycle (``_decide``): robot k, reading the cycle forward from index k,
+finds its instruction at index k, and the table names the robots that take
+the randomized tie-break.  ``compute`` reads index 0 of its snapshot's
+cycle; the simulator reads a whole configuration's table at once.  A thin
+wrapper maps an instruction back onto the shared circle.  All interval
+choices are made deterministically by midpoint subdivision so runs are
+exactly replayable.
 """
 
 from __future__ import annotations
@@ -382,25 +385,33 @@ def _survey(canon: tuple[int, ...], pat: tuple[int, ...], mutant: Optional[str])
 
 @lru_cache(maxsize=_CACHE)
 def _decide(cycle: tuple[int, ...], pat: tuple[int, ...], mutant: Optional[str]):
-    """Label-space core of the rule; the observer is cycle index 0.
+    """The instruction table of a presentation cycle: (instrs, drawers).
 
     ``cycle`` and ``pat`` are coprime integer gap cycles, each over its own
-    sum (``Snapshot.cycle`` and ``TargetPattern.cycle``).  Returns
+    sum (``Configuration.cycle`` and ``TargetPattern.cycle``).  instrs[k] is
+    the instruction of robot k, which reads ``cycle`` forward from index k:
     ("terminate",), ("stay", why), ("unsolvable", fold), ("invariant",
     message), or ("move", dist, sign, branch) with dist a Fraction of a turn
-    and sign +1 for label-forward, -1 for label-reverse, 0 when the caller
+    and sign +1 for cycle-forward, -1 for cycle-reverse, 0 when the caller
     may pick either (the two readings tie, so both neighbours are
-    equivalent).
+    equivalent).  ``drawers`` holds the indices that take the randomized
+    tie-break when given a draw source: the two nominees of a tied, unformed
+    configuration of an even count.
 
-    The observer reads the canonical cycle from canon index -j, forward in
-    its own labels unless the reading is reversed; its instruction is read
-    off the shape's survey.
+    The table comes from one reading, ``least_reading(cycle) == (canon, j,
+    r)``, and one ``_survey`` of canon: robot k is canon robot (k - j) % n,
+    or -(j + k) % n with the move sign negated when the reading is reversed.
     """
     canon, j, r = least_reading(cycle)
-    instr = _survey(canon, pat, mutant)[0][-j % len(cycle)]
-    if r and instr[0] == "move":
-        return ("move", instr[1], -instr[2], instr[3])
-    return instr
+    moves, noms = _survey(canon, pat, mutant)
+    n = len(cycle)
+    if r:
+        instrs = tuple(_against(moves[-(j + k) % n]) for k in range(n))
+    else:
+        instrs = moves[-j % n:] + moves[:-j % n]
+    # a tied shape's two nominees read it in opposite directions, so its
+    # least reading is forward and nominees exist only when r is unset
+    return instrs, () if n % 2 else tuple((i + j) % n for i in noms)
 
 
 def _move_by(d: Fraction, branch: str) -> tuple:
@@ -408,7 +419,14 @@ def _move_by(d: Fraction, branch: str) -> tuple:
     return ("move", abs(d), 1 if d > 0 else -1, branch)
 
 
-def _to_decision(instr: tuple, s: Snapshot) -> Decision:
+def _against(instr: tuple) -> tuple:
+    """``instr`` for a robot reading the other way round: a move's sign flips."""
+    return ("move", instr[1], -instr[2], instr[3]) if instr[0] == "move" else instr
+
+
+def _to_decision(instr: tuple, at: Fraction) -> Decision:
+    """The robot at ``at`` acting on ``instr``, whose move sign is along the
+    presentation frame."""
     head = instr[0]
     if head == "terminate":
         return Decision(DecisionKind.TERMINATE, branch="formed")
@@ -421,13 +439,8 @@ def _to_decision(instr: tuple, s: Snapshot) -> Decision:
     _, dist, sign, branch = instr
     if dist == 0:
         return Decision(DecisionKind.STAY, branch=branch)
-    if sign == 0:
-        pdir = Direction.FORWARD
-    else:
-        label = Direction.FORWARD if sign > 0 else Direction.REVERSE
-        pdir = s.physical_direction(label)
-    dest = mod1(s.observer_position + pdir.sign * dist)
-    return Decision(DecisionKind.MOVE, dest, pdir, branch)
+    pdir = Direction.REVERSE if sign < 0 else Direction.FORWARD
+    return Decision(DecisionKind.MOVE, mod1(at + pdir.sign * dist), pdir, branch)
 
 
 def _random_step(s: Snapshot, rng: Random, floor: Fraction) -> Decision:
@@ -464,12 +477,10 @@ def compute(
     """
     if pattern.n != s.n:
         raise StructuralError(f"pattern has {pattern.n} gaps for {s.n} robots")
-    cycle = s.cycle
-    if rng is not None and s.n % 2 == 0:
-        canon, j, _ = least_reading(cycle)
-        if -j % s.n in _survey(canon, pattern.cycle, mutant)[1]:
-            return _random_step(s, rng, pattern.min_gap_floor)
-    return _to_decision(_decide(cycle, pattern.cycle, mutant), s)
+    instrs, drawers = _decide(s.cycle, pattern.cycle, mutant)
+    if rng is not None and 0 in drawers:
+        return _random_step(s, rng, pattern.min_gap_floor)
+    return _to_decision(_against(instrs[0]) if s.flipped else instrs[0], s.observer_position)
 
 
 # ---------------------------------------------------------------------------

@@ -7,15 +7,20 @@ instances, and the fully synchronous symmetry experiment.
 A robot's physical move does not depend on which way it reads the circle,
 and ``explore_schedules`` checks both readings on every state it visits, so
 robots are decided from one reading.  One audit serves ``run``,
-``verify_trace`` and ``explore_schedules``.  A ``_Frame`` holds one position
-state and caches its robots' decisions (``_Frame.decide``, shared by all
-three); ``_Frame.collision`` skips idle rounds, where nobody moves.
-``_check_transition`` checks one round from the frame before it to the frame
-after it (symmetry creation, the leader/direction lock, coincident tie-break
-draws, branch postconditions, motion under full activation);
-``_EpochLedger`` adds epoch accounting on top
-for ``run`` and ``verify_trace``.  ``explore_schedules`` has no epochs and
-keeps the lock in its state instead.
+``verify_trace`` and ``explore_schedules``.
+
+The frame is the unit of work.  A ``_Frame`` holds one position state; its
+robots read their decisions off the configuration's instruction table
+(``_Frame.decide``, shared by all three), and ``_Frame.plan`` memoises a
+round's decisions, moves, terminations and move branches per activation set
+(``_Plan``).  ``_Frame.collision`` skips idle rounds, and ``_Frame.moved``
+rotates the robots' sorted order instead of sorting afresh, since a round
+without a collision keeps their cyclic order.  ``_check_transition`` checks
+one round from the frame before it to the frame after it (symmetry
+creation, the leader/direction lock, coincident tie-break draws, branch
+postconditions, motion under full activation); ``_EpochLedger`` adds epoch
+accounting on top for ``run`` and ``verify_trace``.  ``explore_schedules``
+has no epochs and keeps the lock in its state instead.
 
 Robots are oblivious, so the only run state is the multiset of positions plus
 which robots have switched themselves off.  ``run`` tracks robots by a stable
@@ -29,7 +34,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
-from typing import Callable, Mapping, Optional, Sequence
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .angles import Direction, Turn, mod1
 from .configuration import (
@@ -54,9 +60,12 @@ from .formation import (
     Decision,
     DecisionKind,
     TargetPattern,
+    _decide,
+    _random_step,
     _rfc_on,
     _role_gaps,
     _settled,
+    _to_decision,
     compute,
     gen_instance,
     pattern_formed,
@@ -99,9 +108,8 @@ class ActivationPolicy:
         # rounds are 1-based; an unseen robot counts as last active at round 0
         return {i for i in alive if rnd - self._last.get(i, 0) >= self._window}
 
-    def _note(self, rnd: int, chosen: set[int]) -> frozenset:
-        for i in chosen:
-            self._last[i] = rnd
+    def _note(self, rnd: int, chosen: Iterable[int]) -> frozenset:
+        self._last.update(dict.fromkeys(chosen, rnd))
         return frozenset(chosen)
 
 
@@ -111,7 +119,7 @@ class FullSync(ActivationPolicy):
     name = "fsync"
 
     def select(self, rnd: int, alive: Sequence[int], movers: frozenset) -> frozenset:
-        return self._note(rnd, set(alive))
+        return self._note(rnd, alive)
 
 
 class RoundRobinSingleton(ActivationPolicy):
@@ -161,7 +169,7 @@ class LazyAdversary(ActivationPolicy):
 
     def select(self, rnd: int, alive: Sequence[int], movers: frozenset) -> frozenset:
         chosen = set(alive) - movers
-        chosen |= self._due(rnd, alive) & movers
+        chosen |= self._due(rnd, movers)
         if not chosen:
             # everyone live wants to move and none is overdue; stall the one
             # with the most recent activation
@@ -338,31 +346,52 @@ _Lock = Optional[tuple[int, Direction]]
 _NO_MOTION = "full activation produced no motion before formation"
 
 
+class _Plan(NamedTuple):
+    """One round's decisions by robot id (read-only: records of idle rounds
+    share them) and what follows from them."""
+
+    ids: tuple[int, ...]
+    decisions: Mapping[int, Decision]
+    moves: tuple[tuple[int, Decision], ...]
+    movers: frozenset
+    ended: frozenset
+    branches: tuple[str, ...]
+
+
+def _plan(decisions: Mapping[int, Decision]) -> _Plan:
+    """The plan of a round that takes ``decisions``."""
+    moves = tuple((rid, d) for rid, d in decisions.items() if d.is_move)
+    ended = frozenset(rid for rid, d in decisions.items() if d.kind is DecisionKind.TERMINATE)
+    return _Plan(tuple(sorted(decisions)), MappingProxyType(decisions), moves,
+                 frozenset(rid for rid, _ in moves), ended, tuple(d.branch for _, d in moves))
+
+
 class _Frame:
     """One position state: positions by robot id, their sorted order, the
-    configuration, and lazily its class, its phase, per-robot decisions, the
-    movers and the checks owed by a round that ends on it.
+    configuration, and lazily its class, its phase, its instruction table,
+    per-robot decisions, round plans and the checks owed by a round that
+    ends on it.
 
-    Decisions are pure functions of one reading, ``snapshot_of(..., False)``,
-    so while no move lands all of these are reusable across rounds.  The
-    movers set, computed for the robots alive when first asked, stays valid
-    while robots terminate on this frame: a robot that terminates never was
-    a mover.  The after-state checks (``audit``) depend
-    only on the frame and the lock a round enters with, so each is computed
-    once per lock.
+    Robot k of the sorted order reads index k of the table
+    (``formation._decide``), so while no move lands all of these are
+    reusable across rounds.  Plans are memoised per activation set.  The
+    after-state checks (``audit``) depend only on the frame and the lock a
+    round enters with, so each is computed once per lock.
     """
 
-    __slots__ = ("pos", "order", "idx_of", "c", "dec", "_cls", "_phase", "_movers", "_audit")
+    __slots__ = ("pos", "order", "idx_of", "c", "dec", "_table", "_cls", "_phase", "_plans",
+                 "_audit")
 
-    def __init__(self, pos: Sequence[Turn]):
+    def __init__(self, pos: Sequence[Turn], order: Optional[list[int]] = None):
         self.pos = tuple(pos)
-        self.order = sorted(range(len(self.pos)), key=self.pos.__getitem__)
+        self.order = order or sorted(range(len(self.pos)), key=self.pos.__getitem__)
         self.idx_of = {rid: k for k, rid in enumerate(self.order)}
         self.c = Configuration(tuple(self.pos[r] for r in self.order))
         self.dec: dict[int, Decision] = {}
+        self._table: Optional[tuple] = None
         self._cls: Optional[ConfigClass] = None
         self._phase: Optional[str] = None
-        self._movers: Optional[frozenset] = None
+        self._plans: dict[frozenset, _Plan] = {}
         self._audit: dict[_Lock, tuple[_Lock, list[list[str]]]] = {}
 
     def classify(self) -> ConfigClass:
@@ -378,24 +407,29 @@ class _Frame:
     def decide(
         self, rid: int, pattern: TargetPattern, rng: Optional[Random], mutant: Optional[str]
     ) -> Decision:
+        """Robot ``rid``'s decision off the table; only a tie-break draw takes a snapshot."""
         d = self.dec.get(rid)
         if d is None:
-            d = compute(snapshot_of(self.c, self.idx_of[rid], False), pattern, rng, mutant)
+            if self._table is None:
+                self._table = _decide(self.c.cycle, pattern.cycle, mutant)
+            instrs, drawers = self._table
+            k = self.idx_of[rid]
+            if rng is not None and k in drawers:
+                d = _random_step(snapshot_of(self.c, k, False), rng, pattern.min_gap_floor)
+            else:
+                d = _to_decision(instrs[k], self.c.positions[k])
             self.dec[rid] = d
         return d
 
-    def movers(
-        self, alive: Sequence[int], pattern: TargetPattern,
-        rng: Optional[Random], mutant: Optional[str],
-    ) -> frozenset:
-        """The ``alive`` robots whose decision here is a move, deciding them
-        in id order the first time it is asked (so rand-mode draws keep
-        their order)."""
-        if self._movers is None:
-            self._movers = frozenset(
-                rid for rid in alive if self.decide(rid, pattern, rng, mutant).is_move
-            )
-        return self._movers
+    def plan(self, active: frozenset, pattern: TargetPattern, rng: Optional[Random],
+             mutant: Optional[str]) -> _Plan:
+        """The plan of activating ``active``, deciding its robots in id order
+        (so rand-mode draws keep their order)."""
+        p = self._plans.get(active)
+        if p is None:
+            decisions = {rid: self.decide(rid, pattern, rng, mutant) for rid in sorted(active)}
+            p = self._plans[active] = _plan(decisions)
+        return p
 
     def audit(self, lock: _Lock, pattern: TargetPattern) -> tuple[_Lock, list[list[str]]]:
         """The lock after a round that ends here, entered with ``lock``, and
@@ -425,27 +459,33 @@ class _Frame:
         got = self._audit[lock] = (out, found)
         return got
 
-    def collision(self, decisions: Mapping[int, Decision]) -> Optional[str]:
-        """How the decisions, keyed by robot id, collide; None if they do not.
+    def collision(self, plan: _Plan) -> Optional[str]:
+        """How the plan's moves collide; None if they do not.
 
         A round in which nobody moves is idle: a frame's positions are
         distinct, so nothing can meet and nothing is checked."""
-        if not any(d.is_move for d in decisions.values()):
+        if not plan.moves:
             return None
-        w = detect_collision(self.c, {self.idx_of[r]: d for r, d in decisions.items()})
+        w = detect_collision(self.c, {self.idx_of[r]: d for r, d in plan.moves})
         if w is None:
             return None
         return f"robots {self.order[w.first]} and {self.order[w.second]} collide at t={w.time}"
 
-    def moved(self, decisions: Mapping[int, Decision]) -> "_Frame":
-        """The frame once the decisions' moves land; ``self`` when nobody moves."""
-        moves = [(r, d.destination) for r, d in decisions.items() if d.is_move]
-        if not moves:
+    def moved(self, plan: _Plan) -> "_Frame":
+        """The frame once the plan's moves land; ``self`` when nobody moves.
+
+        The plan must not collide, so the robots keep their cyclic order and
+        the new sorted order is a rotation of the old one.  Its first robot
+        is a mover or the first robot of the old order that stays."""
+        if not plan.moves:
             return self
         pos = list(self.pos)
-        for r, dest in moves:
-            pos[r] = dest
-        return _Frame(pos)
+        for r, d in plan.moves:
+            pos[r] = d.destination
+        order = self.order
+        heads = [*plan.movers, *next(([r] for r in order if r not in plan.movers), [])]
+        k = self.idx_of[min(heads, key=pos.__getitem__)]
+        return _Frame(pos, order[k:] + order[:k])
 
 
 def _branch_postconditions(
@@ -495,25 +535,26 @@ def _branch_postconditions(
 def _check_transition(
     before: _Frame,
     after: _Frame,
-    decisions: Mapping[int, Decision],
-    alive: Sequence[int],
+    plan: _Plan,
+    alive: tuple[int, ...],
     lock: _Lock,
     pattern: TargetPattern,
 ) -> tuple[_Lock, list[list[str]]]:
-    """Audit one round, ``before`` to ``after`` under ``decisions`` (by robot id).
+    """Audit one round, ``before`` to ``after`` under ``plan``.
 
     Returns the lock after the round and one message list per failed check,
     in this order: the after-state checks (``_Frame.audit``, memoised on
     ``after``); coincident simultaneous tie-break draws; the lone mover's
-    branch postconditions; a full activation of the ``alive`` robots that
-    moved nobody before formation.  The move checks run only when something
-    moved, and the last check only when nothing did, so an idle round costs
-    O(|decisions|) once its after-state checks are memoised.
+    branch postconditions; a full activation of the ``alive`` robots (a
+    sorted tuple) that moved nobody before formation.  The move checks run
+    only when something moved, and the last check only when nothing did,
+    so an idle round costs O(|alive|) once its after-state checks are
+    memoised.
     """
     lock, state_found = after.audit(lock, pattern)
     found = list(state_found)
     formed = after.phase(pattern) == "formed"
-    moves = [(rid, d) for rid, d in decisions.items() if d.is_move]
+    moves = plan.moves
     if moves:
         travels = [
             mod1(d.path_direction.sign * (d.destination - before.pos[rid]))
@@ -526,12 +567,7 @@ def _check_transition(
             msgs = _branch_postconditions(after, before, moves[0][1].branch, pattern)
             if msgs:
                 found.append(msgs)
-    elif (
-        not formed
-        and len(decisions) == len(alive)
-        and all(d.kind is DecisionKind.STAY for d in decisions.values())
-        and decisions.keys() == set(alive)
-    ):
+    elif not formed and not plan.ended and plan.ids == alive:
         found.append([_NO_MOTION])
     return lock, found
 
@@ -553,8 +589,8 @@ class _EpochLedger:
     formation.  ``halted`` is set when a full activation moved nobody or the
     epoch ``budget`` ran out.
 
-    A round costs O(|decisions|): the robots not yet activated this epoch
-    are kept as ``_uncovered``, and ``alive`` (a sorted tuple, with
+    A round costs O(|plan|): the robots not yet activated this epoch are
+    kept as ``_uncovered``, and ``alive`` (a sorted tuple, with
     ``alive_set`` beside it) is rebuilt only when a robot terminates.
     """
 
@@ -578,16 +614,13 @@ class _EpochLedger:
         self._landings = 0
         self._start_phase: Optional[str] = None
 
-    def round(
-        self, rnd: int, before: _Frame, after: _Frame, decisions: Mapping[int, Decision]
-    ) -> list[str]:
+    def round(self, rnd: int, before: _Frame, after: _Frame, plan: _Plan) -> list[str]:
         """Account one round and return its violations."""
         if self._start_phase is None:
             self._start_phase = before.phase(self.pattern)
-        ended = {rid for rid, d in decisions.items() if d.kind is DecisionKind.TERMINATE}
-        if ended:
-            self.terminated |= ended
-            self.alive = tuple(i for i in self.alive if i not in ended)
+        if plan.ended:
+            self.terminated |= plan.ended
+            self.alive = tuple(i for i in self.alive if i not in plan.ended)
             self.alive_set = frozenset(self.alive)
         out: list[str] = []
         phase = after.phase(self.pattern)
@@ -600,21 +633,18 @@ class _EpochLedger:
         was = self._lock
         # a robot that terminated this round did not stay, so the robots still
         # running are the ones the full-activation check compares against
-        self._lock, found = _check_transition(
-            before, after, decisions, self.alive, was, self.pattern
-        )
+        self._lock, found = _check_transition(before, after, plan, self.alive, was, self.pattern)
         if was is None and self._lock is not None:
             self._released = self.epoch
         out += [f"round {rnd}: {m}" for msgs in found for m in msgs]
-        branches = [d.branch for d in decisions.values() if d.is_move]
-        self._landings += branches.count("settle_target")
-        if branches.count("random_tiebreak") > 1:
+        self._landings += plan.branches.count("settle_target")
+        if plan.branches.count("random_tiebreak") > 1:
             self.joint_tiebreaks += 1
         if found and found[-1] == [_NO_MOTION]:
             self.halted = True
             return out
 
-        self._uncovered.difference_update(decisions)
+        self._uncovered.difference_update(plan.ids)
         if self._uncovered:
             return out
         alive = self.alive
@@ -667,8 +697,10 @@ def run(
 ) -> tuple[RunReport, list[RoundRecord]]:
     """Drive a full run until every robot terminates or the budget runs out.
 
-    Decisions come from the frame's cache (``_Frame.decide``); an idle round
-    leaves the frame as it was and is not checked for collisions.  Every
+    Each round's plan comes from the frame (``_Frame.plan``, memoised per
+    activation set); an idle round leaves the frame as it was and is not
+    checked for collisions, and a round with moves rotates the frame's
+    sorted order instead of sorting afresh (``_Frame.moved``).  Every
     round is audited as it happens (``_EpochLedger``): the audit records
     (never raises) violations of the progress and stability guarantees.
     Collisions, scheduler contract breaks, decision errors, a full
@@ -712,28 +744,27 @@ def run(
         try:
             movers: frozenset = frozenset()
             if policy.needs_movers:
-                movers = state.movers(alive, pattern, rng, mutant)
+                movers = state.plan(ledger.alive_set, pattern, rng, mutant).movers
             active = policy.select(rnd, alive, movers)
             if not active or not active <= ledger.alive_set:
                 report.violations.append(f"round {rnd}: scheduler broke the activation contract")
                 break
-            activated = tuple(sorted(active))
-            decisions = {rid: state.decide(rid, pattern, rng, mutant) for rid in activated}
+            plan = state.plan(active, pattern, rng, mutant)
         except CircleFormError as e:
             report.violations.append(f"round {rnd}: {e}")
             break
 
         before = state
-        collision = state.collision(decisions)
+        collision = state.collision(plan)
         if collision is None:
-            state = state.moved(decisions)
-        records.append(RoundRecord(rnd, ledger.epoch, activated, decisions,
+            state = state.moved(plan)
+        records.append(RoundRecord(rnd, ledger.epoch, plan.ids, plan.decisions,
                                    before.pos, state.pos, state.classify()))
         if collision is not None:
             report.collisions += 1
             report.violations.append(f"round {rnd}: {collision}")
             break
-        report.violations += ledger.round(rnd, before, state, decisions)
+        report.violations += ledger.round(rnd, before, state, plan)
 
     report.formed = ledger.formed_epoch is not None
     report.formed_epoch = ledger.formed_epoch
@@ -800,7 +831,7 @@ def verify_trace(
             if mode == "rand" and recorded.branch == "random_tiebreak":
                 problems.extend(
                     f"{where}: robot {rid}: {msg}"
-                    for msg in _check_random_move(before.c, before.idx_of[rid], recorded, pattern)
+                    for msg in _check_random_move(before, rid, recorded, pattern)
                 )
                 continue
             try:
@@ -808,17 +839,13 @@ def verify_trace(
             except CircleFormError as e:
                 problems.append(f"{where}: robot {rid}: {e}")
                 continue
-            if (
-                expected.kind is not recorded.kind
-                or expected.destination != recorded.destination
-                or (expected.is_move and expected.path_direction is not recorded.path_direction)
-                or expected.branch != recorded.branch
-            ):
+            if expected != recorded:
                 problems.append(
                     f"{where}: robot {rid} recorded {recorded} but the rule gives {expected}"
                 )
 
-        collision = before.collision(rec.decisions)
+        plan = _plan(rec.decisions)
+        collision = before.collision(plan)
         if collision is not None:
             problems.append(f"{where}: {collision}")
 
@@ -836,28 +863,23 @@ def verify_trace(
         if after.classify() != rec.config_class:
             problems.append(f"{where}: recorded class does not match the positions")
         if collision is None:
-            problems += ledger.round(rec.round, before, after, rec.decisions)
+            problems += ledger.round(rec.round, before, after, plan)
         prev = after
     return problems
 
 
 def _check_random_move(
-    c: Configuration, idx: int, recorded: Decision, pattern: TargetPattern
+    before: _Frame, rid: int, recorded: Decision, pattern: TargetPattern
 ) -> list[str]:
-    """Validity of a tie-break draw that cannot be replayed exactly."""
-    if c.n % 2:
-        return ["tie-break move in an odd-count run"]
-    found = classify(c)
-    if not isinstance(found, DoubleNomineeTied):
-        return ["tie-break move outside a tied configuration"]
-    if idx not in (found.nominee_a, found.nominee_b):
-        return ["tie-break move by a robot that is not a nominee"]
+    """Validity of a tie-break draw that cannot be replayed exactly: a drawer
+    of the frame's table, toward its smaller reading, inside the window."""
+    k = before.idx_of[rid]
+    if k not in _decide(before.c.cycle, pattern.cycle, None)[1]:
+        return ["tie-break move by a robot the rule does not send to the tie-break"]
     if not recorded.is_move:
         return ["tie-break record is not a move"]
-    s = snapshot_of(c, idx, False)
+    s = snapshot_of(before.c, k, False)
     rev = s.cycle[::-1]
-    if s.cycle == rev:
-        return ["nominee with a palindromic view"]
     expected_dir = Direction.FORWARD if s.cycle < rev else Direction.REVERSE
     msgs = []
     if recorded.path_direction is not expected_dir:
@@ -885,11 +907,19 @@ def batch(
 
     ``formed`` counts runs that formed and fully terminated; ``max_epochs``
     and ``mean_epochs`` summarise the epochs to formation over formed runs.
-    Errors raised by a run (for example a parity/mode mismatch) count as
-    violations in the cell instead of crashing the sweep.
+    An unknown mode or scheduler, a robot count below 3, a negative
+    ``trials`` and a ``max_epochs`` below 1 are refused before any run
+    starts.  Errors raised by a run (for example a parity/mode mismatch)
+    count as violations in the cell instead of crashing the sweep.
     """
     if trials < 0 or (max_epochs is not None and max_epochs < 1):
         raise PreconditionError(f"need trials >= 0, max_epochs >= 1; got {trials}, {max_epochs}")
+    if mode not in ("det", "rand"):
+        raise PreconditionError(f"unknown mode {mode!r}")
+    if ns and min(ns) < 3:
+        raise PreconditionError(f"instances need at least 3 robots; got {min(ns)}")
+    for name in schedulers:
+        make_policy(name)  # refuses an unknown scheduler
     rows: list[dict] = []
     for n in ns:
         cells = {
@@ -1014,7 +1044,7 @@ def explore_schedules(
         (positions, terms, lock), path = queue.popleft()
         if len(path) >= round_budget:
             continue
-        alive = [i for i in range(n) if i not in terms]
+        alive = tuple(i for i in range(n) if i not in terms)
         if not alive:
             continue
         frame = _Frame(positions)
@@ -1044,14 +1074,14 @@ def explore_schedules(
                 continue
             edges += 1
             act = tuple(sub) if sub else (stayers[0],)
-            decisions = {r: dec[r] for r in act}
-            collision = frame.collision(decisions)
+            plan = _plan({r: dec[r] for r in act})
+            collision = frame.collision(plan)
             if collision is not None:
                 return fail(path + (act,), collision, positions)
-            after = frame.moved(decisions)
+            after = frame.moved(plan)
             try:
                 new_lock, found = _check_transition(
-                    frame, after, decisions, alive, lock, pattern
+                    frame, after, plan, alive, lock, pattern
                 )
             except ClassificationError as e:
                 return fail(path + (act,), str(e), after.pos)
@@ -1127,13 +1157,13 @@ def fsync_symmetry_experiment(
     folds = [k0]
     frame = _Frame(c0.positions)
     for rnd in range(1, rounds + 1):
-        decisions = {
+        plan = _plan({
             rid: rule(snapshot_of(frame.c, frame.idx_of[rid], False)) for rid in frame.order
-        }
-        collision = frame.collision(decisions)
+        })
+        collision = frame.collision(plan)
         if collision is not None:
             raise InvariantViolationError(f"round {rnd}: {collision}")
-        frame = frame.moved(decisions)
+        frame = frame.moved(plan)
         k = frame.c.fold()
         folds.append(k)
         if k < k0:

@@ -9,14 +9,23 @@ its round is recorded).
 """
 
 import re
+from fractions import Fraction
 from random import Random
 
 import pytest
 
 import golden_corpus as gc
-from circleform import DecisionKind, compute, read_trace, simulator, snapshot_of
+from circleform import (
+    Decision,
+    DecisionKind,
+    Direction,
+    compute,
+    read_trace,
+    simulator,
+    snapshot_of,
+)
 from circleform.formation import gen_instance
-from circleform.simulator import FullSync, _Frame, make_policy, run, verify_trace
+from circleform.simulator import FullSync, _Frame, _plan, make_policy, run, verify_trace
 from conftest import tied_even_instance
 from oracles import reference_epochs
 
@@ -136,21 +145,27 @@ def test_seeded_epochs_match_the_recount():
 )
 def test_fast_paths_match_fresh_work(monkeypatch, mode, name, start, mutant):
     c0, pattern = start
-    audits, movers = [], []
-    audit, find_movers = _Frame.audit, _Frame.movers
+    audits, plans, moved = [], [], []
+    audit, plan, move = _Frame.audit, _Frame.plan, _Frame.moved
 
     def spy_audit(frame, lock, pat):
         got = audit(frame, lock, pat)
         audits.append((frame.pos, lock, got))
         return got
 
-    def spy_movers(frame, alive, *rest):
-        got = find_movers(frame, alive, *rest)
-        movers.append((frame.pos, tuple(alive), got))
+    def spy_plan(frame, active, *rest):
+        got = plan(frame, active, *rest)
+        plans.append((frame.pos, active, got))
+        return got
+
+    def spy_moved(frame, p):
+        got = move(frame, p)
+        moved.append(got)
         return got
 
     monkeypatch.setattr(_Frame, "audit", spy_audit)
-    monkeypatch.setattr(_Frame, "movers", spy_movers)
+    monkeypatch.setattr(_Frame, "plan", spy_plan)
+    monkeypatch.setattr(_Frame, "moved", spy_moved)
     _, records = run(c0, pattern, make_policy(name), mode=mode, seed=7, mutant=mutant)
     monkeypatch.undo()
 
@@ -158,15 +173,58 @@ def test_fast_paths_match_fresh_work(monkeypatch, mode, name, start, mutant):
     assert len(audits) > len({(pos, lock) for pos, lock, _ in audits})
     for pos, lock, got in audits:
         assert got == _Frame(pos).audit(lock, pattern)
-    for pos, alive, got in movers:
+    # a plan is reused while its frame and activation set last: lazy wakes
+    # the same stayers round after round
+    reused = len(plans) > len({(pos, active) for pos, active, _ in plans})
+    assert reused or name != "lazy"
+    for pos, active, got in plans:
         fresh = _Frame(pos)
         want = {
-            rid for rid in alive
-            if compute(snapshot_of(fresh.c, fresh.idx_of[rid], False), pattern,
-                       Random(0) if mode == "rand" else None, mutant).is_move
+            rid: compute(snapshot_of(fresh.c, fresh.idx_of[rid], False), pattern,
+                         Random(0) if mode == "rand" else None, mutant)
+            for rid in sorted(active)
         }
-        assert got == want
-    assert movers or name != "lazy"
+        for rid, d in want.items():
+            if d.branch == "random_tiebreak":  # the draw itself differs
+                assert got.decisions[rid].branch == d.branch
+                want[rid] = got.decisions[rid]
+        assert got == _plan(want)
+    # a landing rotates the sorted order instead of sorting afresh
+    for after in moved:
+        fresh = _Frame(after.pos)
+        assert after.order == fresh.order and after.idx_of == fresh.idx_of
+        assert after.c == fresh.c and after.c.cycle == fresh.c.cycle
     for rec in records:
         if not any(d.is_move for d in rec.decisions.values()):
             assert rec.positions_after == rec.positions_before
+
+
+# robots by id at 2/5, 7/10 and 1/10, so the sorted order is (2, 0, 1)
+_CROSSING_START = (Fraction(2, 5), Fraction(7, 10), Fraction(1, 10))
+
+
+@pytest.mark.parametrize(
+    "moves, order",
+    [
+        pytest.param({1: (Fraction(1, 20), Direction.FORWARD)}, [1, 2, 0], id="last-crosses-0-forward"),
+        pytest.param({2: (Fraction(19, 20), Direction.REVERSE)}, [0, 1, 2], id="first-crosses-0-back"),
+        pytest.param({2: (Fraction(1, 5), Direction.FORWARD)}, [2, 0, 1], id="first-moves-and-leads"),
+        pytest.param(
+            {0: (Fraction(1, 2), Direction.FORWARD), 1: (Fraction(1, 20), Direction.FORWARD),
+             2: (Fraction(3, 20), Direction.FORWARD)},
+            [1, 2, 0],
+            id="all-move",
+        ),
+    ],
+)
+def test_moved_frame_rotates_its_order(moves, order):
+    frame = _Frame(_CROSSING_START)
+    plan = _plan({
+        rid: Decision(DecisionKind.MOVE, dest, way, "by-hand") for rid, (dest, way) in moves.items()
+    })
+    assert frame.collision(plan) is None
+    after = frame.moved(plan)
+    fresh = _Frame(after.pos)
+    assert after.order == fresh.order == order
+    assert after.idx_of == fresh.idx_of
+    assert after.c == fresh.c and after.c.cycle == fresh.c.cycle

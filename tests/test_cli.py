@@ -1,16 +1,21 @@
 """CLI subcommands, exit codes, and trace verification."""
 
 import json
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
 from circleform import (
+    Decision,
+    DecisionKind,
+    Direction,
     FullSync,
     PreconditionError,
     RandomSubset,
     TargetPattern,
     run,
+    simulator,
 )
 from circleform.cli import (
     batch,
@@ -224,6 +229,23 @@ class TestBatchCommand:
         code = main(["batch", "--ns", "3", "--trials", "1", "--schedulers", "chaos"])
         assert code == 1
 
+    def test_bad_inputs_are_refused_before_any_run(self, monkeypatch):
+        def no_runs(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(simulator, "run", no_runs)
+        for ns, schedulers, mode in (
+            ([5], ["fsync"], "chaos"),
+            ([5], ["nope"], "det"),
+            ([2], ["fsync"], "det"),
+            ([5, 2], ["fsync"], "det"),
+        ):
+            with pytest.raises(PreconditionError):
+                batch(ns, 1, schedulers, mode=mode)
+
+    def test_small_n_exits_one(self, capsys):
+        assert main(["batch", "--ns", "2", "--trials", "1", "--schedulers", "fsync"]) == 1
+
     def test_batch_ok_flags_missing_forms(self):
         rows = batch([4], 1, ["fsync"], seed=0, mode="det")
         assert rows[0]["violations"] > 0
@@ -387,6 +409,30 @@ class TestVerifyTrace:
             for d in rec.decisions.values()
         )
         assert verify_trace(records, pattern, mode="rand") == []
+
+    def test_forged_tiebreak_draws_are_reported(self, mirror_tied4):
+        pattern = TargetPattern.from_angles([F(1, 12), F(3, 12), F(4, 12), F(4, 12)])
+        _, records = run(mirror_tied4, pattern, FullSync(), mode="rand", seed=2)
+        first = records[0]
+        drawer = next(r for r, d in first.decisions.items() if d.branch == "random_tiebreak")
+        stayer = next(r for r, d in first.decisions.items() if not d.is_move)
+
+        def forged(rid, way):
+            step = F(1, 10_000) * way.sign
+            d = Decision(DecisionKind.MOVE, first.positions_before[rid] + step, way,
+                         "random_tiebreak")
+            after = list(first.positions_after)
+            after[rid] = d.destination
+            return [replace(first, decisions={**first.decisions, rid: d},
+                            positions_after=tuple(after))]
+
+        wrong_way = first.decisions[drawer].path_direction.opposite
+        assert "robot %d: tie-break moved away from its smaller reading" % drawer in " ".join(
+            verify_trace(forged(drawer, wrong_way), pattern, mode="rand")
+        )
+        assert "robot %d: tie-break move by a robot the rule does not send" % stayer in " ".join(
+            verify_trace(forged(stayer, Direction.FORWARD), pattern, mode="rand")
+        )
 
     def test_continuity_break_is_reported(self, single_nominee5, pattern5):
         _, records = run(single_nominee5, pattern5, RandomSubset(0.6), seed=4)

@@ -49,6 +49,26 @@ class TestConfiguration:
         with pytest.raises(StructuralError):
             Configuration((F(0), F(5, 4)))
 
+    def test_names_the_first_broken_rule(self):
+        # range before order before distinctness, as the checks run
+        cases = [
+            ((F(1, 2), F(1, 4), F(5, 4)), "normalised"),
+            ((F(1, 2), F(1, 4), F(1, 4)), "sorted"),
+            ((F(1, 4), F(1, 4), F(1, 2)), "distinct"),
+        ]
+        for positions, rule in cases:
+            with pytest.raises(StructuralError, match=rule):
+                Configuration(positions)
+
+    def test_rejects_non_rational_positions(self):
+        with pytest.raises(StructuralError, match="rational"):
+            Configuration((0.1, 0.5, 0.7))
+        with pytest.raises(StructuralError, match="rational"):
+            Configuration((F(0), 0.5))
+        # ints are exact, and from_positions still converts through Fraction
+        assert Configuration((0, F(1, 2))).cycle == (1, 1)
+        assert Configuration.from_positions([0.5, 0.25]).positions == (F(1, 4), F(1, 2))
+
     def test_from_positions_normalises(self):
         c = Configuration.from_positions([F(5, 4), F(1, 2)])
         assert c.positions == (F(1, 4), F(1, 2))

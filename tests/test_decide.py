@@ -1,14 +1,16 @@
 """The decision rule against its per-observer reference.
 
 Every robot that reads one configuration derives the same leader, pivotal
-direction and role frame; ``formation._decide`` reads each observer's
-instruction off one shared analysis of the configuration.  Every robot of
-every configuration that the seeded runs below visit, in both of its
-readings, must get exactly the instruction ``oracles.reference_decide``
-derives from that one reading on its own.  So must hypothesis-drawn
-mirrored, tied and wide-denominator cycles.  And the two readings of every
-robot of every visited state must take the same physical action, which is
-why ``run`` and ``verify_trace`` decide from one reading.
+direction and role frame; ``formation._decide`` builds one instruction
+table per gap cycle from one shared analysis of the configuration, and
+robot k reads index k.  On every configuration that the seeded runs below
+visit, read both ways round, every index must hold exactly the instruction
+``oracles.reference_decide`` derives from that robot's rotation on its own,
+and the table's drawers must be exactly the robots the reference sends to
+the randomized tie-break.  So must hypothesis-drawn mirrored, tied and
+wide-denominator cycles.  And the two readings of every robot of every
+visited state must take the same physical action, which is why ``run`` and
+``verify_trace`` decide from one reading.
 """
 
 from fractions import Fraction
@@ -62,11 +64,31 @@ def _starts():
     yield gc.MUTANT_START, gc.PATTERN5, "det", "eps1-lower"
 
 
-def _outcome(cycle, pat, mutant, decide):
+def _outcome(call, *args):
     try:
-        return decide(cycle, pat, mutant)
+        return call(*args)
     except Exception as exc:  # a raise must match a raise of the same type
         return ("raised", type(exc).__name__)
+
+
+def _reference_table(cycle, pat, mutant):
+    """The table ``_decide`` must build, robot by robot: (instrs, drawers)."""
+    n = len(cycle)
+    rows = [oracles.rotate(cycle, k) for k in range(n)]
+    instrs = tuple(oracles.reference_decide(row, pat, mutant) for row in rows)
+    drawers = {k for k, row in enumerate(rows) if oracles.reference_tied_nominee(row, pat)}
+    return instrs, frozenset(drawers) if n % 2 == 0 else frozenset()
+
+
+def _table(cycle, pat, mutant):
+    instrs, drawers = _decide(cycle, pat, mutant)
+    return instrs, frozenset(drawers)
+
+
+def _check_table(cycle, pat, mutant):
+    assert _outcome(_table, cycle, pat, mutant) == _outcome(
+        _reference_table, cycle, pat, mutant
+    ), (cycle, pat, mutant)
 
 
 def _visited_positions(records) -> set:
@@ -89,17 +111,16 @@ def start_states() -> set:
 
 @pytest.fixture(scope="module")
 def visited(start_states) -> dict:
-    """(cycle, pattern cycle, mutant) -> (snapshot, pattern) for every robot
-    reading, in both orientations, of every configuration the runs visit.
-    Configurations of a mutant run are read with and without the mutant."""
+    """(cycle, pattern cycle, mutant) -> (configuration, pattern) for both
+    readings of every configuration the runs visit: its presentation cycle
+    and that cycle reversed.  Configurations of a mutant run are read with
+    and without the mutant."""
     out = {}
     for pos, pattern, mutant in start_states:
         c = Configuration.from_positions(pos)
-        for i in range(c.n):
-            for flip in (False, True):
-                s = snapshot_of(c, i, flip)
-                for m in {None, mutant}:
-                    out[(s.cycle, pattern.cycle, m)] = (s, pattern)
+        for cycle in (c.cycle, c.cycle[::-1]):
+            for m in {None, mutant}:
+                out[(cycle, pattern.cycle, m)] = (c, pattern)
     return out
 
 
@@ -130,29 +151,36 @@ def test_both_readings_take_the_same_physical_action(start_states):
 
 def test_decide_matches_reference_on_visited_configurations(visited):
     for key in visited:
-        assert _outcome(*key, _decide) == _outcome(*key, oracles.reference_decide), key
+        _check_table(*key)
 
 
 def test_visited_readings_cover_every_move_branch(visited):
     branches = {
-        instr[-1] for instr in (_decide(*key) for key in visited) if instr[0] == "move"
+        instr[-1]
+        for key in visited
+        for instr in _decide(*key)[0]
+        if instr[0] == "move"
     }
     assert branches == MOVE_BRANCHES
     assert {len(cycle) for cycle, _, _ in visited} == set(DET_NS) | set(RAND_NS)
     assert any(m == "eps1-lower" for _, _, m in visited)
+    assert any(_decide(*key)[1] for key in visited)
 
 
 def test_randomized_tie_check_matches_reference(visited):
     # only an observing nominee of a tied, unformed configuration draws
     checked = drew = 0
-    for (cycle, pat, mutant), (s, pattern) in visited.items():
-        if s.n % 2:
+    for c, pattern, mutant in {(c, p, m) for (_, _, m), (c, p) in visited.items()}:
+        if c.n % 2:
             continue
-        d = compute(s, pattern, Random(1), mutant)
-        expected = oracles.reference_tied_nominee(cycle, pat)
-        assert (d.branch == "random_tiebreak") == expected, cycle
-        checked += 1
-        drew += expected
+        for i in range(c.n):
+            for flip in (False, True):
+                s = snapshot_of(c, i, flip)
+                d = compute(s, pattern, Random(1), mutant)
+                expected = oracles.reference_tied_nominee(s.cycle, pattern.cycle)
+                assert (d.branch == "random_tiebreak") == expected, s.cycle
+                checked += 1
+                drew += expected
     assert checked > 500 and drew >= 6
 
 
@@ -161,13 +189,9 @@ def test_leader_skips_a_blocked_midpoint():
     # of the leader and role 1, so the pick takes the quarter point
     c = config(0, F(7, 17), F(9, 17), F(11, 17))
     pat = gen_instance(4, 9_002)[1].cycle
-    for i in range(c.n):
-        for flip in (False, True):
-            cycle = snapshot_of(c, i, flip).cycle
-            assert _decide(cycle, pat, None) == oracles.reference_decide(cycle, pat, None)
-    assert _decide(snapshot_of(c, 1, False).cycle, pat, None) == (
-        "move", F(1, 34), 1, "shrink_lead_gap"
-    )
+    for cycle in (c.cycle, c.cycle[::-1]):
+        _check_table(cycle, pat, None)
+    assert _decide(c.cycle, pat, None)[0][1] == ("move", F(1, 34), 1, "shrink_lead_gap")
 
 
 # ---------------------------------------------------------------------------
@@ -209,11 +233,10 @@ def test_decide_matches_reference_on_drawn_cycles(pts, k, weakened):
     pattern = _pattern(c.n, k)
     pat = pattern.cycle
     mutant = "eps1-lower" if weakened else None
-    for i in range(c.n):
-        for flip in (False, True):
-            s = snapshot_of(c, i, flip)
-            assert _outcome(s.cycle, pat, mutant, _decide) == _outcome(
-                s.cycle, pat, mutant, oracles.reference_decide
-            )
-            if c.n % 2 == 0:
+    for cycle in (c.cycle, c.cycle[::-1]):
+        _check_table(cycle, pat, mutant)
+    if c.n % 2 == 0:
+        for i in range(c.n):
+            for flip in (False, True):
+                s = snapshot_of(c, i, flip)
                 assert _draws(s, pattern) == oracles.reference_tied_nominee(s.cycle, pat)
