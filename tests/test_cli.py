@@ -434,6 +434,24 @@ class TestVerifyTrace:
             verify_trace(forged(stayer, Direction.FORWARD), pattern, mode="rand")
         )
 
+    def test_draw_past_its_window_is_reported(self, mirror_tied4):
+        # floor 3/26 and a pattern over 26 against a start over 12
+        pattern = TargetPattern.from_angles([F(5, 26), F(6, 26), F(8, 26), F(7, 26)])
+        _, records = run(mirror_tied4, pattern, FullSync(), mode="rand", seed=2)
+        first = records[0]
+        drawer, d = next((r, d) for r, d in first.decisions.items()
+                         if d.branch == "random_tiebreak")
+        limit = (min(mirror_tied4.gaps) - F(3, 26)) / 2
+        assert limit == F(1, 39)
+        far = replace(d, destination=first.positions_before[drawer] + d.path_direction.sign * limit)
+        after = list(first.positions_after)
+        after[drawer] = far.destination
+        forged = replace(first, decisions={**first.decisions, drawer: far},
+                         positions_after=tuple(after))
+        assert f"round 1: robot {drawer}: tie-break draw {limit} outside (0, {limit})" in (
+            verify_trace([forged], pattern, mode="rand")
+        )
+
     def test_continuity_break_is_reported(self, single_nominee5, pattern5):
         _, records = run(single_nominee5, pattern5, RandomSubset(0.6), seed=4)
         assert len(records) > 2

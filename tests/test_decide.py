@@ -30,8 +30,8 @@ from circleform import (
     run,
     snapshot_of,
 )
-from circleform.angles import mod1
-from circleform.formation import _decide
+from circleform.angles import Direction, mod1, prefix_sums
+from circleform.formation import _RAND_DENOM, _decide
 from circleform.simulator import make_policy
 
 import golden_corpus as gc
@@ -71,18 +71,50 @@ def _outcome(call, *args):
         return ("raised", type(exc).__name__)
 
 
+@lru_cache(maxsize=None)
+def _pattern_of(pat) -> TargetPattern:
+    return TargetPattern.from_angles(F(x, sum(pat)) for x in pat)
+
+
+def _reference_draw(row, pat) -> tuple:
+    """The draw of the robot reading ``row`` forward: half of its smallest
+    gap above the pattern's floor, toward its smaller reading, in turns."""
+    window = (F(min(row), sum(row)) - _pattern_of(pat).min_gap_floor) / 2
+    return ("draw", window, 1 if row < row[::-1] else -1, "random_tiebreak")
+
+
 def _reference_table(cycle, pat, mutant):
-    """The table ``_decide`` must build, robot by robot: (instrs, drawers)."""
+    """The table ``_decide`` must build, robot by robot: (instrs, draws)."""
     n = len(cycle)
     rows = [oracles.rotate(cycle, k) for k in range(n)]
     instrs = tuple(oracles.reference_decide(row, pat, mutant) for row in rows)
-    drawers = {k for k, row in enumerate(rows) if oracles.reference_tied_nominee(row, pat)}
-    return instrs, frozenset(drawers) if n % 2 == 0 else frozenset()
+    draws = {
+        k: _reference_draw(row, pat)
+        for k, row in enumerate(rows)
+        if n % 2 == 0 and oracles.reference_tied_nominee(row, pat)
+    }
+    return instrs, draws
+
+
+# every draw of a _FixedDraw source takes this fraction of its window
+_K = 3 * 2**59 + 12_345
+
+
+class _FixedDraw(Random):
+    def randrange(self, *args):
+        return _K
 
 
 def _table(cycle, pat, mutant):
+    # each drawer's window and sign, read back off the draw ``compute`` makes
     instrs, drawers = _decide(cycle, pat, mutant)
-    return instrs, frozenset(drawers)
+    c = Configuration(prefix_sums(tuple(F(g, sum(cycle)) for g in cycle)))
+    draws = {}
+    for k in drawers:
+        d = compute(snapshot_of(c, k, False), _pattern_of(pat), _FixedDraw(), mutant)
+        travel = mod1(d.path_direction.sign * (d.destination - c.positions[k]))
+        draws[k] = ("draw", travel * _RAND_DENOM / _K, d.path_direction.sign, d.branch)
+    return instrs, draws
 
 
 def _check_table(cycle, pat, mutant):
@@ -167,8 +199,17 @@ def test_visited_readings_cover_every_move_branch(visited):
     assert any(_decide(*key)[1] for key in visited)
 
 
+def _drew_as_referenced(s, d, pat) -> bool:
+    """``d`` is the reference draw of ``s``'s observer, scaled by _FixedDraw."""
+    _, window, sign, branch = _reference_draw(s.cycle, pat)
+    way = s.physical_direction(Direction.FORWARD if sign > 0 else Direction.REVERSE)
+    travel = mod1(way.sign * (d.destination - s.observer_position))
+    return (d.path_direction, travel, d.branch) == (way, F(_K, _RAND_DENOM) * window, branch)
+
+
 def test_randomized_tie_check_matches_reference(visited):
-    # only an observing nominee of a tied, unformed configuration draws
+    # only an observing nominee of a tied, unformed configuration draws, and
+    # it draws inside its own window toward its own smaller reading
     checked = drew = 0
     for c, pattern, mutant in {(c, p, m) for (_, _, m), (c, p) in visited.items()}:
         if c.n % 2:
@@ -176,12 +217,28 @@ def test_randomized_tie_check_matches_reference(visited):
         for i in range(c.n):
             for flip in (False, True):
                 s = snapshot_of(c, i, flip)
-                d = compute(s, pattern, Random(1), mutant)
+                d = compute(s, pattern, _FixedDraw(), mutant)
                 expected = oracles.reference_tied_nominee(s.cycle, pattern.cycle)
                 assert (d.branch == "random_tiebreak") == expected, s.cycle
+                if expected:
+                    assert _drew_as_referenced(s, d, pattern.cycle), (s.cycle, d)
                 checked += 1
                 drew += expected
     assert checked > 500 and drew >= 6
+
+
+def test_draw_window_is_in_turns(mirror_tied4):
+    # the pattern's floor is above 0 and over 26 while the start is over 12,
+    # so a window left in the units of the common scale would show
+    p = TargetPattern.from_angles(F(x, 26) for x in (5, 6, 8, 7))
+    assert p.min_gap_floor == F(3, 26) and p.admits(mirror_tied4)
+    for cycle in (mirror_tied4.cycle, mirror_tied4.cycle[::-1]):
+        _check_table(cycle, p.cycle, None)
+    window = (F(1, 6) - F(3, 26)) / 2
+    assert _table(mirror_tied4.cycle, p.cycle, None)[1] == {
+        0: ("draw", window, -1, "random_tiebreak"),
+        3: ("draw", window, 1, "random_tiebreak"),
+    }
 
 
 def test_leader_skips_a_blocked_midpoint():
