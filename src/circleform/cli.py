@@ -38,7 +38,7 @@ from .errors import (
     SymmetricConfigurationError,
     TraceParseError,
 )
-from .formation import gen_instance, symmetric_instance
+from .formation import MUTANTS, gen_instance, symmetric_instance
 from .formats import (
     load_config,
     load_pattern,
@@ -272,9 +272,7 @@ def _cmd_symmetry(args) -> int:
     folds = _parse_int_list(args.folds, "--folds")
     if any(k < 2 for k in folds):
         raise PreconditionError("--folds entries must be at least 2")
-    rule = SYMMETRY_RULES.get(args.rule)
-    if rule is None:
-        raise PreconditionError(f"unknown rule {args.rule!r}")
+    rule = SYMMETRY_RULES[args.rule]  # argparse refuses other names
     seed = _resolve_seed(args.seed)
     rng = Random(seed)
     failures = 0
@@ -374,7 +372,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--pattern", required=True)
     p.add_argument("--budget", type=int, required=True, help="rounds to explore (0 to 6)")
-    p.add_argument("--mutant", default=None, help="run a deliberately weakened rule")
+    p.add_argument("--mutant", choices=MUTANTS, default=None,
+                   help="run a deliberately weakened rule")
     p.set_defaults(func=_cmd_explore)
 
     p = sub.add_parser("symmetry", help="fold trajectories from symmetric starts")

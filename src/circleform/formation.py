@@ -5,12 +5,12 @@ configuration derives the same leader, pivotal direction and role frame, so
 the rule surveys each configuration shape once, cached per canonical gap
 cycle (``_survey``), and turns the survey into one instruction table per
 gap cycle (``_decide``): robot k, reading the cycle forward from index k,
-finds its instruction at index k, and the table names the robots that take
-the randomized tie-break.  ``compute`` reads index 0 of its snapshot's
-cycle; the simulator reads a whole configuration's table at once.  A thin
-wrapper maps an instruction back onto the shared circle.  All interval
-choices are made deterministically by midpoint subdivision so runs are
-exactly replayable.
+finds its instruction at index k, and its draw too if it takes the
+randomized tie-break.  ``compute`` reads index 0 of its snapshot's cycle;
+the simulator reads a whole configuration's table at once.  One function
+(``_to_decision``) maps any instruction back onto the shared circle, a draw
+taking its travel from the caller's random source.  Every other interval
+choice is made deterministically by midpoint subdivision.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ from .errors import (
     SymmetricConfigurationError,
 )
 
-ZERO = Fraction(0)
 _CACHE = 1 << 16
 # denominator of randomized tie-break draws; two independent draws collide
 # with probability 1/_RAND_DENOM
@@ -103,7 +102,7 @@ class TargetPattern:
         never empty.  Initial configurations must respect it too; the
         instance generator enforces that.
         """
-        return max(ZERO, 2 * self.angles[0] - self.angles[-1])
+        return Fraction(_gap_floor(self.cycle), self.den)
 
     @cached_property
     def cycle(self) -> tuple[int, ...]:
@@ -118,6 +117,11 @@ class TargetPattern:
         """True when every gap of ``c`` clears ``min_gap_floor``, as the rule
         requires of a starting configuration."""
         return Fraction(min(c.cycle), c.den) > self.min_gap_floor
+
+
+def _gap_floor(pat: tuple[int, ...]) -> int:
+    """The gap floor of an int pattern cycle, in the units of its gaps."""
+    return max(0, 2 * pat[0] - pat[-1])
 
 
 class DecisionKind(Enum):
@@ -215,10 +219,14 @@ def _settled(gaps: tuple, pat: tuple) -> bool:
     return prefix_sums(gaps)[3:] == prefix_sums(pat)[3:]
 
 
+def _check_size(pattern: TargetPattern, n: int) -> None:
+    if pattern.n != n:
+        raise StructuralError(f"pattern has {pattern.n} gaps for {n} robots")
+
+
 def pattern_formed(c: Configuration, pattern: TargetPattern) -> bool:
     """True when the configuration realises the pattern in either direction."""
-    if pattern.n != c.n:
-        raise StructuralError(f"pattern has {pattern.n} gaps for {c.n} robots")
+    _check_size(pattern, c.n)
     # coprime cycles of one shape have equal sums
     return c.den == pattern.den and canonical_cycle(c.cycle) == pattern.cycle
 
@@ -272,6 +280,10 @@ def _break_tie(cycle: tuple[int, ...], full: int, floor: int) -> tuple:
         hi = near
     bad = _bisector_blocked(nb, sign or 1, others, full)
     return ("move", _pick(lo, hi, bad, full), sign, "break_tie")
+
+
+# the deliberately weakened rules the schedule explorer must catch
+MUTANTS = ("eps1-lower",)
 
 
 def _role_moves(
@@ -353,39 +365,50 @@ def _survey(canon: tuple[int, ...], pat: tuple[int, ...], mutant: Optional[str])
     ``canon`` is a canonical cycle (``least_reading``) and ``pat`` the
     pattern's, each over its own sum.  Returns (moves, nominees): moves[k]
     is the instruction of canon robot k in ``_decide``'s contract, with
-    move signs along canon-forward, and nominees are the two robots of a
-    tied, unformed configuration, or () in every other class.
+    move signs along canon-forward; draws maps each of the two nominees of
+    a tied, unformed configuration of an even count to its draw, and is
+    empty in every other case.
     """
     n = len(canon)
     den, pden = sum(canon), sum(pat)
     # coprime cycles of one shape have equal sums
     if den == pden and canon == pat:
-        return (("terminate",),) * n, ()
+        return (("terminate",),) * n, {}
     found = _classify_cycle(canon)
     if isinstance(found, Symmetric):
-        return (("unsolvable", found.fold),) * n, ()
+        return (("unsolvable", found.fold),) * n, {}
     # from here on every length is an int over ``full``
     full, cycle, pat = _common_scale(canon, den, pat, pden)
-    floor = max(0, 2 * pat[0] - pat[-1])
+    floor = _gap_floor(pat)
 
     if isinstance(found, DoubleNomineeTied):
         moves = [("stay", "wait_tie")] * n
         b = found.bisector_robot
         if b is not None:
             moves[b] = _break_tie(cycle[b:] + cycle[:b], full, floor)
-        return tuple(moves), (found.nominee_a, found.nominee_b)
+        # at an even count each nominee may draw below half of (min gap -
+        # floor), toward its smaller reading; a nominee reading the same both
+        # ways would own the minimum twice, which forces a rotation symmetry
+        window = Fraction(min(cycle) - floor, 2 * full)
+        draws = {}
+        for i in (found.nominee_a, found.nominee_b) if n % 2 == 0 else ():
+            row = canon[i:] + canon[:i]
+            if row == row[::-1]:
+                raise InvariantViolationError("nominee with a palindromic view")
+            draws[i] = ("draw", window, 1 if row < row[::-1] else -1, "random_tiebreak")
+        return tuple(moves), draws
 
     # robot 0 reads the canonical cycle forward, so it owns the least
     # reading; a second owner would be its mirror image, with equal arcs.
     # Hence robot 0 leads, canon-forward is pivotal and role k is index k.
     if found != LeaderConfig(0, Direction.FORWARD):
         raise InvariantViolationError(f"canonical cycle classified as {found}")
-    return _role_moves(cycle, pat, full, floor, mutant), ()
+    return _role_moves(cycle, pat, full, floor, mutant), {}
 
 
 @lru_cache(maxsize=_CACHE)
 def _decide(cycle: tuple[int, ...], pat: tuple[int, ...], mutant: Optional[str]):
-    """The instruction table of a presentation cycle: (instrs, drawers).
+    """The instruction table of a presentation cycle: (instrs, draws).
 
     ``cycle`` and ``pat`` are coprime integer gap cycles, each over its own
     sum (``Configuration.cycle`` and ``TargetPattern.cycle``).  instrs[k] is
@@ -394,24 +417,23 @@ def _decide(cycle: tuple[int, ...], pat: tuple[int, ...], mutant: Optional[str])
     message), or ("move", dist, sign, branch) with dist a Fraction of a turn
     and sign +1 for cycle-forward, -1 for cycle-reverse, 0 when the caller
     may pick either (the two readings tie, so both neighbours are
-    equivalent).  ``drawers`` holds the indices that take the randomized
-    tie-break when given a draw source: the two nominees of a tied, unformed
-    configuration of an even count.
+    equivalent).  ``draws`` maps each robot that takes the randomized
+    tie-break when given a draw source (the two nominees of a tied, unformed
+    configuration of an even count) to ("draw", window, sign, branch): it
+    moves a random fraction of the turn ``window`` in direction ``sign``.
 
     The table comes from one reading, ``least_reading(cycle) == (canon, j,
     r)``, and one ``_survey`` of canon: robot k is canon robot (k - j) % n,
-    or -(j + k) % n with the move sign negated when the reading is reversed.
+    or -(j + k) % n with the sign negated when the reading is reversed.
     """
     canon, j, r = least_reading(cycle)
-    moves, noms = _survey(canon, pat, mutant)
+    moves, draws = _survey(canon, pat, mutant)
     n = len(cycle)
     if r:
         instrs = tuple(_against(moves[-(j + k) % n]) for k in range(n))
-    else:
-        instrs = moves[-j % n:] + moves[:-j % n]
-    # a tied shape's two nominees read it in opposite directions, so its
-    # least reading is forward and nominees exist only when r is unset
-    return instrs, () if n % 2 else tuple((i + j) % n for i in noms)
+        return instrs, {-(i + j) % n: _against(d) for i, d in draws.items()}
+    instrs = moves[-j % n:] + moves[:-j % n]
+    return instrs, {(i + j) % n: d for i, d in draws.items()}
 
 
 def _move_by(d: Fraction, branch: str) -> tuple:
@@ -420,13 +442,14 @@ def _move_by(d: Fraction, branch: str) -> tuple:
 
 
 def _against(instr: tuple) -> tuple:
-    """``instr`` for a robot reading the other way round: a move's sign flips."""
-    return ("move", instr[1], -instr[2], instr[3]) if instr[0] == "move" else instr
+    """``instr`` for a robot reading the other way round: its sign flips."""
+    head = instr[0]
+    return (head, instr[1], -instr[2], instr[3]) if head in ("move", "draw") else instr
 
 
-def _to_decision(instr: tuple, at: Fraction) -> Decision:
-    """The robot at ``at`` acting on ``instr``, whose move sign is along the
-    presentation frame."""
+def _to_decision(instr: tuple, at: Fraction, rng: Optional[Random] = None) -> Decision:
+    """The robot at ``at`` acting on ``instr``, whose sign is along the
+    presentation frame; a draw takes its fraction of the window from ``rng``."""
     head = instr[0]
     if head == "terminate":
         return Decision(DecisionKind.TERMINATE, branch="formed")
@@ -437,29 +460,12 @@ def _to_decision(instr: tuple, at: Fraction) -> Decision:
     if head == "invariant":
         raise InvariantViolationError(instr[1])
     _, dist, sign, branch = instr
-    if dist == 0:
+    if head == "draw":
+        dist = Fraction(rng.randrange(1, _RAND_DENOM), _RAND_DENOM) * dist
+    elif dist == 0:
         return Decision(DecisionKind.STAY, branch=branch)
     pdir = Direction.REVERSE if sign < 0 else Direction.FORWARD
     return Decision(DecisionKind.MOVE, mod1(at + pdir.sign * dist), pdir, branch)
-
-
-def _random_step(s: Snapshot, rng: Random, floor: Fraction) -> Decision:
-    """Even-count tie-break: the observing nominee moves a random amount below
-    half of (min gap - floor) toward its smaller-reading neighbour."""
-    cycle = s.cycle
-    rev = cycle[::-1]
-    if cycle == rev:
-        # a nominee reading the same both ways would own the minimum twice,
-        # which forces a rotation symmetry; cannot happen here
-        raise InvariantViolationError("nominee with a palindromic view")
-    sign = 1 if cycle < rev else -1
-    g_min = Fraction(min(cycle), s.den)
-    k = rng.randrange(1, _RAND_DENOM)
-    eps = Fraction(k, _RAND_DENOM) * (g_min - floor) / 2
-    label = Direction.FORWARD if sign > 0 else Direction.REVERSE
-    pdir = s.physical_direction(label)
-    dest = mod1(s.observer_position + pdir.sign * eps)
-    return Decision(DecisionKind.MOVE, dest, pdir, "random_tiebreak")
 
 
 def compute(
@@ -475,12 +481,10 @@ def compute(
     floor respected) instead of waiting for a bisector robot.  ``mutant``
     selects a deliberately weakened variant for the schedule explorer.
     """
-    if pattern.n != s.n:
-        raise StructuralError(f"pattern has {pattern.n} gaps for {s.n} robots")
-    instrs, drawers = _decide(s.cycle, pattern.cycle, mutant)
-    if rng is not None and 0 in drawers:
-        return _random_step(s, rng, pattern.min_gap_floor)
-    return _to_decision(_against(instrs[0]) if s.flipped else instrs[0], s.observer_position)
+    _check_size(pattern, s.n)
+    instrs, draws = _decide(s.cycle, pattern.cycle, mutant)
+    instr = draws[0] if rng is not None and 0 in draws else instrs[0]
+    return _to_decision(_against(instr) if s.flipped else instr, s.observer_position, rng)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ with fixed field names, so runs can be replayed and audited offline.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Union
 

@@ -57,11 +57,12 @@ from .errors import (
     SymmetricConfigurationError,
 )
 from .formation import (
+    MUTANTS,
     Decision,
     DecisionKind,
     TargetPattern,
+    _check_size,
     _decide,
-    _random_step,
     _rfc_on,
     _role_gaps,
     _settled,
@@ -404,21 +405,21 @@ class _Frame:
             self._phase = phase_of(self.c, pattern)
         return self._phase
 
+    def table(self, pattern: TargetPattern, mutant: Optional[str]) -> tuple:
+        if self._table is None:
+            self._table = _decide(self.c.cycle, pattern.cycle, mutant)
+        return self._table
+
     def decide(
         self, rid: int, pattern: TargetPattern, rng: Optional[Random], mutant: Optional[str]
     ) -> Decision:
-        """Robot ``rid``'s decision off the table; only a tie-break draw takes a snapshot."""
+        """Robot ``rid``'s decision off the table; with ``rng``, a drawer draws."""
         d = self.dec.get(rid)
         if d is None:
-            if self._table is None:
-                self._table = _decide(self.c.cycle, pattern.cycle, mutant)
-            instrs, drawers = self._table
+            instrs, draws = self.table(pattern, mutant)
             k = self.idx_of[rid]
-            if rng is not None and k in drawers:
-                d = _random_step(snapshot_of(self.c, k, False), rng, pattern.min_gap_floor)
-            else:
-                d = _to_decision(instrs[k], self.c.positions[k])
-            self.dec[rid] = d
+            instr = draws[k] if rng is not None and k in draws else instrs[k]
+            d = self.dec[rid] = _to_decision(instr, self.c.positions[k], rng)
         return d
 
     def plan(self, active: frozenset, pattern: TargetPattern, rng: Optional[Random],
@@ -677,7 +678,15 @@ class _EpochLedger:
         return out
 
 
-def _check_gap_floor(c0: Configuration, pattern: TargetPattern) -> None:
+def _check_start(c0: Configuration, pattern: TargetPattern, mutant: Optional[str]) -> None:
+    """Refuse an unknown mutant, a pattern of another size, a rotationally
+    symmetric start and a start gap at or below the pattern's gap floor."""
+    if mutant is not None and mutant not in MUTANTS:
+        raise PreconditionError(f"unknown mutant {mutant!r}; known: {', '.join(MUTANTS)}")
+    _check_size(pattern, c0.n)
+    fold = c0.fold()
+    if fold > 1:
+        raise SymmetricConfigurationError(fold)
     if not pattern.admits(c0):
         raise PreconditionError(
             f"starting gap {min(c0.gaps)} is not above the pattern's gap floor "
@@ -710,18 +719,13 @@ def run(
     n = c0.n
     if max_epochs is not None and max_epochs < 1:
         raise PreconditionError(f"epoch budget must be at least 1, got {max_epochs}")
-    if pattern.n != n:
-        raise StructuralError(f"pattern has {pattern.n} gaps for {n} robots")
     if mode not in ("det", "rand"):
         raise PreconditionError(f"unknown mode {mode!r}")
     if mode == "det" and n % 2 == 0:
         raise PreconditionError("deterministic runs need an odd robot count")
     if mode == "rand" and (n % 2 or n < 4):
         raise PreconditionError("randomized runs need an even robot count of at least 4")
-    fold = c0.fold()
-    if fold > 1:
-        raise SymmetricConfigurationError(fold)
-    _check_gap_floor(c0, pattern)
+    _check_start(c0, pattern, mutant)
 
     master = Random(seed)
     policy.reset(n, master.getrandbits(64))
@@ -802,8 +806,10 @@ def verify_trace(
     if not records:
         return problems
     n = len(records[0].positions_before)
-    if pattern.n != n:
-        return [f"pattern has {pattern.n} gaps for {n} robots"]
+    try:
+        _check_size(pattern, n)
+    except StructuralError as e:
+        return [str(e)]
     ledger = _EpochLedger(n, mode, pattern)
     prev: Optional[_Frame] = None
 
@@ -828,13 +834,16 @@ def verify_trace(
                 problems.append(f"{where}: robot {rid} was activated after terminating")
                 continue
             recorded = rec.decisions[rid]
-            if mode == "rand" and recorded.branch == "random_tiebreak":
-                problems.extend(
-                    f"{where}: robot {rid}: {msg}"
-                    for msg in _check_random_move(before, rid, recorded, pattern)
-                )
-                continue
+            k = before.idx_of[rid]
             try:
+                # the table's drawers draw, whatever their records say
+                draw = before.table(pattern, None)[1].get(k) if mode == "rand" else None
+                if draw is not None or mode == "rand" and recorded.branch == "random_tiebreak":
+                    problems.extend(
+                        f"{where}: robot {rid}: {msg}"
+                        for msg in _check_random_move(draw, recorded, before.c.positions[k])
+                    )
+                    continue
                 expected = before.decide(rid, pattern, None, None)
             except CircleFormError as e:
                 problems.append(f"{where}: robot {rid}: {e}")
@@ -868,24 +877,18 @@ def verify_trace(
     return problems
 
 
-def _check_random_move(
-    before: _Frame, rid: int, recorded: Decision, pattern: TargetPattern
-) -> list[str]:
-    """Validity of a tie-break draw that cannot be replayed exactly: a drawer
-    of the frame's table, toward its smaller reading, inside the window."""
-    k = before.idx_of[rid]
-    if k not in _decide(before.c.cycle, pattern.cycle, None)[1]:
+def _check_random_move(draw: Optional[tuple], recorded: Decision, at: Turn) -> list[str]:
+    """Validity of a draw that cannot be replayed exactly, by the robot at
+    ``at`` whose table draw is ``draw`` (or None): its direction and window."""
+    if draw is None:
         return ["tie-break move by a robot the rule does not send to the tie-break"]
     if not recorded.is_move:
         return ["tie-break record is not a move"]
-    s = snapshot_of(before.c, k, False)
-    rev = s.cycle[::-1]
-    expected_dir = Direction.FORWARD if s.cycle < rev else Direction.REVERSE
+    _, limit, sign, _ = draw
     msgs = []
-    if recorded.path_direction is not expected_dir:
+    if recorded.path_direction.sign != sign:
         msgs.append("tie-break moved away from its smaller reading")
-    travel = mod1(recorded.path_direction.sign * (recorded.destination - s.observer_position))
-    limit = (Fraction(min(s.cycle), s.den) - pattern.min_gap_floor) / 2
+    travel = mod1(recorded.path_direction.sign * (recorded.destination - at))
     if not 0 < travel < limit:
         msgs.append(f"tie-break draw {travel} outside (0, {limit})")
     return msgs
@@ -1021,12 +1024,7 @@ def explore_schedules(
         raise PreconditionError("exhaustive exploration is capped at 5 robots")
     if not 0 <= round_budget <= 6:
         raise PreconditionError(f"round budget {round_budget} is outside 0..6")
-    if pattern.n != n:
-        raise StructuralError(f"pattern has {pattern.n} gaps for {n} robots")
-    fold = c0.fold()
-    if fold > 1:
-        raise SymmetricConfigurationError(fold)
-    _check_gap_floor(c0, pattern)
+    _check_start(c0, pattern, mutant)
 
     State = tuple  # (positions by id, terminated frozenset, lock)
     start: State = (c0.positions, frozenset(), None)
@@ -1055,10 +1053,9 @@ def explore_schedules(
                 d1 = compute(snapshot_of(frame.c, frame.idx_of[rid], True), pattern, None, mutant)
             except CircleFormError as e:
                 return fail(path + ((rid,),), f"robot {rid}: {e}", positions)
-            same = d0.kind is d1.kind and d0.destination == d1.destination
-            if same and d0.is_move:
-                same = d0.path_direction is d1.path_direction
-            if not same:
+            if (d0.kind, d0.destination, d0.path_direction) != (
+                d1.kind, d1.destination, d1.path_direction
+            ):
                 return fail(
                     path + ((rid,),),
                     f"robot {rid}: decision depends on presentation orientation",

@@ -14,6 +14,7 @@ from circleform import (
     PreconditionError,
     RandomSubset,
     TargetPattern,
+    classify,
     run,
     simulator,
 )
@@ -271,6 +272,15 @@ class TestExploreCommand:
         assert "counterexample:" in out
         assert "schedule:" in out
 
+    def test_unknown_mutant_is_a_usage_error(self, tmp_path, capsys, pattern5):
+        c = config(0, F(1, 36), F(11, 36), F(20, 36), F(27, 36))
+        cpath, ppath = write_instance(tmp_path, c, pattern5)
+        with pytest.raises(SystemExit) as err:
+            main(["explore", "--config", cpath, "--pattern", ppath,
+                  "--budget", "3", "--mutant", "typo-of-eps1"])
+        assert err.value.code == 1
+        assert "no counterexample" not in capsys.readouterr().out
+
     def test_large_n_is_rejected(self, tmp_path, capsys):
         c, pattern = gen_instance(7, 1)
         cpath, ppath = write_instance(tmp_path, c, pattern)
@@ -451,6 +461,21 @@ class TestVerifyTrace:
         assert f"round 1: robot {drawer}: tie-break draw {limit} outside (0, {limit})" in (
             verify_trace([forged], pattern, mode="rand")
         )
+
+    def test_drawer_recorded_as_staying_is_reported(self, mirror_tied4):
+        # robot 0 is a nominee of the tied start, so in rand mode the rule
+        # draws for it whenever it is activated; it cannot wait for a tie
+        pattern = TargetPattern.from_angles([F(1, 12), F(3, 12), F(4, 12), F(4, 12)])
+        _, records = run(mirror_tied4, pattern, FullSync(), mode="rand", seed=2)
+        first = records[0]
+        assert first.decisions[0].branch == "random_tiebreak"
+        stayed = replace(first, activated=(0,),
+                         decisions={0: Decision(DecisionKind.STAY, branch="wait_tie")},
+                         positions_after=first.positions_before,
+                         config_class=classify(mirror_tied4))
+        assert verify_trace([stayed], pattern, mode="rand") == [
+            "round 1: robot 0: tie-break record is not a move"
+        ]
 
     def test_continuity_break_is_reported(self, single_nominee5, pattern5):
         _, records = run(single_nominee5, pattern5, RandomSubset(0.6), seed=4)

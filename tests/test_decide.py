@@ -30,7 +30,7 @@ from circleform import (
     run,
     snapshot_of,
 )
-from circleform.angles import Direction, mod1, prefix_sums
+from circleform.angles import Direction, mod1
 from circleform.formation import _RAND_DENOM, _decide
 from circleform.simulator import make_policy
 
@@ -105,20 +105,8 @@ class _FixedDraw(Random):
         return _K
 
 
-def _table(cycle, pat, mutant):
-    # each drawer's window and sign, read back off the draw ``compute`` makes
-    instrs, drawers = _decide(cycle, pat, mutant)
-    c = Configuration(prefix_sums(tuple(F(g, sum(cycle)) for g in cycle)))
-    draws = {}
-    for k in drawers:
-        d = compute(snapshot_of(c, k, False), _pattern_of(pat), _FixedDraw(), mutant)
-        travel = mod1(d.path_direction.sign * (d.destination - c.positions[k]))
-        draws[k] = ("draw", travel * _RAND_DENOM / _K, d.path_direction.sign, d.branch)
-    return instrs, draws
-
-
 def _check_table(cycle, pat, mutant):
-    assert _outcome(_table, cycle, pat, mutant) == _outcome(
+    assert _outcome(_decide, cycle, pat, mutant) == _outcome(
         _reference_table, cycle, pat, mutant
     ), (cycle, pat, mutant)
 
@@ -235,7 +223,7 @@ def test_draw_window_is_in_turns(mirror_tied4):
     for cycle in (mirror_tied4.cycle, mirror_tied4.cycle[::-1]):
         _check_table(cycle, p.cycle, None)
     window = (F(1, 6) - F(3, 26)) / 2
-    assert _table(mirror_tied4.cycle, p.cycle, None)[1] == {
+    assert _decide(mirror_tied4.cycle, p.cycle, None)[1] == {
         0: ("draw", window, -1, "random_tiebreak"),
         3: ("draw", window, 1, "random_tiebreak"),
     }

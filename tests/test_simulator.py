@@ -355,6 +355,13 @@ class TestExploreSchedules:
         c = config(0, F(1, 36), F(11, 36), F(20, 36), F(27, 36))
         assert explore_schedules(c, pattern5, 2).ok
 
+    def test_refuses_unknown_mutants(self, pattern5):
+        c = config(0, F(1, 36), F(11, 36), F(20, 36), F(27, 36))
+        with pytest.raises(PreconditionError, match="unknown mutant"):
+            explore_schedules(c, pattern5, 2, mutant="typo-of-eps1")
+        with pytest.raises(PreconditionError, match="unknown mutant"):
+            run(c, pattern5, FullSync(), mutant="nonsense")
+
     def test_refuses_large_instances(self, pattern5):
         c0, pattern = gen_instance(7, 1)
         with pytest.raises(PreconditionError):
