@@ -282,8 +282,7 @@ def _break_tie(cycle: tuple[int, ...], full: int, floor: int) -> tuple:
     return ("move", _pick(lo, hi, bad, full), sign, "break_tie")
 
 
-# the deliberately weakened rules the schedule explorer must catch
-MUTANTS = ("eps1-lower",)
+MUTANTS = ("eps1-lower",)  # weakened rules the schedule explorer must catch
 
 
 def _role_moves(

@@ -10,17 +10,18 @@ robots are decided from one reading.  One audit serves ``run``,
 ``verify_trace`` and ``explore_schedules``.
 
 The frame is the unit of work.  A ``_Frame`` holds one position state; its
-robots read their decisions off the configuration's instruction table
-(``_Frame.decide``, shared by all three), and ``_Frame.plan`` memoises a
-round's decisions, moves, terminations and move branches per activation set
-(``_Plan``).  ``_Frame.collision`` skips idle rounds, and ``_Frame.moved``
-rotates the robots' sorted order instead of sorting afresh, since a round
-without a collision keeps their cyclic order.  ``_check_transition`` checks
-one round from the frame before it to the frame after it (symmetry
-creation, the leader/direction lock, coincident tie-break draws, branch
-postconditions, motion under full activation); ``_EpochLedger`` adds epoch
-accounting on top for ``run`` and ``verify_trace``.  ``explore_schedules``
-has no epochs and keeps the lock in its state instead.
+robots read their decisions and tie-break draws off the configuration's
+instruction table (``_Frame.decide``, shared by all three), and
+``_Frame.plan`` memoises a round's decisions, moves, terminations and move
+branches per activation set (``_Plan``).  ``_Frame.collision`` skips idle
+rounds, and ``_Frame.moved`` rotates the robots' sorted order instead of
+sorting afresh, since a round without a collision keeps their cyclic
+order.  ``_check_transition`` checks one round from the frame before it to
+the frame after it (symmetry creation, the leader/direction lock, coincident
+tie-break draws, branch postconditions, motion under full activation);
+``_EpochLedger`` adds epoch accounting on top for ``run`` and
+``verify_trace``.  ``explore_schedules`` has no epochs and keeps the lock in
+its state instead.
 
 Robots are oblivious, so the only run state is the multiset of positions plus
 which robots have switched themselves off.  ``run`` tracks robots by a stable
@@ -795,9 +796,9 @@ def verify_trace(
     where its decision puts it, and the recorded class.  Every round without
     a collision then goes through the audit ``run`` applies
     (``_EpochLedger``), so verification reports what the inline audit
-    reports.  In ``rand`` mode a recorded tie-break move is checked for
-    validity (a nominee, the right direction, a draw inside the allowed
-    window) instead of exact equality, since the draw itself is not
+    reports.  In ``rand`` mode a robot the table sends to the tie-break, or
+    recorded as drawing, is checked against the table's draw (its direction
+    and window) instead of for equality, since the draw itself is not
     reproducible from the trace.
     """
     if mode not in ("det", "rand"):
