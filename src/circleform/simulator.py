@@ -880,13 +880,13 @@ def verify_trace(
 
 def _check_random_move(draw: Optional[tuple], recorded: Decision, at: Turn) -> list[str]:
     """Validity of a draw that cannot be replayed exactly, by the robot at
-    ``at`` whose table draw is ``draw`` (or None): its direction and window."""
+    ``at`` whose table draw is ``draw`` (None if the table has none)."""
     if draw is None:
         return ["tie-break move by a robot the rule does not send to the tie-break"]
     if not recorded.is_move:
         return ["tie-break record is not a move"]
-    _, limit, sign, _ = draw
-    msgs = []
+    _, limit, sign, branch = draw
+    msgs = [] if recorded.branch == branch else [f"tie-break move recorded as {recorded.branch}"]
     if recorded.path_direction.sign != sign:
         msgs.append("tie-break moved away from its smaller reading")
     travel = mod1(recorded.path_direction.sign * (recorded.destination - at))

@@ -462,6 +462,20 @@ class TestVerifyTrace:
             verify_trace([forged], pattern, mode="rand")
         )
 
+    def test_drawer_recorded_under_another_branch_is_reported(self, mirror_tied4):
+        # a drawer's draw is checked against its window, which must not
+        # let through a move the trace files under a deterministic branch
+        pattern = TargetPattern.from_angles([F(1, 12), F(3, 12), F(4, 12), F(4, 12)])
+        _, records = run(mirror_tied4, pattern, FullSync(), mode="rand", seed=2)
+        first = records[0]
+        drawer, d = next((r, d) for r, d in first.decisions.items()
+                         if d.branch == "random_tiebreak")
+        filed = replace(d, branch="break_tie")
+        forged = replace(first, decisions={**first.decisions, drawer: filed})
+        assert verify_trace([forged], pattern, mode="rand") == [
+            f"round 1: robot {drawer}: tie-break move recorded as break_tie"
+        ]
+
     def test_drawer_recorded_as_staying_is_reported(self, mirror_tied4):
         # robot 0 is a nominee of the tied start, so in rand mode the rule
         # draws for it whenever it is activated; it cannot wait for a tie
