@@ -362,7 +362,7 @@ def _survey(canon: tuple[int, ...], pat: tuple[int, ...], mutant: Optional[str])
     """The rule's analysis of one configuration shape, shared by every observer.
 
     ``canon`` is a canonical cycle (``least_reading``) and ``pat`` the
-    pattern's, each over its own sum.  Returns (moves, nominees): moves[k]
+    pattern's, each over its own sum.  Returns (moves, draws): moves[k]
     is the instruction of canon robot k in ``_decide``'s contract, with
     move signs along canon-forward; draws maps each of the two nominees of
     a tied, unformed configuration of an even count to its draw, and is
