@@ -1,9 +1,11 @@
-"""Shared fixtures: small hand-built configurations with known classifications."""
+"""Shared fixtures: small hand-built configurations with known classifications,
+and hypothesis strategies for positions and for near-floor and tied run starts."""
 
 from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import assume
 from hypothesis import strategies as st
 
 from circleform import Configuration, TargetPattern, classify, gen_instance
@@ -98,3 +100,37 @@ def mixed_position_sets(draw):
     base = draw(st.sets(mixed_turns, min_size=1, max_size=3))
     k = draw(st.integers(2, 4))
     return {mod1(b + F(j, k)) for b in base for j in range(k)}
+
+
+@st.composite
+def near_floor_starts(draw):
+    """(mode, start, pattern): a seeded instance whose smallest gap is pulled
+    down to just above the pattern's gap floor."""
+    mode = draw(st.sampled_from(("det", "rand")))
+    n = draw(st.sampled_from((3, 5, 7) if mode == "det" else (4, 6)))
+    c0, pattern = gen_instance(n, draw(st.integers(0, 10**6)))
+    keep = draw(st.sampled_from((F(1, 1000), F(1, 20), F(1, 2))))
+    pos = list(c0.positions)
+    i = min(range(n), key=c0.gaps.__getitem__)
+    floor = pattern.min_gap_floor
+    pos[(i + 1) % n] = mod1(pos[i] + floor + keep * (c0.gaps[i] - floor))
+    c = Configuration.from_positions(pos)
+    assume(c.fold() == 1)
+    return mode, c, pattern
+
+
+@st.composite
+def tied_starts(draw):
+    """(mode, start, pattern): a mirror-symmetric start in the tied class,
+    with a robot on the mirror axis when the count is odd."""
+    mode = draw(st.sampled_from(("det", "rand")))
+    n = draw(st.sampled_from((5, 7) if mode == "det" else (4, 6)))
+    half = draw(st.sets(st.integers(1, 499), min_size=n // 2, max_size=n // 2))
+    pts = {F(k, 1000) for k in half} | {1 - F(k, 1000) for k in half}
+    if n % 2:
+        pts.add(F(0))
+    c = Configuration.from_positions(pts)
+    assume(c.fold() == 1 and isinstance(classify(c), DoubleNomineeTied))
+    _, pattern = gen_instance(n, draw(st.integers(0, 10**6)))
+    assume(pattern.admits(c))
+    return mode, c, pattern

@@ -7,9 +7,11 @@ oracle enumerates everything instead.
 
 ``reference_decide`` is the one exception: it is the decision rule in its
 per-observer form, which analyses every rooted reading on its own, kept as
-the reference for the rule that surveys each configuration once.  The
-first four functions are small angle and arc helpers that only the tests
-need.
+the reference for the rule that surveys each configuration once;
+``reference_phase`` likewise labels a configuration's progress from its
+own classification and role frame, for the phase the rule's table carries.
+The first four functions are small angle and arc helpers that only the
+tests need.
 """
 
 from fractions import Fraction
@@ -40,7 +42,9 @@ from circleform.formation import (
     _move_ready_role,
     _pick,
     _rfc_on,
+    _role_gaps,
     _settled,
+    pattern_formed,
 )
 
 
@@ -349,6 +353,33 @@ def reference_tied_nominee(cycle: tuple[int, ...], pat: tuple[int, ...]) -> bool
         return False
     found = _classify_cycle(cycle)
     return isinstance(found, DoubleNomineeTied) and 0 in (found.nominee_a, found.nominee_b)
+
+
+def reference_phase(c: Configuration, pattern: TargetPattern) -> str:
+    """Coarse progress label of a configuration, derived afresh.
+
+    One of ``formed``, ``symmetric``, ``tied``, ``lead`` (a leader exists but
+    release has not happened), ``rfc`` (released, intermediate robots still
+    settling), ``pfc`` (released and settled), or ``beyond`` (settled but the
+    leader's gap has been restored for the finishing moves).
+    """
+    if pattern_formed(c, pattern):
+        return "formed"
+    found = classify(c)
+    if isinstance(found, Symmetric):
+        return "symmetric"
+    if isinstance(found, DoubleNomineeTied):
+        return "tied"
+    _, gaps, pat = _role_gaps(c, found, pattern)
+    settled = _settled(gaps, pat)
+    released = _rfc_on(gaps, pat[0])
+    if released and settled:
+        return "pfc"
+    if released:
+        return "rfc"
+    if settled:
+        return "beyond"
+    return "lead"
 
 
 def reference_epochs(records: Sequence, n: int) -> list[int]:

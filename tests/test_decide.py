@@ -6,8 +6,9 @@ table per gap cycle from one shared analysis of the configuration, and
 robot k reads index k.  On every configuration that the seeded runs below
 visit, read both ways round, every index must hold exactly the instruction
 ``oracles.reference_decide`` derives from that robot's rotation on its own,
-and the table's drawers must be exactly the robots the reference sends to
-the randomized tie-break.  So must hypothesis-drawn mirrored, tied and
+the table's drawers must be exactly the robots the reference sends to the
+randomized tie-break, and its phase must be the one ``oracles.reference_phase``
+derives from the configuration's own classification.  So must hypothesis-drawn mirrored, tied and
 wide-denominator cycles.  And the two readings of every robot of every
 visited state must take the same physical action, which is why ``run`` and
 ``verify_trace`` decide from one reading.
@@ -30,9 +31,9 @@ from circleform import (
     run,
     snapshot_of,
 )
-from circleform.angles import Direction, mod1
+from circleform.angles import Direction, mod1, prefix_sums
 from circleform.formation import _RAND_DENOM, _decide
-from circleform.simulator import make_policy
+from circleform.simulator import make_policy, phase_of
 
 import golden_corpus as gc
 import oracles
@@ -83,8 +84,14 @@ def _reference_draw(row, pat) -> tuple:
     return ("draw", window, 1 if row < row[::-1] else -1, "random_tiebreak")
 
 
+def _configuration(cycle) -> Configuration:
+    """The configuration whose presentation cycle is ``cycle``."""
+    return Configuration(prefix_sums(tuple(F(g, sum(cycle)) for g in cycle)))
+
+
 def _reference_table(cycle, pat, mutant):
-    """The table ``_decide`` must build, robot by robot: (instrs, draws)."""
+    """The table ``_decide`` must build, robot by robot: (instrs, draws,
+    phase)."""
     n = len(cycle)
     rows = [oracles.rotate(cycle, k) for k in range(n)]
     instrs = tuple(oracles.reference_decide(row, pat, mutant) for row in rows)
@@ -93,7 +100,12 @@ def _reference_table(cycle, pat, mutant):
         for k, row in enumerate(rows)
         if n % 2 == 0 and oracles.reference_tied_nominee(row, pat)
     }
-    return instrs, draws
+    return instrs, draws, oracles.reference_phase(_configuration(cycle), _pattern_of(pat))
+
+
+def _table(cycle, pat, mutant):
+    """``_decide``'s table with the phase ``phase_of`` gives its configuration."""
+    return (*_decide(cycle, pat, mutant), phase_of(_configuration(cycle), _pattern_of(pat)))
 
 
 # every draw of a _FixedDraw source takes this fraction of its window
@@ -106,7 +118,7 @@ class _FixedDraw(Random):
 
 
 def _check_table(cycle, pat, mutant):
-    assert _outcome(_decide, cycle, pat, mutant) == _outcome(
+    assert _outcome(_table, cycle, pat, mutant) == _outcome(
         _reference_table, cycle, pat, mutant
     ), (cycle, pat, mutant)
 

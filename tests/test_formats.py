@@ -4,6 +4,8 @@ import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circleform import (
     Decision,
@@ -11,6 +13,7 @@ from circleform import (
     Direction,
     DoubleNomineeTied,
     LeaderConfig,
+    POLICIES,
     RoundRobinSingleton,
     StructuralError,
     Symmetric,
@@ -33,7 +36,7 @@ from circleform.formats import (
     write_trace,
 )
 
-from conftest import config
+from conftest import config, near_floor_starts, tied_starts
 
 
 class TestInstanceFiles:
@@ -168,6 +171,16 @@ class TestTraces:
         write_trace(records, path)
         back = read_trace(path)
         assert back == records
+
+    @given(st.one_of(near_floor_starts(), tied_starts()), st.sampled_from(sorted(POLICIES)),
+           st.integers(0, 1000))
+    @settings(max_examples=50, deadline=None)
+    def test_run_traces_round_trip(self, tmp_path_factory, start, name, seed):
+        mode, c0, pattern = start
+        _, records = run(c0, pattern, POLICIES[name](), mode=mode, seed=seed)
+        path = tmp_path_factory.getbasetemp() / "drawn.jsonl"
+        write_trace(records, path)
+        assert read_trace(path) == records
 
     def test_one_line_per_round(self, tmp_path, records):
         path = tmp_path / "trace.jsonl"

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circleform import (
@@ -11,16 +11,13 @@ from circleform import (
     Decision,
     DecisionKind,
     Direction,
-    DoubleNomineeTied,
     InvariantViolationError,
     LeaderConfig,
     PreconditionError,
     StructuralError,
     SymmetricConfigurationError,
     TargetPattern,
-    classify,
 )
-from circleform.angles import mod1
 from circleform.cli import gen_instance
 from circleform.simulator import (
     POLICIES,
@@ -39,7 +36,7 @@ from circleform.simulator import (
     run,
     verify_trace,
 )
-from conftest import config
+from conftest import config, near_floor_starts, tied_starts
 
 F = Fraction
 
@@ -263,40 +260,6 @@ class TestRun:
         assert report.formed_epoch <= report.bound == mirror_tied4.n + 6
 
 
-@st.composite
-def near_floor_starts(draw):
-    """(mode, start, pattern): a seeded instance whose smallest gap is pulled
-    down to just above the pattern's gap floor."""
-    mode = draw(st.sampled_from(("det", "rand")))
-    n = draw(st.sampled_from((3, 5, 7) if mode == "det" else (4, 6)))
-    c0, pattern = gen_instance(n, draw(st.integers(0, 10**6)))
-    keep = draw(st.sampled_from((F(1, 1000), F(1, 20), F(1, 2))))
-    pos = list(c0.positions)
-    i = min(range(n), key=c0.gaps.__getitem__)
-    floor = pattern.min_gap_floor
-    pos[(i + 1) % n] = mod1(pos[i] + floor + keep * (c0.gaps[i] - floor))
-    c = Configuration.from_positions(pos)
-    assume(c.fold() == 1)
-    return mode, c, pattern
-
-
-@st.composite
-def tied_starts(draw):
-    """(mode, start, pattern): a mirror-symmetric start in the tied class,
-    with a robot on the mirror axis when the count is odd."""
-    mode = draw(st.sampled_from(("det", "rand")))
-    n = draw(st.sampled_from((5, 7) if mode == "det" else (4, 6)))
-    half = draw(st.sets(st.integers(1, 499), min_size=n // 2, max_size=n // 2))
-    pts = {F(k, 1000) for k in half} | {1 - F(k, 1000) for k in half}
-    if n % 2:
-        pts.add(F(0))
-    c = Configuration.from_positions(pts)
-    assume(c.fold() == 1 and isinstance(classify(c), DoubleNomineeTied))
-    _, pattern = gen_instance(n, draw(st.integers(0, 10**6)))
-    assume(pattern.admits(c))
-    return mode, c, pattern
-
-
 class TestRunsVerify:
     """Whatever a run records, offline verification accepts."""
 
@@ -381,6 +344,24 @@ class TestExploreSchedules:
         p = TargetPattern.from_angles([F(30, 100), F(31, 100), F(39, 100)])
         with pytest.raises(PreconditionError, match="gap floor"):
             explore_schedules(config(0, F(1, 10), F(1, 2)), p, 2)
+
+    # (states, edges, ok) of gen_instance(n, seed) explored at budget 6
+    PINNED = {
+        (4, 8000): (21, 25, True), (4, 8001): (20, 73, True), (4, 8002): (21, 25, True),
+        (4, 8003): (20, 73, True), (4, 8004): (20, 73, True), (4, 8005): (21, 25, True),
+        (4, 8006): (21, 25, True), (4, 8007): (21, 25, True), (4, 8008): (21, 25, True),
+        (4, 8009): (20, 73, True), (5, 8000): (7, 12, True), (5, 8001): (37, 41, True),
+        (5, 8002): (37, 41, True), (5, 8003): (7, 12, True), (5, 8004): (37, 41, True),
+        (5, 8005): (7, 12, True), (5, 8006): (37, 41, True), (5, 8007): (37, 41, True),
+        (5, 8008): (7, 12, True), (5, 8009): (7, 12, True),
+    }
+
+    def test_seeded_counts_are_pinned(self):
+        got = {}
+        for n, seed in self.PINNED:
+            r = explore_schedules(*gen_instance(n, seed), 6)
+            got[(n, seed)] = (r.states, r.edges, r.ok)
+        assert got == self.PINNED
 
     def test_refuses_blowing_the_state_cap(self):
         c0, pattern = gen_instance(3, 2)
