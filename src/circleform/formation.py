@@ -6,8 +6,11 @@ the rule surveys each configuration shape once, cached per canonical gap
 cycle (``_survey``), and turns the survey into one instruction table per
 gap cycle (``_decide``): robot k, reading the cycle forward from index k,
 finds its instruction at index k, and its draw too if it takes the
-randomized tie-break.  ``compute`` reads index 0 of its snapshot's cycle;
-the simulator reads a whole configuration's table at once.  One function
+randomized tie-break.  The table also carries the configuration's progress
+phase (formed, symmetric, tied, or a leader configuration's stage), which
+the survey labels from the same role gaps it chooses moves on.  ``compute``
+reads index 0 of its snapshot's cycle; the simulator reads a whole
+configuration's table, and its phase, at once.  One function
 (``_to_decision``) maps any instruction back onto the shared circle, a draw
 taking its travel from the caller's random source.  Every other interval
 choice is made deterministically by midpoint subdivision.
@@ -362,20 +365,20 @@ def _survey(canon: tuple[int, ...], pat: tuple[int, ...], mutant: Optional[str])
     """The rule's analysis of one configuration shape, shared by every observer.
 
     ``canon`` is a canonical cycle (``least_reading``) and ``pat`` the
-    pattern's, each over its own sum.  Returns (moves, draws): moves[k]
-    is the instruction of canon robot k in ``_decide``'s contract, with
-    move signs along canon-forward; draws maps each of the two nominees of
-    a tied, unformed configuration of an even count to its draw, and is
-    empty in every other case.
+    pattern's, each over its own sum.  Returns (moves, draws, phase):
+    moves[k] is the instruction of canon robot k in ``_decide``'s contract,
+    with move signs along canon-forward; draws maps each of the two
+    nominees of a tied, unformed configuration of an even count to its
+    draw, and is empty in every other case; phase is ``_decide``'s.
     """
     n = len(canon)
     den, pden = sum(canon), sum(pat)
     # coprime cycles of one shape have equal sums
     if den == pden and canon == pat:
-        return (("terminate",),) * n, {}
+        return (("terminate",),) * n, {}, "formed"
     found = _classify_cycle(canon)
     if isinstance(found, Symmetric):
-        return (("unsolvable", found.fold),) * n, {}
+        return (("unsolvable", found.fold),) * n, {}, "symmetric"
     # from here on every length is an int over ``full``
     full, cycle, pat = _common_scale(canon, den, pat, pden)
     floor = _gap_floor(pat)
@@ -395,19 +398,21 @@ def _survey(canon: tuple[int, ...], pat: tuple[int, ...], mutant: Optional[str])
             if row == row[::-1]:
                 raise InvariantViolationError("nominee with a palindromic view")
             draws[i] = ("draw", window, 1 if row < row[::-1] else -1, "random_tiebreak")
-        return tuple(moves), draws
+        return tuple(moves), draws, "tied"
 
     # robot 0 reads the canonical cycle forward, so it owns the least
     # reading; a second owner would be its mirror image, with equal arcs.
     # Hence robot 0 leads, canon-forward is pivotal and role k is index k.
     if found != LeaderConfig(0, Direction.FORWARD):
         raise InvariantViolationError(f"canonical cycle classified as {found}")
-    return _role_moves(cycle, pat, full, floor, mutant), {}
+    released, settled = _rfc_on(cycle, pat[0]), _settled(cycle, pat)
+    phase = ("pfc" if settled else "rfc") if released else ("beyond" if settled else "lead")
+    return _role_moves(cycle, pat, full, floor, mutant), {}, phase
 
 
 @lru_cache(maxsize=_CACHE)
 def _decide(cycle: tuple[int, ...], pat: tuple[int, ...], mutant: Optional[str]):
-    """The instruction table of a presentation cycle: (instrs, draws).
+    """The instruction table of a presentation cycle: (instrs, draws, phase).
 
     ``cycle`` and ``pat`` are coprime integer gap cycles, each over its own
     sum (``Configuration.cycle`` and ``TargetPattern.cycle``).  instrs[k] is
@@ -420,19 +425,22 @@ def _decide(cycle: tuple[int, ...], pat: tuple[int, ...], mutant: Optional[str])
     tie-break when given a draw source (the two nominees of a tied, unformed
     configuration of an even count) to ("draw", window, sign, branch): it
     moves a random fraction of the turn ``window`` in direction ``sign``.
+    ``phase`` is the configuration's progress label, as
+    ``simulator.phase_of`` lists them; a leader configuration's is read on
+    its role gaps.
 
     The table comes from one reading, ``least_reading(cycle) == (canon, j,
     r)``, and one ``_survey`` of canon: robot k is canon robot (k - j) % n,
     or -(j + k) % n with the sign negated when the reading is reversed.
     """
     canon, j, r = least_reading(cycle)
-    moves, draws = _survey(canon, pat, mutant)
+    moves, draws, phase = _survey(canon, pat, mutant)
     n = len(cycle)
     if r:
         instrs = tuple(_against(moves[-(j + k) % n]) for k in range(n))
-        return instrs, {-(i + j) % n: _against(d) for i, d in draws.items()}
+        return instrs, {-(i + j) % n: _against(d) for i, d in draws.items()}, phase
     instrs = moves[-j % n:] + moves[:-j % n]
-    return instrs, {(i + j) % n: d for i, d in draws.items()}
+    return instrs, {(i + j) % n: d for i, d in draws.items()}, phase
 
 
 def _move_by(d: Fraction, branch: str) -> tuple:
@@ -481,7 +489,7 @@ def compute(
     selects a deliberately weakened variant for the schedule explorer.
     """
     _check_size(pattern, s.n)
-    instrs, draws = _decide(s.cycle, pattern.cycle, mutant)
+    instrs, draws, _ = _decide(s.cycle, pattern.cycle, mutant)
     instr = draws[0] if rng is not None and 0 in draws else instrs[0]
     return _to_decision(_against(instr) if s.flipped else instr, s.observer_position, rng)
 

@@ -9,19 +9,22 @@ and ``explore_schedules`` checks both readings on every state it visits, so
 robots are decided from one reading.  One audit serves ``run``,
 ``verify_trace`` and ``explore_schedules``.
 
-The frame is the unit of work.  A ``_Frame`` holds one position state; its
-robots read their decisions and tie-break draws off the configuration's
-instruction table (``_Frame.decide``, shared by all three), and
-``_Frame.plan`` memoises a round's decisions, moves, terminations and move
-branches per activation set (``_Plan``).  ``_Frame.collision`` skips idle
-rounds, and ``_Frame.moved`` rotates the robots' sorted order instead of
-sorting afresh, since a round without a collision keeps their cyclic
-order.  ``_check_transition`` checks one round from the frame before it to
-the frame after it (symmetry creation, the leader/direction lock, coincident
-tie-break draws, branch postconditions, motion under full activation);
-``_EpochLedger`` adds epoch accounting on top for ``run`` and
-``verify_trace``.  ``explore_schedules`` has no epochs and keeps the lock in
-its state instead.
+The frame is the unit of work.  A ``_Frame`` holds one position state and
+the rule it is decided under (pattern, mutant and draw source); its robots
+read their decisions and tie-break draws off the configuration's
+instruction table (``_Frame.decide``, shared by all three), the frame reads
+its phase off the same table (``_Frame.phase``), and ``_Frame.plan``
+memoises a round's decisions, moves, terminations and move branches per
+activation set (``_Plan``).  ``_Frame.collision`` skips idle rounds, and
+``_Frame.moved`` builds the next frame under the same rule, rotating the
+robots' sorted order instead of sorting afresh, since a round without a
+collision keeps their cyclic order.  ``_check_transition`` checks one round
+from the frame before it to the frame after it (symmetry creation, the
+leader/direction lock, coincident tie-break draws, branch postconditions,
+motion under full activation); ``_EpochLedger`` adds epoch accounting on
+top for ``run`` and ``verify_trace``.  ``explore_schedules`` has no epochs
+and keeps the lock in its state instead; its queue carries each state's
+frame.
 
 Robots are oblivious, so the only run state is the multiset of positions plus
 which robots have switched themselves off.  ``run`` tracks robots by a stable
@@ -42,7 +45,6 @@ from .angles import Direction, Turn, mod1
 from .configuration import (
     ConfigClass,
     Configuration,
-    DoubleNomineeTied,
     LeaderConfig,
     Snapshot,
     Symmetric,
@@ -51,7 +53,6 @@ from .configuration import (
 )
 from .errors import (
     CircleFormError,
-    ClassificationError,
     InvariantViolationError,
     PreconditionError,
     StructuralError,
@@ -64,13 +65,10 @@ from .formation import (
     TargetPattern,
     _check_size,
     _decide,
-    _rfc_on,
     _role_gaps,
-    _settled,
     _to_decision,
     compute,
     gen_instance,
-    pattern_formed,
 )
 
 
@@ -320,23 +318,8 @@ def phase_of(c: Configuration, pattern: TargetPattern) -> str:
     settling), ``pfc`` (released and settled), or ``beyond`` (settled but the
     leader's gap has been restored for the finishing moves).
     """
-    if pattern_formed(c, pattern):
-        return "formed"
-    found = classify(c)
-    if isinstance(found, Symmetric):
-        return "symmetric"
-    if isinstance(found, DoubleNomineeTied):
-        return "tied"
-    _, gaps, pat = _role_gaps(c, found, pattern)
-    settled = _settled(gaps, pat)
-    released = _rfc_on(gaps, pat[0])
-    if released and settled:
-        return "pfc"
-    if released:
-        return "rfc"
-    if settled:
-        return "beyond"
-    return "lead"
+    _check_size(pattern, c.n)
+    return _decide(c.cycle, pattern.cycle, None)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -369,30 +352,35 @@ def _plan(decisions: Mapping[int, Decision]) -> _Plan:
 
 
 class _Frame:
-    """One position state: positions by robot id, their sorted order, the
-    configuration, and lazily its class, its phase, its instruction table,
-    per-robot decisions, round plans and the checks owed by a round that
-    ends on it.
+    """One position state under one rule: positions by robot id, the rule
+    (pattern, mutant and draw source, which ``moved`` passes on), the
+    robots' sorted order, the configuration, and lazily its class, its
+    instruction table, per-robot decisions, round plans and the checks
+    owed by a round that ends on it.
 
     Robot k of the sorted order reads index k of the table
-    (``formation._decide``), so while no move lands all of these are
-    reusable across rounds.  Plans are memoised per activation set.  The
-    after-state checks (``audit``) depend only on the frame and the lock a
-    round enters with, so each is computed once per lock.
+    (``formation._decide``), and the frame's phase is the table's, so while
+    no move lands all of these are reusable across rounds.  Plans are
+    memoised per activation set.  The after-state checks (``audit``) depend
+    only on the frame and the lock a round enters with, so each is computed
+    once per lock.  A frame built without a pattern only moves and checks
+    collisions.
     """
 
-    __slots__ = ("pos", "order", "idx_of", "c", "dec", "_table", "_cls", "_phase", "_plans",
-                 "_audit")
+    __slots__ = ("pos", "pattern", "mutant", "rng", "order", "idx_of", "c", "dec", "_table",
+                 "_cls", "_plans", "_audit")
 
-    def __init__(self, pos: Sequence[Turn], order: Optional[list[int]] = None):
+    def __init__(self, pos: Sequence[Turn], pattern: Optional[TargetPattern] = None,
+                 mutant: Optional[str] = None, rng: Optional[Random] = None,
+                 order: Optional[list[int]] = None):
         self.pos = tuple(pos)
+        self.pattern, self.mutant, self.rng = pattern, mutant, rng
         self.order = order or sorted(range(len(self.pos)), key=self.pos.__getitem__)
         self.idx_of = {rid: k for k, rid in enumerate(self.order)}
         self.c = Configuration(tuple(self.pos[r] for r in self.order))
         self.dec: dict[int, Decision] = {}
         self._table: Optional[tuple] = None
         self._cls: Optional[ConfigClass] = None
-        self._phase: Optional[str] = None
         self._plans: dict[frozenset, _Plan] = {}
         self._audit: dict[_Lock, tuple[_Lock, list[list[str]]]] = {}
 
@@ -401,39 +389,34 @@ class _Frame:
             self._cls = classify(self.c)
         return self._cls
 
-    def phase(self, pattern: TargetPattern) -> str:
-        if self._phase is None:
-            self._phase = phase_of(self.c, pattern)
-        return self._phase
-
-    def table(self, pattern: TargetPattern, mutant: Optional[str]) -> tuple:
+    def table(self) -> tuple:
         if self._table is None:
-            self._table = _decide(self.c.cycle, pattern.cycle, mutant)
+            self._table = _decide(self.c.cycle, self.pattern.cycle, self.mutant)
         return self._table
 
-    def decide(
-        self, rid: int, pattern: TargetPattern, rng: Optional[Random], mutant: Optional[str]
-    ) -> Decision:
-        """Robot ``rid``'s decision off the table; with ``rng``, a drawer draws."""
+    def phase(self) -> str:
+        return self.table()[2]
+
+    def decide(self, rid: int) -> Decision:
+        """Robot ``rid``'s decision off the table; with a draw source, a
+        drawer draws."""
         d = self.dec.get(rid)
         if d is None:
-            instrs, draws = self.table(pattern, mutant)
+            instrs, draws, _ = self.table()
             k = self.idx_of[rid]
-            instr = draws[k] if rng is not None and k in draws else instrs[k]
-            d = self.dec[rid] = _to_decision(instr, self.c.positions[k], rng)
+            instr = draws[k] if self.rng is not None and k in draws else instrs[k]
+            d = self.dec[rid] = _to_decision(instr, self.c.positions[k], self.rng)
         return d
 
-    def plan(self, active: frozenset, pattern: TargetPattern, rng: Optional[Random],
-             mutant: Optional[str]) -> _Plan:
+    def plan(self, active: frozenset) -> _Plan:
         """The plan of activating ``active``, deciding its robots in id order
         (so rand-mode draws keep their order)."""
         p = self._plans.get(active)
         if p is None:
-            decisions = {rid: self.decide(rid, pattern, rng, mutant) for rid in sorted(active)}
-            p = self._plans[active] = _plan(decisions)
+            p = self._plans[active] = _plan({rid: self.decide(rid) for rid in sorted(active)})
         return p
 
-    def audit(self, lock: _Lock, pattern: TargetPattern) -> tuple[_Lock, list[list[str]]]:
+    def audit(self, lock: _Lock) -> tuple[_Lock, list[list[str]]]:
         """The lock after a round that ends here, entered with ``lock``, and
         the after-state failures: symmetry created before formation; leader
         or pivotal direction changed, or leadership lost, after release (the
@@ -444,7 +427,7 @@ class _Frame:
             return got
         found: list[list[str]] = []
         out = lock
-        phase = self.phase(pattern)
+        phase = self.phase()
         if phase != "formed":
             cls = self.classify()
             if isinstance(cls, Symmetric):
@@ -487,12 +470,10 @@ class _Frame:
         order = self.order
         heads = [*plan.movers, *next(([r] for r in order if r not in plan.movers), [])]
         k = self.idx_of[min(heads, key=pos.__getitem__)]
-        return _Frame(pos, order[k:] + order[:k])
+        return _Frame(pos, self.pattern, self.mutant, self.rng, order[k:] + order[:k])
 
 
-def _branch_postconditions(
-    after: _Frame, before: _Frame, branch: str, pattern: TargetPattern
-) -> list[str]:
+def _branch_postconditions(after: _Frame, before: _Frame, branch: str) -> list[str]:
     """Checks owed by each move branch, applied on single-mover rounds that
     do not form the pattern."""
     found = after.classify()
@@ -509,7 +490,7 @@ def _branch_postconditions(
         if branch in ("break_tie", "random_tiebreak") and no_shrink:
             msgs.append(f"{branch}: minimum gap did not shrink")
         return msgs
-    full, g, pat = _role_gaps(a, found, pattern)
+    full, g, pat = _role_gaps(a, found, after.pattern)
     beta0 = pat[0]
     if branch in ("break_tie", "random_tiebreak"):
         if no_shrink:
@@ -525,7 +506,7 @@ def _branch_postconditions(
                 f"({x} < {y} < {m} fails)"
             )
     elif branch == "settle_target":
-        if not _rfc_on(g, beta0):
+        if after.phase() not in ("rfc", "pfc"):
             msgs.append("settle_target: landing broke the released ordering")
     elif branch == "finish_detour":
         if not g[1] > pat[1]:
@@ -540,7 +521,6 @@ def _check_transition(
     plan: _Plan,
     alive: tuple[int, ...],
     lock: _Lock,
-    pattern: TargetPattern,
 ) -> tuple[_Lock, list[list[str]]]:
     """Audit one round, ``before`` to ``after`` under ``plan``.
 
@@ -553,9 +533,9 @@ def _check_transition(
     so an idle round costs O(|alive|) once its after-state checks are
     memoised.
     """
-    lock, state_found = after.audit(lock, pattern)
+    lock, state_found = after.audit(lock)
     found = list(state_found)
-    formed = after.phase(pattern) == "formed"
+    formed = after.phase() == "formed"
     moves = plan.moves
     if moves:
         travels = [
@@ -566,7 +546,7 @@ def _check_transition(
         if len(set(travels)) < len(travels):
             found.append(["simultaneous tie-break draws coincide"])
         if not formed and len(moves) == 1:
-            msgs = _branch_postconditions(after, before, moves[0][1].branch, pattern)
+            msgs = _branch_postconditions(after, before, moves[0][1].branch)
             if msgs:
                 found.append(msgs)
     elif not formed and not plan.ended and plan.ids == alive:
@@ -596,11 +576,8 @@ class _EpochLedger:
     ``alive_set`` beside it) is rebuilt only when a robot terminates.
     """
 
-    def __init__(
-        self, n: int, mode: str, pattern: TargetPattern, budget: Optional[int] = None
-    ):
+    def __init__(self, n: int, mode: str, budget: Optional[int] = None):
         self.n = n
-        self.pattern = pattern
         self.bound = formation_bound(n, mode)
         self.budget = budget
         self.terminated: set[int] = set()
@@ -619,13 +596,13 @@ class _EpochLedger:
     def round(self, rnd: int, before: _Frame, after: _Frame, plan: _Plan) -> list[str]:
         """Account one round and return its violations."""
         if self._start_phase is None:
-            self._start_phase = before.phase(self.pattern)
+            self._start_phase = before.phase()
         if plan.ended:
             self.terminated |= plan.ended
             self.alive = tuple(i for i in self.alive if i not in plan.ended)
             self.alive_set = frozenset(self.alive)
         out: list[str] = []
-        phase = after.phase(self.pattern)
+        phase = after.phase()
         if phase == "formed" and self.formed_epoch is None:
             self.formed_epoch = self.epoch
             if self.epoch > self.bound:
@@ -635,7 +612,7 @@ class _EpochLedger:
         was = self._lock
         # a robot that terminated this round did not stay, so the robots still
         # running are the ones the full-activation check compares against
-        self._lock, found = _check_transition(before, after, plan, self.alive, was, self.pattern)
+        self._lock, found = _check_transition(before, after, plan, self.alive, was)
         if was is None and self._lock is not None:
             self._released = self.epoch
         out += [f"round {rnd}: {m}" for msgs in found for m in msgs]
@@ -733,11 +710,11 @@ def run(
     master.getrandbits(64)  # the retired orientation stream's seed: keeps the tie-break seed
     rng = Random(master.getrandbits(64)) if mode == "rand" else None
     budget = max_epochs if max_epochs is not None else n + 6
-    ledger = _EpochLedger(n, mode, pattern, budget)
+    ledger = _EpochLedger(n, mode, budget)
 
     report = RunReport(n=n, scheduler=policy.name, mode=mode, bound=ledger.bound)
     records: list[RoundRecord] = []
-    state = _Frame(c0.positions)
+    state = _Frame(c0.positions, pattern, mutant, rng)
     rnd = 0
 
     while not ledger.halted:
@@ -749,12 +726,12 @@ def run(
         try:
             movers: frozenset = frozenset()
             if policy.needs_movers:
-                movers = state.plan(ledger.alive_set, pattern, rng, mutant).movers
+                movers = state.plan(ledger.alive_set).movers
             active = policy.select(rnd, alive, movers)
             if not active or not active <= ledger.alive_set:
                 report.violations.append(f"round {rnd}: scheduler broke the activation contract")
                 break
-            plan = state.plan(active, pattern, rng, mutant)
+            plan = state.plan(active)
         except CircleFormError as e:
             report.violations.append(f"round {rnd}: {e}")
             break
@@ -811,7 +788,7 @@ def verify_trace(
         _check_size(pattern, n)
     except StructuralError as e:
         return [str(e)]
-    ledger = _EpochLedger(n, mode, pattern)
+    ledger = _EpochLedger(n, mode)
     prev: Optional[_Frame] = None
 
     for rec in records:
@@ -825,7 +802,8 @@ def verify_trace(
         if rec.epoch != ledger.epoch:
             problems.append(f"{where}: epoch recorded as {rec.epoch}, expected {ledger.epoch}")
         try:
-            before = prev if prev is not None and continuous else _Frame(rec.positions_before)
+            before = (prev if prev is not None and continuous
+                      else _Frame(rec.positions_before, pattern))
         except CircleFormError as e:
             problems.append(f"{where}: bad pre-round positions: {e}")
             break
@@ -838,14 +816,14 @@ def verify_trace(
             k = before.idx_of[rid]
             try:
                 # the table's drawers draw, whatever their records say
-                draw = before.table(pattern, None)[1].get(k) if mode == "rand" else None
+                draw = before.table()[1].get(k) if mode == "rand" else None
                 if draw is not None or mode == "rand" and recorded.branch == "random_tiebreak":
                     problems.extend(
                         f"{where}: robot {rid}: {msg}"
                         for msg in _check_random_move(draw, recorded, before.c.positions[k])
                     )
                     continue
-                expected = before.decide(rid, pattern, None, None)
+                expected = before.decide(rid)
             except CircleFormError as e:
                 problems.append(f"{where}: robot {rid}: {e}")
                 continue
@@ -866,7 +844,8 @@ def verify_trace(
                 problems.append(f"{where}: robot {rid} ended at an unexplained position")
 
         try:
-            after = before if rec.positions_after == before.pos else _Frame(rec.positions_after)
+            after = (before if rec.positions_after == before.pos
+                     else _Frame(rec.positions_after, pattern))
         except CircleFormError as e:
             problems.append(f"{where}: bad post-round positions: {e}")
             break
@@ -1014,7 +993,7 @@ def explore_schedules(
     exhaustive over reachable states rather than over the exponentially
     redundant schedule tree.
 
-    Verified per edge: no collision, no classification failure, and the
+    Verified per edge: no collision, no error from the rule, and the
     round checks ``run`` applies (``_check_transition``): no symmetry
     creation, leader and direction stable from release, and each move
     branch's postcondition (single-mover edges).  The lock is part of the
@@ -1028,9 +1007,9 @@ def explore_schedules(
     _check_start(c0, pattern, mutant)
 
     State = tuple  # (positions by id, terminated frozenset, lock)
-    start: State = (c0.positions, frozenset(), None)
-    seen: set[State] = {start}
-    queue: deque[tuple[State, tuple[tuple[int, ...], ...]]] = deque([(start, ())])
+    seen: set[State] = {(c0.positions, frozenset(), None)}
+    # a queued state carries the frame that the edge reaching it built
+    queue = deque([(_Frame(c0.positions, pattern, mutant), frozenset(), None, ())])
     edges = 0
 
     def fail(path, reason, positions) -> ExploreReport:
@@ -1040,17 +1019,17 @@ def explore_schedules(
         )
 
     while queue:
-        (positions, terms, lock), path = queue.popleft()
+        frame, terms, lock, path = queue.popleft()
         if len(path) >= round_budget:
             continue
         alive = tuple(i for i in range(n) if i not in terms)
         if not alive:
             continue
-        frame = _Frame(positions)
+        positions = frame.pos
 
         for rid in alive:
             try:
-                d0 = frame.decide(rid, pattern, None, mutant)
+                d0 = frame.decide(rid)
                 d1 = compute(snapshot_of(frame.c, frame.idx_of[rid], True), pattern, None, mutant)
             except CircleFormError as e:
                 return fail(path + ((rid,),), f"robot {rid}: {e}", positions)
@@ -1078,10 +1057,8 @@ def explore_schedules(
                 return fail(path + (act,), collision, positions)
             after = frame.moved(plan)
             try:
-                new_lock, found = _check_transition(
-                    frame, after, plan, alive, lock, pattern
-                )
-            except ClassificationError as e:
+                new_lock, found = _check_transition(frame, after, plan, alive, lock)
+            except CircleFormError as e:
                 return fail(path + (act,), str(e), after.pos)
             if found:
                 return fail(path + (act,), "; ".join(found[0]), after.pos)
@@ -1094,7 +1071,7 @@ def explore_schedules(
                         "narrow the instance or the budget"
                     )
                 seen.add(state)
-                queue.append((state, path + (act,)))
+                queue.append((after, new_terms, new_lock, path + (act,)))
     return ExploreReport(round_budget, len(seen), edges, None)
 
 

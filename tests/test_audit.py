@@ -148,13 +148,13 @@ def test_fast_paths_match_fresh_work(monkeypatch, mode, name, start, mutant):
     audits, plans, moved = [], [], []
     audit, plan, move = _Frame.audit, _Frame.plan, _Frame.moved
 
-    def spy_audit(frame, lock, pat):
-        got = audit(frame, lock, pat)
+    def spy_audit(frame, lock):
+        got = audit(frame, lock)
         audits.append((frame.pos, lock, got))
         return got
 
-    def spy_plan(frame, active, *rest):
-        got = plan(frame, active, *rest)
+    def spy_plan(frame, active):
+        got = plan(frame, active)
         plans.append((frame.pos, active, got))
         return got
 
@@ -172,7 +172,7 @@ def test_fast_paths_match_fresh_work(monkeypatch, mode, name, start, mutant):
     # idle rounds reuse the memo, so a state is audited more often than it is built
     assert len(audits) > len({(pos, lock) for pos, lock, _ in audits})
     for pos, lock, got in audits:
-        assert got == _Frame(pos).audit(lock, pattern)
+        assert got == _Frame(pos, pattern, mutant).audit(lock)
     # a plan is reused while its frame and activation set last: lazy wakes
     # the same stayers round after round
     reused = len(plans) > len({(pos, active) for pos, active, _ in plans})

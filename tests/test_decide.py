@@ -33,7 +33,7 @@ from circleform import (
 )
 from circleform.angles import Direction, mod1, prefix_sums
 from circleform.formation import _RAND_DENOM, _decide
-from circleform.simulator import make_policy, phase_of
+from circleform.simulator import make_policy
 
 import golden_corpus as gc
 import oracles
@@ -103,11 +103,6 @@ def _reference_table(cycle, pat, mutant):
     return instrs, draws, oracles.reference_phase(_configuration(cycle), _pattern_of(pat))
 
 
-def _table(cycle, pat, mutant):
-    """``_decide``'s table with the phase ``phase_of`` gives its configuration."""
-    return (*_decide(cycle, pat, mutant), phase_of(_configuration(cycle), _pattern_of(pat)))
-
-
 # every draw of a _FixedDraw source takes this fraction of its window
 _K = 3 * 2**59 + 12_345
 
@@ -118,7 +113,7 @@ class _FixedDraw(Random):
 
 
 def _check_table(cycle, pat, mutant):
-    assert _outcome(_table, cycle, pat, mutant) == _outcome(
+    assert _outcome(_decide, cycle, pat, mutant) == _outcome(
         _reference_table, cycle, pat, mutant
     ), (cycle, pat, mutant)
 
