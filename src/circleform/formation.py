@@ -288,6 +288,11 @@ def _break_tie(cycle: tuple[int, ...], full: int, floor: int) -> tuple:
 MUTANTS = ("eps1-lower",)  # weakened rules the schedule explorer must catch
 
 
+def _check_mutant(mutant: Optional[str]) -> None:
+    if mutant is not None and mutant not in MUTANTS:
+        raise PreconditionError(f"unknown mutant {mutant!r}; known: {', '.join(MUTANTS)}")
+
+
 def _role_moves(
     gaps: tuple[int, ...], pat: tuple[int, ...], full: int, floor: int, mutant: Optional[str]
 ) -> tuple[tuple, ...]:
@@ -486,8 +491,10 @@ def compute(
     Deterministic unless ``rng`` is given; then even-count tied
     configurations take the randomized tie-break (with the pattern's gap
     floor respected) instead of waiting for a bisector robot.  ``mutant``
-    selects a deliberately weakened variant for the schedule explorer.
+    selects a deliberately weakened variant for the schedule explorer; an
+    unknown name is refused.
     """
+    _check_mutant(mutant)
     _check_size(pattern, s.n)
     instrs, draws, _ = _decide(s.cycle, pattern.cycle, mutant)
     instr = draws[0] if rng is not None and 0 in draws else instrs[0]

@@ -179,6 +179,8 @@ def record_from_json(obj: Any, line_no: int) -> RoundRecord:
         raise TraceParseError(line_no, str(exc)) from exc
     if len(before) != len(after):
         raise TraceParseError(line_no, "positions_before and positions_after differ in length")
+    if len(set(activated)) != len(activated):
+        raise TraceParseError(line_no, "activated ids repeat")
     if set(activated) != set(decisions):
         raise TraceParseError(line_no, "activated ids and decision keys disagree")
     outside = sorted(i for i in activated if not 0 <= i < len(before))

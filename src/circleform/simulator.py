@@ -59,10 +59,10 @@ from .errors import (
     SymmetricConfigurationError,
 )
 from .formation import (
-    MUTANTS,
     Decision,
     DecisionKind,
     TargetPattern,
+    _check_mutant,
     _check_size,
     _decide,
     _role_gaps,
@@ -659,8 +659,7 @@ class _EpochLedger:
 def _check_start(c0: Configuration, pattern: TargetPattern, mutant: Optional[str]) -> None:
     """Refuse an unknown mutant, a pattern of another size, a rotationally
     symmetric start and a start gap at or below the pattern's gap floor."""
-    if mutant is not None and mutant not in MUTANTS:
-        raise PreconditionError(f"unknown mutant {mutant!r}; known: {', '.join(MUTANTS)}")
+    _check_mutant(mutant)
     _check_size(pattern, c0.n)
     fold = c0.fold()
     if fold > 1:
@@ -769,14 +768,14 @@ def verify_trace(
     The replay re-derives the decision each activated robot must have
     computed from the recorded pre-round positions, through the frame cache
     ``run`` uses (a frame lives while records leave it unchanged), and checks
-    continuity, collisions on records with a move, that every robot ends
-    where its decision puts it, and the recorded class.  Every round without
-    a collision then goes through the audit ``run`` applies
-    (``_EpochLedger``), so verification reports what the inline audit
-    reports.  In ``rand`` mode a robot the table sends to the tie-break, or
-    recorded as drawing, is checked against the table's draw (its direction
-    and window) instead of for equality, since the draw itself is not
-    reproducible from the trace.
+    continuity, round numbers (1, 2, ...), collisions on records with a
+    move, that every robot ends where its decision puts it, and the
+    recorded class.  Every round without a collision then goes through the
+    audit ``run`` applies (``_EpochLedger``), so verification reports what
+    the inline audit reports.  In ``rand`` mode a robot the table sends to
+    the tie-break, or recorded as drawing, is checked against the table's
+    draw (its direction and window) instead of for equality, since the draw
+    itself is not reproducible from the trace.
     """
     if mode not in ("det", "rand"):
         raise PreconditionError(f"unknown mode {mode!r}")
@@ -791,7 +790,7 @@ def verify_trace(
     ledger = _EpochLedger(n, mode)
     prev: Optional[_Frame] = None
 
-    for rec in records:
+    for rnd, rec in enumerate(records, start=1):
         where = f"round {rec.round}"
         if len(rec.positions_before) != n or len(rec.positions_after) != n:
             problems.append(f"{where}: robot count changed mid-trace")
@@ -799,6 +798,8 @@ def verify_trace(
         continuous = prev is None or rec.positions_before == prev.pos
         if not continuous:
             problems.append(f"{where}: positions_before break continuity")
+        if rec.round != rnd:
+            problems.append(f"{where}: round recorded as {rec.round}, expected {rnd}")
         if rec.epoch != ledger.epoch:
             problems.append(f"{where}: epoch recorded as {rec.epoch}, expected {ledger.epoch}")
         try:

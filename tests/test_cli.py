@@ -23,6 +23,7 @@ from circleform.cli import (
     batch_ok,
     gen_instance,
     main,
+    make_policy,
     symmetric_instance,
     verify_trace,
 )
@@ -404,11 +405,33 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "parse error" in out and "line 2" in out
 
+    def test_repeated_activated_id_is_a_parse_error(self, traced_run, capsys):
+        tpath, ppath = traced_run
+        lines = tpath.read_text().splitlines()
+        obj = json.loads(lines[1])
+        (rid,) = obj["activated"]
+        obj["activated"] = [rid, rid]
+        lines[1] = json.dumps(obj)
+        tpath.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = main(["verify", "--trace", str(tpath), "--pattern", ppath])
+        assert code == 2
+        assert "parse error: line 2: activated ids repeat" in capsys.readouterr().out
+
 
 class TestVerifyTrace:
     def test_clean_records_have_no_problems(self, single_nominee5, pattern5):
         _, records = run(single_nominee5, pattern5, FullSync())
         assert verify_trace(records, pattern5) == []
+
+    def test_round_numbers_are_checked(self):
+        c, p = gen_instance(5, 3)
+        _, records = run(c, p, make_policy("rr"), seed=1)
+        scaled = [replace(rec, round=7 * rec.round) for rec in records]
+        assert verify_trace(scaled, p) == [
+            f"round {7 * k}: round recorded as {7 * k}, expected {k}"
+            for k in range(1, len(records) + 1)
+        ]
 
     def test_random_mode_tiebreaks_verify(self, mirror_tied4):
         pattern = TargetPattern.from_angles([F(1, 12), F(3, 12), F(4, 12), F(4, 12)])

@@ -14,10 +14,12 @@ from circleform import (
     EmptyIntervalError,
     LeaderConfig,
     PatternError,
+    PreconditionError,
     StructuralError,
     TargetPattern,
     classify,
     compute,
+    gen_instance,
     snapshot_of,
 )
 from circleform.angles import mod1, prefix_sums
@@ -359,6 +361,11 @@ class TestComputeBranches:
         assert ds[2].path_direction is Direction.FORWARD
         for i in (0, 1, 3, 4):
             assert not ds[i].is_move
+
+    def test_unknown_mutant_rejected(self):
+        c, p = gen_instance(5, 3)
+        with pytest.raises(PreconditionError, match="unknown mutant 'nonsense'; known: eps1-lower"):
+            compute(snapshot_of(c, 0, False), p, mutant="nonsense")
 
     def test_size_mismatch_rejected(self, single_nominee5):
         with pytest.raises(StructuralError):

@@ -213,6 +213,13 @@ class TestTraces:
         assert err.value.line_no == 7
         assert "activated" in str(err.value)
 
+    def test_record_rejects_repeated_activated_ids(self, records):
+        obj = record_to_json(records[0])
+        (rid,) = obj["activated"]
+        obj["activated"] = [rid, rid]
+        with pytest.raises(TraceParseError, match="line 5: activated ids repeat"):
+            record_from_json(obj, 5)
+
     @pytest.mark.parametrize("rid", [7, -1])
     def test_read_rejects_a_robot_id_outside_the_trace(self, tmp_path, records, rid):
         obj = record_to_json(records[0])
