@@ -218,7 +218,8 @@ _CROSSING_START = (Fraction(2, 5), Fraction(7, 10), Fraction(1, 10))
     ],
 )
 def test_moved_frame_rotates_its_order(moves, order):
-    frame = _Frame(_CROSSING_START)
+    rule = (gen_instance(3, 2)[1], "eps1-lower", Random(0))
+    frame = _Frame(_CROSSING_START, *rule)
     plan = _plan({
         rid: Decision(DecisionKind.MOVE, dest, way, "by-hand") for rid, (dest, way) in moves.items()
     })
@@ -228,3 +229,5 @@ def test_moved_frame_rotates_its_order(moves, order):
     assert after.order == fresh.order == order
     assert after.idx_of == fresh.idx_of
     assert after.c == fresh.c and after.c.cycle == fresh.c.cycle
+    # the next frame is decided under the same rule, draw source included
+    assert all(a is b for a, b in zip((after.pattern, after.mutant, after.rng), rule))
