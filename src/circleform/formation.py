@@ -295,8 +295,8 @@ def _check_mutant(mutant: Optional[str]) -> None:
 
 def _role_moves(
     gaps: tuple[int, ...], pat: tuple[int, ...], full: int, floor: int, mutant: Optional[str]
-) -> tuple[tuple, ...]:
-    """The instruction of every role of a leader configuration.
+) -> tuple[tuple[tuple, ...], str]:
+    """The instruction of every role of a leader configuration, and its phase.
 
     ``gaps`` are the role gaps (read from the leader along the pivotal
     direction) and ``pat`` the pattern, both over ``full``.  A move's sign
@@ -354,7 +354,8 @@ def _role_moves(
             tag = "finish_detour"
         moves[2] = ("stay", "parked") if dist == 0 else _move_by(dist, tag)
 
-    if _rfc_on(gaps, pat[0]) and not settled:
+    released = _rfc_on(gaps, pat[0])
+    if released and not settled:
         k = _move_ready_role(gaps, goal, full)
         if k is None:
             why = "no robot is cleared to move in a releasable configuration"
@@ -362,7 +363,8 @@ def _role_moves(
         else:
             moves[3:] = [("stay", "wait_settle")] * (n - 3)
             moves[k] = _move_by(Fraction(goal[k] - at[k], full), "settle_target")
-    return tuple(moves)
+    phase = ("pfc" if settled else "rfc") if released else ("beyond" if settled else "lead")
+    return tuple(moves), phase
 
 
 @lru_cache(maxsize=_CACHE)
@@ -410,9 +412,8 @@ def _survey(canon: tuple[int, ...], pat: tuple[int, ...], mutant: Optional[str])
     # Hence robot 0 leads, canon-forward is pivotal and role k is index k.
     if found != LeaderConfig(0, Direction.FORWARD):
         raise InvariantViolationError(f"canonical cycle classified as {found}")
-    released, settled = _rfc_on(cycle, pat[0]), _settled(cycle, pat)
-    phase = ("pfc" if settled else "rfc") if released else ("beyond" if settled else "lead")
-    return _role_moves(cycle, pat, full, floor, mutant), {}, phase
+    moves, phase = _role_moves(cycle, pat, full, floor, mutant)
+    return moves, {}, phase
 
 
 @lru_cache(maxsize=_CACHE)
