@@ -7,8 +7,9 @@ robot k reads index k.  On every configuration that the seeded runs below
 visit, read both ways round, every index must hold exactly the instruction
 ``oracles.reference_decide`` derives from that robot's rotation on its own,
 the table's drawers must be exactly the robots the reference sends to the
-randomized tie-break, and its phase must be the one ``oracles.reference_phase``
-derives from the configuration's own classification.  So must hypothesis-drawn mirrored, tied and
+randomized tie-break, and its phase must be the one
+``oracles.reference_phase`` derives from the configuration's own
+classification.  So must hypothesis-drawn mirrored, tied and
 wide-denominator cycles.  And the two readings of every robot of every
 visited state must take the same physical action, which is why ``run`` and
 ``verify_trace`` decide from one reading.
