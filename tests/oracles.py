@@ -10,8 +10,8 @@ per-observer form, which analyses every rooted reading on its own, kept as
 the reference for the rule that surveys each configuration once;
 ``reference_phase`` likewise labels a configuration's progress from its
 own classification and role frame, for the phase the rule's table carries.
-The first four functions are small angle and arc helpers that only the
-tests need.
+The first seven functions are small angle, mirror and arc helpers that
+only the tests need.
 """
 
 from fractions import Fraction
@@ -62,6 +62,36 @@ def rotate(seq: Sequence, j: int) -> tuple:
         return ()
     j %= n
     return tuple(seq[j:]) + tuple(seq[:j])
+
+
+def mirror(c: Configuration) -> Configuration:
+    """The mirror image of ``c``: every position negated mod 1.
+
+    Robot i of ``c`` is robot ``mirror_index(c, i)`` of the mirror, and reads
+    forward there the gaps it reads in reverse here: the mirror is the other
+    reading of every robot, laid out as a configuration of its own.
+    """
+    return Configuration.from_positions(mod1(-p) for p in c.positions)
+
+
+def mirror_index(c: Configuration, i: int) -> int:
+    """Robot i of ``c``'s index in ``mirror(c)``, found by its position."""
+    return mirror(c).positions.index(mod1(-c.positions[i]))
+
+
+def mirror_decisions(d: Decision, at: Fraction, view: Sequence) -> list[Decision]:
+    """What the robot at ``at``, deciding ``d`` on its gap reading ``view``,
+    may decide in the mirror image: the mirror move, its destination negated
+    and its path reversed.  A robot whose reading is the same both ways
+    round cannot tell its neighbours apart, and the configuration is
+    symmetric through it, so there the mirror of its move toward its other
+    neighbour stands too."""
+    if not d.is_move:
+        return [d]
+    out = [Decision(d.kind, mod1(-d.destination), d.path_direction.opposite, d.branch)]
+    if tuple(view) == tuple(view)[::-1]:
+        out.append(Decision(d.kind, mod1(d.destination - 2 * at), d.path_direction, d.branch))
+    return out
 
 
 def bisector_points(a: Fraction, b: Fraction) -> tuple[Fraction, Fraction]:

@@ -22,7 +22,7 @@ from circleform import (
 )
 from circleform.angles import mod1
 from conftest import config, random_positions
-from oracles import arc_population, brute_nominees, rooted_sequence
+from oracles import arc_population, brute_nominees, mirror, mirror_index, rooted_sequence
 
 F = Fraction
 DEG = F(1, 360)
@@ -86,11 +86,13 @@ class TestSnapshot:
         assert s.reverse_gaps == tuple(k * DEG for k in (105, 75, 60, 90, 30))
 
     def test_flip_swaps_labels(self, single_nominee5):
+        # the other reading of robot 0 is its reading in the mirror image
         plain = snapshot_of(single_nominee5, 0, flip=False)
-        flipped = snapshot_of(single_nominee5, 0, flip=True)
-        assert flipped.forward_gaps == plain.reverse_gaps
-        assert flipped.reverse_gaps == plain.forward_gaps
-        assert flipped.physical_direction(Direction.FORWARD) is Direction.REVERSE
+        j = mirror_index(single_nominee5, 0)
+        mirrored = snapshot_of(mirror(single_nominee5), j, flip=False)
+        assert mirrored.forward_gaps == plain.reverse_gaps
+        assert mirrored.reverse_gaps == plain.forward_gaps
+        assert mirrored.observer_position == mod1(-plain.observer_position)
 
     def test_single_robot_sees_whole_turn(self):
         c = Configuration.from_positions([F(1, 3)])
@@ -248,9 +250,12 @@ class TestPivotalDirection:
             if not isinstance(cls, LeaderConfig):
                 continue
             found_leaders += 1
+            # the leader's other reading is its reading in the mirror image,
+            # where the minimal reading physically points the other way
             s_plain = snapshot_of(c, cls.leader, flip=False)
-            s_flip = snapshot_of(c, cls.leader, flip=True)
-            for s in (s_plain, s_flip):
+            j = mirror_index(c, cls.leader)
+            s_mirror = snapshot_of(mirror(c), j, flip=False)
+            for s, pivotal in ((s_plain, cls.pivotal), (s_mirror, cls.pivotal.opposite)):
                 fwd_is_min = s.forward_gaps < s.reverse_gaps
                 label = Direction.FORWARD if fwd_is_min else Direction.REVERSE
-                assert s.physical_direction(label) is cls.pivotal
+                assert label is pivotal

@@ -10,9 +10,11 @@ the table's drawers must be exactly the robots the reference sends to the
 randomized tie-break, and its phase must be the one
 ``oracles.reference_phase`` derives from the configuration's own
 classification.  So must hypothesis-drawn mirrored, tied and
-wide-denominator cycles.  And the two readings of every robot of every
-visited state must take the same physical action, which is why ``run`` and
-``verify_trace`` decide from one reading.
+wide-denominator cycles.  And every robot of every visited state must make
+the mirror move in the mirror image of its configuration, where it reads
+forward what it reads in reverse here: its two readings take the same
+physical action, which is why ``run`` and ``verify_trace`` decide from one
+reading.
 """
 
 from fractions import Fraction
@@ -157,8 +159,11 @@ def _action(d):
 
 
 def test_both_readings_take_the_same_physical_action(start_states):
-    # the rule is chirality-free: which way a robot reads the circle never
-    # changes where it goes, how it gets there, or which branch sends it
+    # the rule is chirality-free: robot i's other reading is its reading in
+    # the mirror world, and there it makes the mirror move (same branch, and
+    # the same draw from an equal seed; a robot reading the same both ways
+    # round may take either neighbour), so which way a robot reads the
+    # circle never changes where it goes or how it gets there
     states = set(start_states)
     for case in gc.cases():
         _, records = gc.run_case(case)
@@ -166,12 +171,15 @@ def test_both_readings_take_the_same_physical_action(start_states):
     pairs = draws = 0
     for k, (pos, pattern, mutant) in enumerate(sorted(states, key=repr)):
         c = Configuration.from_positions(pos)
+        m = oracles.mirror(c)
         for i in range(c.n):
-            plain, flipped = snapshot_of(c, i, False), snapshot_of(c, i, True)
+            j = oracles.mirror_index(c, i)
+            plain, mirrored = snapshot_of(c, i, False), snapshot_of(m, j, False)
             for seed in (None, k):
                 a = compute(plain, pattern, None if seed is None else Random(seed), mutant)
-                b = compute(flipped, pattern, None if seed is None else Random(seed), mutant)
-                assert _action(a) == _action(b), (pos, i, seed)
+                b = compute(mirrored, pattern, None if seed is None else Random(seed), mutant)
+                want = oracles.mirror_decisions(a, c.positions[i], plain.cycle)
+                assert _action(b) in map(_action, want), (pos, i, seed)
                 pairs += 1
                 draws += a.branch == "random_tiebreak"
     assert len(states) > 250 and pairs > 4_000 and draws >= 6
@@ -198,7 +206,7 @@ def test_visited_readings_cover_every_move_branch(visited):
 def _drew_as_referenced(s, d, pat) -> bool:
     """``d`` is the reference draw of ``s``'s observer, scaled by _FixedDraw."""
     _, window, sign, branch = _reference_draw(s.cycle, pat)
-    way = s.physical_direction(Direction.FORWARD if sign > 0 else Direction.REVERSE)
+    way = Direction.FORWARD if sign > 0 else Direction.REVERSE
     travel = mod1(way.sign * (d.destination - s.observer_position))
     return (d.path_direction, travel, d.branch) == (way, F(_K, _RAND_DENOM) * window, branch)
 
@@ -210,9 +218,9 @@ def test_randomized_tie_check_matches_reference(visited):
     for c, pattern, mutant in {(c, p, m) for (_, _, m), (c, p) in visited.items()}:
         if c.n % 2:
             continue
-        for i in range(c.n):
-            for flip in (False, True):
-                s = snapshot_of(c, i, flip)
+        for world in (c, oracles.mirror(c)):
+            for i in range(c.n):
+                s = snapshot_of(world, i, False)
                 d = compute(s, pattern, _FixedDraw(), mutant)
                 expected = oracles.reference_tied_nominee(s.cycle, pattern.cycle)
                 assert (d.branch == "random_tiebreak") == expected, s.cycle
@@ -289,7 +297,7 @@ def test_decide_matches_reference_on_drawn_cycles(pts, k, weakened):
     for cycle in (c.cycle, c.cycle[::-1]):
         _check_table(cycle, pat, mutant)
     if c.n % 2 == 0:
-        for i in range(c.n):
-            for flip in (False, True):
-                s = snapshot_of(c, i, flip)
+        for world in (c, oracles.mirror(c)):
+            for i in range(c.n):
+                s = snapshot_of(world, i, False)
                 assert _draws(s, pattern) == oracles.reference_tied_nominee(s.cycle, pat)

@@ -33,7 +33,14 @@ from circleform.formation import (
     select_in_interval,
 )
 from conftest import config, random_positions
-from oracles import angle_between, brute_move_ready, on_some_bisector
+from oracles import (
+    angle_between,
+    brute_move_ready,
+    mirror,
+    mirror_decisions,
+    mirror_index,
+    on_some_bisector,
+)
 
 F = Fraction
 
@@ -388,13 +395,15 @@ class TestComputeBranches:
                 )
             except PatternError:
                 return
+        # robot i's other reading is its reading in the mirror image, where
+        # it must make the mirror move
+        m = mirror(c)
         for i in range(n):
-            a = compute(snapshot_of(c, i, False), p)
-            b = compute(snapshot_of(c, i, True), p)
-            assert a.kind == b.kind
-            if a.is_move:
-                assert a.destination == b.destination
-                assert a.path_direction == b.path_direction
+            s = snapshot_of(c, i, False)
+            a = compute(s, p)
+            b = compute(snapshot_of(m, mirror_index(c, i), False), p)
+            assert (a.kind, a.branch) == (b.kind, b.branch)
+            assert b in mirror_decisions(a, c.positions[i], s.cycle)
 
 
 class TestRandomizedTieBreak:

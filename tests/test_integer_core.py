@@ -117,12 +117,16 @@ class TestIntegerCycles:
     def test_snapshot_cycle_over_den_is_the_rooted_reading(self, pts):
         c = Configuration.from_positions(pts)
         assert c.gaps == tuple(F(g, c.den) for g in c.cycle)
+        # robot i's reverse reading is its forward reading in the mirror image
+        m = oracles.mirror(c)
         for i in range(c.n):
-            for flip in (False, True):
-                s = snapshot_of(c, i, flip)
+            for world, k, d in (
+                (c, i, Direction.FORWARD),
+                (m, oracles.mirror_index(c, i), Direction.REVERSE),
+            ):
+                s = snapshot_of(world, k, False)
                 turns = tuple(F(g, s.den) for g in s.cycle)
                 assert turns == s.forward_gaps
-                d = Direction.REVERSE if flip else Direction.FORWARD
                 assert turns == oracles.rooted_sequence(c.positions, i, d)
                 assert sum(s.cycle) == s.den and gcd(*s.cycle) == 1
 

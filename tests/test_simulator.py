@@ -18,6 +18,7 @@ from circleform import (
     SymmetricConfigurationError,
     TargetPattern,
 )
+from circleform import formation
 from circleform.cli import gen_instance
 from circleform.simulator import (
     POLICIES,
@@ -324,6 +325,32 @@ class TestExploreSchedules:
             explore_schedules(c, pattern5, 2, mutant="typo-of-eps1")
         with pytest.raises(PreconditionError, match="unknown mutant"):
             run(c, pattern5, FullSync(), mutant="nonsense")
+
+    @pytest.fixture
+    def skewed_tie_break(self, monkeypatch):
+        # a bisector robot whose two readings tie may take either neighbour;
+        # sent along the canonical reading's forward instead, its move
+        # depends on which way the presentation reads the circle
+        plain = formation._break_tie
+
+        def skewed(*args):
+            head, dist, sign, branch = plain(*args)
+            return head, dist, sign or 1, branch
+
+        formation._survey.cache_clear()
+        formation._decide.cache_clear()
+        monkeypatch.setattr(formation, "_break_tie", skewed)
+        yield
+        monkeypatch.undo()
+        formation._survey.cache_clear()
+        formation._decide.cache_clear()
+
+    def test_chirality_is_checked(self, skewed_tie_break, tied5, pattern5):
+        report = explore_schedules(tied5, pattern5, 2)
+        cx = report.counterexample
+        assert cx is not None
+        assert cx.reason == "robot 0: decision depends on presentation orientation"
+        assert cx.path == ((0,),)
 
     def test_refuses_large_instances(self, pattern5):
         c0, pattern = gen_instance(7, 1)
