@@ -201,6 +201,8 @@ def _print_report(report: RunReport) -> None:
 
 
 def _cmd_gen(args) -> int:
+    if args.fold < 1:
+        raise PreconditionError("--fold must be at least 1")
     seed = _resolve_seed(args.seed)
     if args.fold > 1:
         per_sector = max(1, args.n // args.fold)
@@ -272,6 +274,8 @@ def _cmd_symmetry(args) -> int:
     folds = _parse_int_list(args.folds, "--folds")
     if any(k < 2 for k in folds):
         raise PreconditionError("--folds entries must be at least 2")
+    if args.instances < 0:
+        raise PreconditionError("--instances must be at least 0")
     rule = SYMMETRY_RULES[args.rule]  # argparse refuses other names
     seed = _resolve_seed(args.seed)
     rng = Random(seed)
@@ -284,6 +288,8 @@ def _cmd_symmetry(args) -> int:
         c0 = symmetric_instance(k, per_sector, rng.getrandbits(32))
         try:
             folds_seen = fsync_symmetry_experiment(c0, rule, args.rounds)
+        except PreconditionError:
+            raise  # a refused input, not a failed instance
         except CircleFormError as e:
             print(f"instance {idx} (fold {k}): FAILED: {e}")
             failures += 1

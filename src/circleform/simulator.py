@@ -891,16 +891,18 @@ def batch(
 
     ``formed`` counts runs that formed and fully terminated; ``max_epochs``
     and ``mean_epochs`` summarise the epochs to formation over formed runs.
-    An unknown mode or scheduler, a robot count below 3, a negative
-    ``trials`` and a ``max_epochs`` below 1 are refused before any run
-    starts.  Errors raised by a run (for example a parity/mode mismatch)
+    An unknown mode or scheduler, an empty ``ns`` or ``schedulers``, a
+    robot count below 3, a negative ``trials`` and a ``max_epochs`` below 1
+    are refused before any run starts.  Errors raised by a run (for example a parity/mode mismatch)
     count as violations in the cell instead of crashing the sweep.
     """
     if trials < 0 or (max_epochs is not None and max_epochs < 1):
         raise PreconditionError(f"need trials >= 0, max_epochs >= 1; got {trials}, {max_epochs}")
     if mode not in ("det", "rand"):
         raise PreconditionError(f"unknown mode {mode!r}")
-    if ns and min(ns) < 3:
+    if not ns or not schedulers:
+        raise PreconditionError("a sweep needs at least one robot count and one scheduler")
+    if min(ns) < 3:
         raise PreconditionError(f"instances need at least 3 robots; got {min(ns)}")
     for name in schedulers:
         make_policy(name)  # refuses an unknown scheduler
@@ -1127,6 +1129,8 @@ def fsync_symmetry_experiment(
     the configuration to itself, so the fold can never drop below its initial
     value; a drop raises InvariantViolationError.
     """
+    if rounds < 0:
+        raise PreconditionError(f"need rounds >= 0; got {rounds}")
     k0 = c0.fold()
     if k0 < 2:
         raise PreconditionError("the experiment needs a rotationally symmetric start")

@@ -108,6 +108,15 @@ class TestGenCommand:
         assert code == 0
         assert load_config(cpath).fold() % 2 == 0
 
+    def test_gen_fold_below_one_exits_one(self, tmp_path, capsys):
+        for fold in ("0", "-2"):
+            code = main(["gen", "--n", "5", "--fold", fold, "--seed", "1",
+                         "--config", str(tmp_path / "c.json"),
+                         "--pattern", str(tmp_path / "p.json")])
+            assert code == 1
+            assert "--fold" in capsys.readouterr().err
+            assert not (tmp_path / "c.json").exists()
+
     def test_gen_fold_must_divide_n(self, tmp_path, capsys):
         code = main(["gen", "--n", "5", "--fold", "2", "--seed", "1",
                      "--config", str(tmp_path / "c.json"),
@@ -245,6 +254,14 @@ class TestBatchCommand:
             with pytest.raises(PreconditionError):
                 batch(ns, 1, schedulers, mode=mode)
 
+    def test_empty_counts_or_schedulers_are_refused(self, capsys):
+        with pytest.raises(PreconditionError):
+            batch([3, 5], 2, [])
+        with pytest.raises(PreconditionError):
+            batch([], 2, ["fsync"])
+        assert main(["batch", "--ns", "3,5", "--trials", "3", "--schedulers", ","]) == 1
+        assert "scheduler" in capsys.readouterr().err
+
     def test_small_n_exits_one(self, capsys):
         assert main(["batch", "--ns", "2", "--trials", "1", "--schedulers", "fsync"]) == 1
 
@@ -302,6 +319,13 @@ class TestSymmetryCommand:
     def test_bad_fold_exits_one(self, capsys):
         code = main(["symmetry", "--folds", "1", "--instances", "1"])
         assert code == 1
+
+    def test_negative_counts_exit_one(self, capsys):
+        assert main(["symmetry", "--rounds", "-3", "--instances", "2", "--seed", "0"]) == 1
+        assert "rounds" in capsys.readouterr().err
+        assert main(["symmetry", "--instances", "-2", "--seed", "0"]) == 1
+        captured = capsys.readouterr()
+        assert "--instances" in captured.err and captured.out == ""
 
 
 class TestVerifyCommand:

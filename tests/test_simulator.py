@@ -418,3 +418,8 @@ class TestSymmetryExperiment:
     def test_asymmetric_start_rejected(self, single_nominee5):
         with pytest.raises(PreconditionError):
             fsync_symmetry_experiment(single_nominee5, SYMMETRY_RULES["drift"], 3)
+
+    def test_negative_rounds_rejected(self):
+        square = config(0, F(1, 4), F(1, 2), F(3, 4))
+        with pytest.raises(PreconditionError, match="rounds"):
+            fsync_symmetry_experiment(square, SYMMETRY_RULES["drift"], -3)
