@@ -33,6 +33,7 @@ from .angles import format_turn
 from .configuration import Configuration
 from .errors import (
     CircleFormError,
+    InvariantViolationError,
     PreconditionError,
     StructuralError,
     SymmetricConfigurationError,
@@ -288,9 +289,7 @@ def _cmd_symmetry(args) -> int:
         c0 = symmetric_instance(k, per_sector, rng.getrandbits(32))
         try:
             folds_seen = fsync_symmetry_experiment(c0, rule, args.rounds)
-        except PreconditionError:
-            raise  # a refused input, not a failed instance
-        except CircleFormError as e:
+        except InvariantViolationError as e:
             print(f"instance {idx} (fold {k}): FAILED: {e}")
             failures += 1
             continue
