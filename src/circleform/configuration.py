@@ -1,9 +1,9 @@
 """Global configurations and the classification operations built on them.
 
 A configuration is the sorted tuple of distinct robot positions.  Everything a
-robot is allowed to act on is delivered through :class:`Snapshot`, which holds
-only relative gap structure: anonymity and the missing sense of orientation
-are enforced by the type, not by convention.
+robot is allowed to act on is delivered through :class:`Snapshot`: relative gap
+structure, read the presentation's way round.  That the missing sense of
+orientation changes no move is checked by explore and by mirror-image tests.
 
 Classification works on integer gap cycles: a configuration's gaps over one
 common denominator, divided by their gcd.  That reduced cycle is unique for
@@ -85,19 +85,17 @@ class Configuration:
 class Snapshot:
     """What one robot sees: its two rooted gap sequences.
 
-    ``cycle`` is the gap sequence read forward from the robot, as ints over
-    ``den``; ``forward_gaps`` and ``reverse_gaps`` are the same readings as
-    turns.  All are labelled in the robot's own frame; when ``flipped`` is
-    set the labels are swapped relative to the presentation frame.
-    ``observer_position`` and ``flipped`` exist so the motion layer can place
-    a computed move back on the shared circle; the choice logic itself only
-    ever reads the gap sequences.
+    ``cycle`` is the gap sequence read forward (the presentation frame's
+    way) from the robot, as ints over ``den``; ``forward_gaps`` and
+    ``reverse_gaps`` are the same readings as turns.  The robot's other
+    reading is its forward reading in the mirror image, where the rule must
+    make the mirror move.  ``observer_position`` places a computed move back
+    on the shared circle; the choice logic only ever reads the gaps.
     """
 
     cycle: tuple[int, ...]
     den: int
     observer_position: Fraction
-    flipped: bool
 
     @property
     def n(self) -> int:
@@ -111,19 +109,14 @@ class Snapshot:
     def reverse_gaps(self) -> tuple[Fraction, ...]:
         return self.forward_gaps[::-1]
 
-    def physical_direction(self, label: Direction) -> Direction:
-        """Map a direction label from this snapshot's frame to the presentation frame."""
-        return label.opposite if self.flipped else label
 
-
-def snapshot_of(c: Configuration, i: int, flip: bool) -> Snapshot:
-    """The two gap sequences rooted at robot i, with adversary-chosen labelling."""
+def snapshot_of(c: Configuration, i: int) -> Snapshot:
+    """The two gap sequences rooted at robot i."""
     n = c.n
     if not (0 <= i < n):
         raise StructuralError(f"robot index {i} out of range for n={n}")
     cycle = c.cycle
-    fwd = cycle[i:] + cycle[:i]
-    return Snapshot(fwd[::-1] if flip else fwd, c.den, c.positions[i], flip)
+    return Snapshot(cycle[i:] + cycle[:i], c.den, c.positions[i])
 
 
 @dataclass(frozen=True)

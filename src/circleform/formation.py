@@ -499,7 +499,7 @@ def compute(
     _check_size(pattern, s.n)
     instrs, draws, _ = _decide(s.cycle, pattern.cycle, mutant)
     instr = draws[0] if rng is not None and 0 in draws else instrs[0]
-    return _to_decision(_against(instr) if s.flipped else instr, s.observer_position, rng)
+    return _to_decision(instr, s.observer_position, rng)
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,9 @@ verification, batch sweeps, exhaustive schedule exploration for small
 instances, and the fully synchronous symmetry experiment.
 
 A robot's physical move does not depend on which way it reads the circle,
-and ``explore_schedules`` checks both readings on every state it visits, so
-robots are decided from one reading.  One audit serves ``run``,
-``verify_trace`` and ``explore_schedules``.
+and ``explore_schedules`` checks that on every state it visits against the
+table of the reversed cycle, so robots are decided from one reading.  One
+audit serves ``run``, ``verify_trace`` and ``explore_schedules``.
 
 The frame is the unit of work.  A ``_Frame`` holds one position state and
 the rule it is decided under (pattern, mutant and draw source); its robots
@@ -63,11 +63,11 @@ from .formation import (
     DecisionKind,
     TargetPattern,
     _check_mutant,
+    _against,
     _check_size,
     _decide,
     _role_gaps,
     _to_decision,
-    compute,
     gen_instance,
 )
 
@@ -988,8 +988,8 @@ def explore_schedules(
     """Check every schedule prefix up to ``round_budget`` rounds (at least 0).
 
     Every robot is decided through the frame's cache (``_Frame.decide``,
-    the reading ``run`` uses) and cross-checked against its other reading;
-    the two must agree physically, which collapses the flip dimension.
+    the reading ``run`` uses) and must act the same read the other way
+    round: robot k reads the table of the reversed cycle at index -k mod n.
     Activation subsets that differ only in robots deciding to stay reach
     identical states, so subsets are enumerated over the robots whose
     decisions have an effect.  States are memoised, making the walk
@@ -1028,22 +1028,20 @@ def explore_schedules(
         alive = tuple(i for i in range(n) if i not in terms)
         if not alive:
             continue
-        positions = frame.pos
-
+        mirror = None  # the reversed cycle's table, looked up after the frame's own
         for rid in alive:
+            k = frame.idx_of[rid]
             try:
                 d0 = frame.decide(rid)
-                d1 = compute(snapshot_of(frame.c, frame.idx_of[rid], True), pattern, None, mutant)
+                mirror = mirror or _decide(frame.c.cycle[::-1], pattern.cycle, mutant)[0]
+                d1 = _to_decision(_against(mirror[-k % n]), frame.c.positions[k])
             except CircleFormError as e:
-                return fail(path + ((rid,),), f"robot {rid}: {e}", positions)
+                return fail(path + ((rid,),), f"robot {rid}: {e}", frame.pos)
             if (d0.kind, d0.destination, d0.path_direction) != (
                 d1.kind, d1.destination, d1.path_direction
             ):
-                return fail(
-                    path + ((rid,),),
-                    f"robot {rid}: decision depends on presentation orientation",
-                    positions,
-                )
+                why = f"robot {rid}: decision depends on presentation orientation"
+                return fail(path + ((rid,),), why, frame.pos)
 
         dec = frame.dec
         relevant = [rid for rid in alive if dec[rid].kind is not DecisionKind.STAY]
@@ -1057,7 +1055,7 @@ def explore_schedules(
             plan = _plan({r: dec[r] for r in act})
             collision = frame.collision(plan)
             if collision is not None:
-                return fail(path + (act,), collision, positions)
+                return fail(path + (act,), collision, frame.pos)
             after = frame.moved(plan)
             try:
                 new_lock, found = _check_transition(frame, after, plan, alive, lock)
@@ -1093,8 +1091,7 @@ def rule_drift(s: Snapshot) -> Decision:
     """Creep 1/100 of a turn toward the next robot ahead, capped at half the
     gap so neighbours can never meet."""
     step = min(Fraction(1, 100), s.forward_gaps[0] / 2)
-    dest = mod1(s.observer_position + s.physical_direction(Direction.FORWARD).sign * step)
-    return Decision(DecisionKind.MOVE, dest, s.physical_direction(Direction.FORWARD), "drift")
+    return Decision(DecisionKind.MOVE, mod1(s.observer_position + step), Direction.FORWARD, "drift")
 
 
 def rule_close(s: Snapshot) -> Decision:
@@ -1106,8 +1103,7 @@ def rule_close(s: Snapshot) -> Decision:
     front, back = s.forward_gaps[0], s.reverse_gaps[0]
     if front == back:
         return Decision(DecisionKind.STAY, branch="close")
-    label = Direction.FORWARD if front < back else Direction.REVERSE
-    pdir = s.physical_direction(label)
+    pdir = Direction.FORWARD if front < back else Direction.REVERSE
     dest = mod1(s.observer_position + pdir.sign * min(front, back) / 4)
     return Decision(DecisionKind.MOVE, dest, pdir, "close")
 
@@ -1138,7 +1134,7 @@ def fsync_symmetry_experiment(
     frame = _Frame(c0.positions)
     for rnd in range(1, rounds + 1):
         plan = _plan({
-            rid: rule(snapshot_of(frame.c, frame.idx_of[rid], False)) for rid in frame.order
+            rid: rule(snapshot_of(frame.c, frame.idx_of[rid])) for rid in frame.order
         })
         collision = frame.collision(plan)
         if collision is not None:

@@ -180,7 +180,7 @@ def test_fast_paths_match_fresh_work(monkeypatch, mode, name, start, mutant):
     for pos, active, got in plans:
         fresh = _Frame(pos)
         want = {
-            rid: compute(snapshot_of(fresh.c, fresh.idx_of[rid], False), pattern,
+            rid: compute(snapshot_of(fresh.c, fresh.idx_of[rid]), pattern,
                          Random(0) if mode == "rand" else None, mutant)
             for rid in sorted(active)
         }

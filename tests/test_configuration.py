@@ -81,28 +81,28 @@ class TestConfiguration:
 
 class TestSnapshot:
     def test_worked_example_readings(self, single_nominee5):
-        s = snapshot_of(single_nominee5, 0, flip=False)
+        s = snapshot_of(single_nominee5, 0)
         assert s.forward_gaps == tuple(k * DEG for k in (30, 90, 60, 75, 105))
         assert s.reverse_gaps == tuple(k * DEG for k in (105, 75, 60, 90, 30))
 
     def test_flip_swaps_labels(self, single_nominee5):
         # the other reading of robot 0 is its reading in the mirror image
-        plain = snapshot_of(single_nominee5, 0, flip=False)
+        plain = snapshot_of(single_nominee5, 0)
         j = mirror_index(single_nominee5, 0)
-        mirrored = snapshot_of(mirror(single_nominee5), j, flip=False)
+        mirrored = snapshot_of(mirror(single_nominee5), j)
         assert mirrored.forward_gaps == plain.reverse_gaps
         assert mirrored.reverse_gaps == plain.forward_gaps
         assert mirrored.observer_position == mod1(-plain.observer_position)
 
     def test_single_robot_sees_whole_turn(self):
         c = Configuration.from_positions([F(1, 3)])
-        s = snapshot_of(c, 0, flip=False)
+        s = snapshot_of(c, 0)
         assert s.forward_gaps == (F(1),)
         assert s.reverse_gaps == (F(1),)
 
     def test_observer_out_of_range(self, single_nominee5):
         with pytest.raises(StructuralError):
-            snapshot_of(single_nominee5, 5, flip=False)
+            snapshot_of(single_nominee5, 5)
 
 
 class TestNominees:
@@ -252,9 +252,9 @@ class TestPivotalDirection:
             found_leaders += 1
             # the leader's other reading is its reading in the mirror image,
             # where the minimal reading physically points the other way
-            s_plain = snapshot_of(c, cls.leader, flip=False)
+            s_plain = snapshot_of(c, cls.leader)
             j = mirror_index(c, cls.leader)
-            s_mirror = snapshot_of(mirror(c), j, flip=False)
+            s_mirror = snapshot_of(mirror(c), j)
             for s, pivotal in ((s_plain, cls.pivotal), (s_mirror, cls.pivotal.opposite)):
                 fwd_is_min = s.forward_gaps < s.reverse_gaps
                 label = Direction.FORWARD if fwd_is_min else Direction.REVERSE

@@ -174,7 +174,7 @@ def test_both_readings_take_the_same_physical_action(start_states):
         m = oracles.mirror(c)
         for i in range(c.n):
             j = oracles.mirror_index(c, i)
-            plain, mirrored = snapshot_of(c, i, False), snapshot_of(m, j, False)
+            plain, mirrored = snapshot_of(c, i), snapshot_of(m, j)
             for seed in (None, k):
                 a = compute(plain, pattern, None if seed is None else Random(seed), mutant)
                 b = compute(mirrored, pattern, None if seed is None else Random(seed), mutant)
@@ -220,7 +220,7 @@ def test_randomized_tie_check_matches_reference(visited):
             continue
         for world in (c, oracles.mirror(c)):
             for i in range(c.n):
-                s = snapshot_of(world, i, False)
+                s = snapshot_of(world, i)
                 d = compute(s, pattern, _FixedDraw(), mutant)
                 expected = oracles.reference_tied_nominee(s.cycle, pattern.cycle)
                 assert (d.branch == "random_tiebreak") == expected, s.cycle
@@ -299,5 +299,5 @@ def test_decide_matches_reference_on_drawn_cycles(pts, k, weakened):
     if c.n % 2 == 0:
         for world in (c, oracles.mirror(c)):
             for i in range(c.n):
-                s = snapshot_of(world, i, False)
+                s = snapshot_of(world, i)
                 assert _draws(s, pattern) == oracles.reference_tied_nominee(s.cycle, pat)

@@ -290,7 +290,7 @@ class TestRoleFrame:
 
 
 def decisions_of(c, pattern, **kw):
-    return {i: compute(snapshot_of(c, i, False), pattern, **kw) for i in range(c.n)}
+    return {i: compute(snapshot_of(c, i), pattern, **kw) for i in range(c.n)}
 
 
 class TestComputeBranches:
@@ -372,11 +372,11 @@ class TestComputeBranches:
     def test_unknown_mutant_rejected(self):
         c, p = gen_instance(5, 3)
         with pytest.raises(PreconditionError, match="unknown mutant 'nonsense'; known: eps1-lower"):
-            compute(snapshot_of(c, 0, False), p, mutant="nonsense")
+            compute(snapshot_of(c, 0), p, mutant="nonsense")
 
     def test_size_mismatch_rejected(self, single_nominee5):
         with pytest.raises(StructuralError):
-            compute(snapshot_of(single_nominee5, 0, False), pat(2, 4, 6, den=12))
+            compute(snapshot_of(single_nominee5, 0), pat(2, 4, 6, den=12))
 
     @settings(max_examples=120, deadline=None)
     @given(st.integers(0, 10_000))
@@ -399,9 +399,9 @@ class TestComputeBranches:
         # it must make the mirror move
         m = mirror(c)
         for i in range(n):
-            s = snapshot_of(c, i, False)
+            s = snapshot_of(c, i)
             a = compute(s, p)
-            b = compute(snapshot_of(m, mirror_index(c, i), False), p)
+            b = compute(snapshot_of(m, mirror_index(c, i)), p)
             assert (a.kind, a.branch) == (b.kind, b.branch)
             assert b in mirror_decisions(a, c.positions[i], s.cycle)
 
@@ -415,7 +415,7 @@ class TestRandomizedTieBreak:
         g_min = min(mirror_tied4.gaps)
         for i in (0, 3):
             rng = Random(5)
-            d = compute(snapshot_of(mirror_tied4, i, False), self.P4, rng=rng)
+            d = compute(snapshot_of(mirror_tied4, i), self.P4, rng=rng)
             assert d.branch == "random_tiebreak"
             travel = mod1(
                 d.path_direction.sign * (d.destination - mirror_tied4.positions[i])
@@ -423,16 +423,16 @@ class TestRandomizedTieBreak:
             assert 0 < travel < g_min / 2
 
     def test_seed_determinism(self, mirror_tied4):
-        s = snapshot_of(mirror_tied4, 0, False)
+        s = snapshot_of(mirror_tied4, 0)
         assert compute(s, self.P4, rng=Random(11)) == compute(s, self.P4, rng=Random(11))
 
     def test_odd_count_rejected(self, tied5, pattern5):
         # an odd count breaks its tie deterministically, randomness or not
-        d = compute(snapshot_of(tied5, 0, False), pattern5, rng=Random(1))
+        d = compute(snapshot_of(tied5, 0), pattern5, rng=Random(1))
         assert d.branch == "break_tie"
 
     def test_non_nominee_rejected(self, mirror_tied4):
-        d = compute(snapshot_of(mirror_tied4, 1, False), self.P4, rng=Random(1))
+        d = compute(snapshot_of(mirror_tied4, 1), self.P4, rng=Random(1))
         assert d.branch == "wait_tie"
 
     def test_compute_takes_the_random_path_only_when_tied(
@@ -440,7 +440,7 @@ class TestRandomizedTieBreak:
     ):
         rng = Random(7)
         p4 = self.P4
-        d = compute(snapshot_of(mirror_tied4, 0, False), p4, rng=rng)
+        d = compute(snapshot_of(mirror_tied4, 0), p4, rng=rng)
         assert d.branch == "random_tiebreak"
-        d = compute(snapshot_of(single_nominee5, 0, False), pattern5, rng=rng)
+        d = compute(snapshot_of(single_nominee5, 0), pattern5, rng=rng)
         assert d.branch != "random_tiebreak"

@@ -124,7 +124,7 @@ class TestIntegerCycles:
                 (c, i, Direction.FORWARD),
                 (m, oracles.mirror_index(c, i), Direction.REVERSE),
             ):
-                s = snapshot_of(world, k, False)
+                s = snapshot_of(world, k)
                 turns = tuple(F(g, s.den) for g in s.cycle)
                 assert turns == s.forward_gaps
                 assert turns == oracles.rooted_sequence(c.positions, i, d)
