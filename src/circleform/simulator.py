@@ -62,8 +62,8 @@ from .formation import (
     Decision,
     DecisionKind,
     TargetPattern,
-    _check_mutant,
     _against,
+    _check_mutant,
     _check_size,
     _decide,
     _role_gaps,
@@ -893,8 +893,9 @@ def batch(
     and ``mean_epochs`` summarise the epochs to formation over formed runs.
     An unknown mode or scheduler, an empty ``ns`` or ``schedulers``, a
     robot count below 3, a negative ``trials`` and a ``max_epochs`` below 1
-    are refused before any run starts.  Errors raised by a run (for example a parity/mode mismatch)
-    count as violations in the cell instead of crashing the sweep.
+    are refused before any run starts.  Errors raised by a run (for example
+    a parity/mode mismatch) count as violations in the cell instead of
+    crashing the sweep.
     """
     if trials < 0 or (max_epochs is not None and max_epochs < 1):
         raise PreconditionError(f"need trials >= 0, max_epochs >= 1; got {trials}, {max_epochs}")
