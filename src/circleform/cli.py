@@ -275,8 +275,8 @@ def _cmd_symmetry(args) -> int:
     folds = _parse_int_list(args.folds, "--folds")
     if any(k < 2 for k in folds):
         raise PreconditionError("--folds entries must be at least 2")
-    if args.instances < 0:
-        raise PreconditionError("--instances must be at least 0")
+    if args.instances < 0 or args.rounds < 0:
+        raise PreconditionError("--instances and --rounds must be at least 0")
     rule = SYMMETRY_RULES[args.rule]  # argparse refuses other names
     seed = _resolve_seed(args.seed)
     rng = Random(seed)

@@ -79,17 +79,21 @@ def mirror_index(c: Configuration, i: int) -> int:
     return mirror(c).positions.index(mod1(-c.positions[i]))
 
 
-def mirror_decisions(d: Decision, at: Fraction, view: Sequence) -> list[Decision]:
-    """What the robot at ``at``, deciding ``d`` on its gap reading ``view``,
-    may decide in the mirror image: the mirror move, its destination negated
-    and its path reversed.  A robot whose reading is the same both ways
-    round cannot tell its neighbours apart, and the configuration is
-    symmetric through it, so there the mirror of its move toward its other
-    neighbour stands too."""
+def mirror_decisions(
+    d: Decision, at: Fraction, view: Sequence, instr: tuple
+) -> list[Decision]:
+    """What the robot at ``at``, deciding ``d`` from the table instruction
+    ``instr`` on its gap reading ``view``, may decide in the mirror image:
+    the mirror move, its destination negated and its path reversed.  A
+    robot whose reading is the same both ways round cannot tell its
+    neighbours apart; if its instruction is direction-free (sign 0) the
+    configuration is symmetric through it, so the mirror of its move toward
+    its other neighbour stands too.  A signed instruction there picks a side
+    the robot cannot see, and only the strict mirror move is admitted."""
     if not d.is_move:
         return [d]
     out = [Decision(d.kind, mod1(-d.destination), d.path_direction.opposite, d.branch)]
-    if tuple(view) == tuple(view)[::-1]:
+    if tuple(view) == tuple(view)[::-1] and instr[2] == 0:
         out.append(Decision(d.kind, mod1(d.destination - 2 * at), d.path_direction, d.branch))
     return out
 

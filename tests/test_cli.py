@@ -326,6 +326,9 @@ class TestSymmetryCommand:
         assert main(["symmetry", "--instances", "-2", "--seed", "0"]) == 1
         captured = capsys.readouterr()
         assert "--instances" in captured.err and captured.out == ""
+        # refused before any instance runs, so also when there are none
+        assert main(["symmetry", "--rounds", "-3", "--instances", "0", "--seed", "0"]) == 1
+        assert "--rounds" in capsys.readouterr().err
 
 
 class TestVerifyCommand:

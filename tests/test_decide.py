@@ -158,8 +158,8 @@ def test_both_readings_take_the_same_physical_action(start_states):
     # the rule is chirality-free: robot i's other reading is its reading in
     # the mirror world, and there it makes the mirror move (same branch, and
     # the same draw from an equal seed; a robot reading the same both ways
-    # round may take either neighbour), so which way a robot reads the
-    # circle never changes where it goes or how it gets there
+    # round is told to take either neighbour, and may), so which way a
+    # robot reads the circle never changes where it goes or how it gets there
     states = set(start_states)
     for case in gc.cases():
         _, records = gc.run_case(case)
@@ -171,10 +171,12 @@ def test_both_readings_take_the_same_physical_action(start_states):
         for i in range(c.n):
             j = oracles.mirror_index(c, i)
             plain, mirrored = snapshot_of(c, i), snapshot_of(m, j)
+            table, drawn, _ = _decide(plain.cycle, pattern.cycle, mutant)
             for seed in (None, k):
                 a = compute(plain, pattern, None if seed is None else Random(seed), mutant)
                 b = compute(mirrored, pattern, None if seed is None else Random(seed), mutant)
-                want = oracles.mirror_decisions(a, c.positions[i], plain.cycle)
+                instr = drawn[0] if seed is not None and 0 in drawn else table[0]
+                want = oracles.mirror_decisions(a, c.positions[i], plain.cycle, instr)
                 assert b in want, (pos, i, seed)
                 pairs += 1
                 draws += a.branch == "random_tiebreak"

@@ -25,6 +25,7 @@ from circleform import (
 from circleform.angles import mod1, prefix_sums
 from circleform.formation import (
     _bisector_blocked,
+    _decide,
     _move_ready_role,
     _rfc_on,
     _role_gaps,
@@ -403,7 +404,8 @@ class TestComputeBranches:
             a = compute(s, p)
             b = compute(snapshot_of(m, mirror_index(c, i)), p)
             assert (a.kind, a.branch) == (b.kind, b.branch)
-            assert b in mirror_decisions(a, c.positions[i], s.cycle)
+            instr = _decide(s.cycle, p.cycle, None)[0][0]
+            assert b in mirror_decisions(a, c.positions[i], s.cycle, instr)
 
 
 class TestRandomizedTieBreak:
