@@ -14,9 +14,14 @@ wide-denominator cycles.  And every robot of every visited state must make
 the mirror move in the mirror image of its configuration, where it reads
 forward what it reads in reverse here: its two readings take the same
 physical action, which is why ``run`` and ``verify_trace`` decide from one
-reading.
+reading.  On the same states, on the drawn cycles and on every shape of a
+24-point grid, two nominees are mirror images with a palindromic bisector
+robot, a canonical cycle has canon[1] <= canon[-1], and every move travels:
+the facts that leave the rule no two-nominee leader, no reversed
+tie-break, no leader blocker and no zero-distance move.
 """
 
+import itertools
 from fractions import Fraction
 from functools import lru_cache
 from random import Random
@@ -34,7 +39,13 @@ from circleform import (
     run,
     snapshot_of,
 )
-from circleform.angles import Direction, mod1, prefix_sums
+from circleform.angles import Direction, least_reading, mod1, prefix_sums
+from circleform.configuration import (
+    DoubleNomineeTied,
+    LeaderConfig,
+    _classify_cycle,
+    _nominees_cycle,
+)
 from circleform.formation import _RAND_DENOM, _decide
 from circleform.simulator import make_policy
 
@@ -140,6 +151,16 @@ def start_states() -> set:
 
 
 @pytest.fixture(scope="module")
+def golden_states() -> set:
+    """(sorted positions, pattern, None) of every state the golden runs visit."""
+    out = set()
+    for case in gc.cases():
+        _, records = gc.run_case(case)
+        out |= {(pos, gc.start(case)[1], None) for pos in _visited_positions(records)}
+    return out
+
+
+@pytest.fixture(scope="module")
 def visited(start_states) -> dict:
     """(cycle, pattern cycle, mutant) -> (configuration, pattern) for both
     readings of every configuration the runs visit: its presentation cycle
@@ -154,16 +175,13 @@ def visited(start_states) -> dict:
     return out
 
 
-def test_both_readings_take_the_same_physical_action(start_states):
+def test_both_readings_take_the_same_physical_action(start_states, golden_states):
     # the rule is chirality-free: robot i's other reading is its reading in
     # the mirror world, and there it makes the mirror move (same branch, and
     # the same draw from an equal seed; a robot reading the same both ways
     # round is told to take either neighbour, and may), so which way a
     # robot reads the circle never changes where it goes or how it gets there
-    states = set(start_states)
-    for case in gc.cases():
-        _, records = gc.run_case(case)
-        states |= {(pos, gc.start(case)[1], None) for pos in _visited_positions(records)}
+    states = start_states | golden_states
     pairs = draws = 0
     for k, (pos, pattern, mutant) in enumerate(sorted(states, key=repr)):
         c = Configuration.from_positions(pos)
@@ -199,6 +217,53 @@ def test_visited_readings_cover_every_move_branch(visited):
     assert {len(cycle) for cycle, _, _ in visited} == set(DET_NS) | set(RAND_NS)
     assert any(m == "eps1-lower" for _, _, m in visited)
     assert any(_decide(*key)[1] for key in visited)
+
+
+def _check_mirror_facts(cycle, pat, mutant) -> None:
+    """Three facts that leave no input for some branches of the rule.
+
+    Two owners of the least reading read it opposite ways round (the same
+    way would make the rotation between them a symmetry), so they are
+    mirror images and a robot on their bisector reads a palindrome.  The
+    least reading is no greater than robot 1's reverse reading, so
+    canon[1] <= canon[-1].  And every move instruction travels some way.
+    """
+    found = _classify_cycle(cycle)
+    if isinstance(found, DoubleNomineeTied):
+        (_, da), (_, db) = _nominees_cycle(cycle)
+        assert da is db.opposite, cycle
+        if found.bisector_robot is not None:
+            row = oracles.rotate(cycle, found.bisector_robot)
+            assert row == row[::-1], (cycle, found)
+    if isinstance(found, LeaderConfig):
+        canon = least_reading(cycle)[0]
+        assert canon[1] <= canon[-1], cycle
+    for instr in _decide(cycle, pat, mutant)[0]:
+        assert instr[0] != "move" or instr[1] > 0, (cycle, pat, instr)
+
+
+def test_mirror_facts_on_visited_configurations(visited, golden_states):
+    keys = set(visited)
+    for pos, pattern, _ in golden_states:
+        cycle = Configuration.from_positions(pos).cycle
+        keys |= {(cycle, pattern.cycle, None), (cycle[::-1], pattern.cycle, None)}
+    for key in keys:
+        _check_mirror_facts(*key)
+    assert len(keys) > len(visited)
+
+
+def test_mirror_facts_on_the_24_point_grid():
+    # every shape with a robot at 0 and the rest on the 1/24 grid, which is
+    # every shape of test_criterion_06's grid up to rotation
+    grid = [F(k, 24) for k in range(1, 24)]
+    tied = 0
+    for n in (3, 4, 5):
+        pat = _pattern(n, 0).cycle
+        for combo in itertools.combinations(grid, n - 1):
+            c = Configuration((F(0),) + combo)
+            _check_mirror_facts(c.cycle, pat, None)
+            tied += isinstance(_classify_cycle(c.cycle), DoubleNomineeTied)
+    assert tied > 500
 
 
 def _drew_as_referenced(s, d, pat) -> bool:
@@ -294,6 +359,7 @@ def test_decide_matches_reference_on_drawn_cycles(pts, k, weakened):
     mutant = "eps1-lower" if weakened else None
     for cycle in (c.cycle, c.cycle[::-1]):
         _check_table(cycle, pat, mutant)
+        _check_mirror_facts(cycle, pat, mutant)
     if c.n % 2 == 0:
         for world in (c, oracles.mirror(c)):
             for i in range(c.n):

@@ -166,15 +166,16 @@ def _check_against_brute(c: Configuration) -> None:
         assert isinstance(found, LeaderConfig) and found.leader == leader
         assert found.pivotal in brute[leader]
         return
+    # two owners reading the least reading the same way round would make the
+    # rotation from one to the other a symmetry; reading it opposite ways,
+    # they are mirror images, so their bisector splits the rest evenly
     a, b = sorted(brute)
+    (da,), (db,) = brute[a], brute[b]
+    assert da is db.opposite
     count_a, count_b, on_bis = oracles.brute_arc_population(c.positions, a, b)
+    assert count_a == count_b
     assert _arc_split(c.cycle, a, b) == (count_a, count_b, on_bis)
-    if count_a == count_b:
-        assert found == DoubleNomineeTied(a, b, on_bis[0] if len(on_bis) == 1 else None)
-    else:
-        assert isinstance(found, LeaderConfig)
-        assert found.leader == (a if count_a > count_b else b)
-        assert found.pivotal in brute[found.leader]
+    assert found == DoubleNomineeTied(a, b, on_bis[0] if len(on_bis) == 1 else None)
 
 
 # ---------------------------------------------------------------------------
