@@ -132,6 +132,8 @@ class LeaderConfig:
 
 @dataclass(frozen=True)
 class DoubleNomineeTied:
+    """Two owners of the least reading, mirror images of each other."""
+
     nominee_a: int
     nominee_b: int
     # index of the robot sitting on a bisector point, or None (even n only)
@@ -191,35 +193,19 @@ def nominees(c: Configuration) -> list[tuple[int, Direction]]:
     return found
 
 
-def _arc_split(gaps: tuple[int, ...], ia: int, ib: int) -> tuple[int, int, list[int]]:
-    """Partition robots between the two bisector-bounded arcs of robots
-    ``ia`` and ``ib`` of an integer gap cycle.
+def _on_bisector(gaps: tuple[int, ...], ia: int, ib: int) -> list[int]:
+    """The robots sitting on the two bisector points of robots ``ia`` and
+    ``ib`` of an integer gap cycle, in index order.
 
-    Returns (count_a, count_b, on_bisector).  The counts include the two
-    robots themselves and exclude exactly the robots sitting on the two
-    bisector points, so count_a + count_b + len(on_bisector) == n.  Robot
-    k sits at 2 * offset[k] of a turn of 2 * sum(gaps), so the bisector
-    points of robots a and b, (a + b) / 2 and half a turn on, are whole
-    numbers.
+    Robot k sits at 2 * offset[k] of a turn of 2 * sum(gaps), so the
+    bisector points of robots a and b, (a + b) / 2 and half a turn on, are
+    whole numbers.
     """
     full = sum(gaps)
     at = [2 * x for x in prefix_sums(gaps)]
     p = (at[ia] + at[ib]) // 2
     q = (p + full) % (2 * full)
-    # walk from bisector point p to q: robots strictly inside belong to one
-    # arc, the rest to the other
-    lo, hi = (p, q) if p < q else (q, p)
-    side_a_is_inner = lo < at[ia] < hi
-    count_a = count_b = 0
-    on_bisector: list[int] = []
-    for idx, pos in enumerate(at):
-        if pos == p or pos == q:
-            on_bisector.append(idx)
-        elif (lo < pos < hi) == side_a_is_inner:
-            count_a += 1
-        else:
-            count_b += 1
-    return count_a, count_b, on_bisector
+    return [idx for idx, pos in enumerate(at) if pos == p or pos == q]
 
 
 @lru_cache(maxsize=_CACHE)
@@ -227,7 +213,12 @@ def _classify_cycle(gaps: tuple[int, ...]) -> ConfigClass:
     """Classification in the index space of a rooted integer gap cycle.
 
     The result only depends on the cycle, so it is shared by every
-    configuration that differs by a global rotation.
+    configuration that differs by a global rotation.  A leader comes only
+    from a single nominee.  Two nominees read the least reading opposite
+    ways round (the same way would make the rotation from one to the other
+    a symmetry), so the reflection swapping them fixes the configuration:
+    they are mirror images, tied, and a robot on their bisector reads the
+    same both ways round.
     """
     fold = len(gaps) // least_period(gaps)
     if fold > 1:
@@ -240,22 +231,17 @@ def _classify_cycle(gaps: tuple[int, ...]) -> ConfigClass:
     if len(noms) == 1:
         (i, d), = noms
         return LeaderConfig(i, d)
-    (ia, da), (ib, db) = noms
-    count_a, count_b, on_bis = _arc_split(gaps, ia, ib)
-    if count_a > count_b:
-        return LeaderConfig(ia, da)
-    if count_b > count_a:
-        return LeaderConfig(ib, db)
-    bis = on_bis[0] if len(on_bis) == 1 else None
-    return DoubleNomineeTied(ia, ib, bis)
+    (ia, _), (ib, _) = noms
+    on_bis = _on_bisector(gaps, ia, ib)
+    return DoubleNomineeTied(ia, ib, on_bis[0] if len(on_bis) == 1 else None)
 
 
 def classify(c: Configuration) -> ConfigClass:
     """Full classification of a configuration with n >= 3 robots.
 
     Symmetric(k) when a nontrivial rotation fixes the set; otherwise a leader
-    configuration whenever one exists (single nominee, or two nominees with
-    unequal arcs); otherwise the tied two-nominee case, carrying the unique
+    configuration when a single robot owns the least reading; otherwise the
+    tied case of two nominees, which are mirror images, carrying the unique
     bisector robot when n is odd and None when n is even and the bisector is
     empty or doubly occupied.
     """

@@ -269,20 +269,17 @@ def _move_ready_role(gaps: tuple, goal: tuple, full: int) -> Optional[int]:
 def _break_tie(cycle: tuple[int, ...], full: int, floor: int) -> tuple:
     """The bisector robot's tie-breaking move; it reads ``cycle`` forward.
 
-    It moves toward the neighbour across its smaller reading; sign 0 when
-    its two readings tie and either neighbour will do.
+    The two nominees are mirror images and the robot sits on their axis, so
+    its two readings are the same: either neighbour will do (sign 0).  The
+    move is worked out toward the neighbour across cycle[0].
     """
     off = prefix_sums(cycle)
-    rev = cycle[::-1]
-    if cycle <= rev:
-        sign, near, nb, others = (1 if cycle < rev else 0), cycle[0], off[1], off[2:]
-    else:
-        sign, near, nb, others = -1, cycle[-1], off[-1], off[1:-1]
+    near = cycle[0]
     lo, hi = near - min(cycle), near - floor
     if hi <= lo:
         hi = near
-    bad = _bisector_blocked(nb, sign or 1, others, full)
-    return ("move", _pick(lo, hi, bad, full), sign, "break_tie")
+    bad = _bisector_blocked(off[1], 1, off[2:], full)
+    return ("move", _pick(lo, hi, bad, full), 0, "break_tie")
 
 
 MUTANTS = ("eps1-lower",)  # weakened rules the schedule explorer must catch
@@ -319,11 +316,6 @@ def _role_moves(
         if hi <= lo:
             hi = gaps[0]
         bad = _bisector_blocked(at[1], 1, at[2:], full)
-        # a landing that makes the follower's far reading match the leader's
-        # near one would manufacture a two-nominee tie
-        blocker = gaps[1] - gaps[n - 1]
-        if blocker > 0:
-            bad.add(blocker)
         moves[0] = ("move", _pick(lo, hi, bad, full), 1, "shrink_lead_gap")
 
     if settled and gaps[0] < lead_margin and gaps[1] > pat[1]:
@@ -408,8 +400,10 @@ def _survey(canon: tuple[int, ...], pat: tuple[int, ...], mutant: Optional[str])
         return tuple(moves), draws, "tied"
 
     # robot 0 reads the canonical cycle forward, so it owns the least
-    # reading; a second owner would be its mirror image, with equal arcs.
-    # Hence robot 0 leads, canon-forward is pivotal and role k is index k.
+    # reading; a second owner would be its mirror image and the shape tied.
+    # Hence robot 0 leads, canon-forward is pivotal and role k is index k,
+    # and role gap 1 is at most role gap n-1 (robot 1 reads canon[0],
+    # canon[-1], ... the other way round).
     if found != LeaderConfig(0, Direction.FORWARD):
         raise InvariantViolationError(f"canonical cycle classified as {found}")
     moves, phase = _role_moves(cycle, pat, full, floor, mutant)
@@ -475,8 +469,6 @@ def _to_decision(instr: tuple, at: Fraction, rng: Optional[Random] = None) -> De
     _, dist, sign, branch = instr
     if head == "draw":
         dist = Fraction(rng.randrange(1, _RAND_DENOM), _RAND_DENOM) * dist
-    elif dist == 0:
-        return Decision(DecisionKind.STAY, branch=branch)
     pdir = Direction.REVERSE if sign < 0 else Direction.FORWARD
     return Decision(DecisionKind.MOVE, mod1(at + pdir.sign * dist), pdir, branch)
 

@@ -173,8 +173,6 @@ def record_from_json(obj: Any, line_no: int) -> RoundRecord:
         before = tuple(parse_turn(str(p)) for p in _field(obj, "positions_before", list, where))
         after = tuple(parse_turn(str(p)) for p in _field(obj, "positions_after", list, where))
         cls = class_from_json(_field(obj, "class", dict, where), where)
-    except TraceParseError:
-        raise
     except (CircleFormError, ValueError, TypeError) as exc:
         raise TraceParseError(line_no, str(exc)) from exc
     if len(before) != len(after):

@@ -10,8 +10,9 @@ per-observer form, which analyses every rooted reading on its own, kept as
 the reference for the rule that surveys each configuration once;
 ``reference_phase`` likewise labels a configuration's progress from its
 own classification and role frame, for the phase the rule's table carries.
-The first seven functions are small angle, mirror and arc helpers that
-only the tests need.
+The first seven functions are small angle, mirror and bisector helpers
+that only the tests need; ``arc_population`` counts a pair's arcs on raw
+positions and checks the library's bisector robots against them.
 """
 
 from fractions import Fraction
@@ -32,8 +33,8 @@ from circleform.angles import mod1, prefix_sums
 from circleform.configuration import (
     DoubleNomineeTied,
     Symmetric,
-    _arc_split,
     _classify_cycle,
+    _on_bisector,
     _rooted,
 )
 from circleform.formation import (
@@ -112,11 +113,14 @@ def bisector_points(a: Fraction, b: Fraction) -> tuple[Fraction, Fraction]:
 def arc_population(
     c: Configuration, nominee_a: int, nominee_b: int
 ) -> tuple[int, int, list[int]]:
-    """The library's arc split (``_arc_split``) on a configuration's cycle,
-    for two distinct robots: (count_a, count_b, on_bisector)."""
+    """The arc split of two distinct robots, (count_a, count_b,
+    on_bisector), counted on raw positions; its bisector robots must be
+    the library's (``_on_bisector`` on the configuration's cycle)."""
     if nominee_a == nominee_b:
         raise PreconditionError("arc_population needs two distinct nominees")
-    return _arc_split(c.cycle, nominee_a, nominee_b)
+    split = brute_arc_population(c.positions, nominee_a, nominee_b)
+    assert _on_bisector(c.cycle, nominee_a, nominee_b) == split[2]
+    return split
 
 
 def rooted_sequence(

@@ -29,7 +29,7 @@ from circleform import (
     snapshot_of,
 )
 from circleform.angles import mod1
-from circleform.configuration import _arc_split
+from circleform.configuration import _on_bisector
 from circleform.cli import gen_instance, make_policy
 from circleform.simulator import explore_schedules
 
@@ -174,7 +174,7 @@ def _check_against_brute(c: Configuration) -> None:
     assert da is db.opposite
     count_a, count_b, on_bis = oracles.brute_arc_population(c.positions, a, b)
     assert count_a == count_b
-    assert _arc_split(c.cycle, a, b) == (count_a, count_b, on_bis)
+    assert _on_bisector(c.cycle, a, b) == on_bis
     assert found == DoubleNomineeTied(a, b, on_bis[0] if len(on_bis) == 1 else None)
 
 
