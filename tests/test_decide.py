@@ -43,6 +43,7 @@ from circleform.angles import Direction, least_reading, mod1, prefix_sums
 from circleform.configuration import (
     DoubleNomineeTied,
     LeaderConfig,
+    Symmetric,
     _classify_cycle,
     _nominees_cycle,
 )
@@ -220,15 +221,20 @@ def test_visited_readings_cover_every_move_branch(visited):
 
 
 def _check_mirror_facts(cycle, pat, mutant) -> None:
-    """Three facts that leave no input for some branches of the rule.
+    """Facts that leave no input for some branches of the rule.
 
-    Two owners of the least reading read it opposite ways round (the same
-    way would make the rotation between them a symmetry), so they are
-    mirror images and a robot on their bisector reads a palindrome.  The
-    least reading is no greater than robot 1's reverse reading, so
-    canon[1] <= canon[-1].  And every move instruction travels some way.
+    No owner of the least reading reads the same both ways round.  Two
+    owners read it opposite ways round (the same way would make the
+    rotation between them a symmetry), so they are mirror images and a
+    robot on their bisector reads a palindrome.  The least reading is no
+    greater than robot 1's reverse reading, so canon[1] <= canon[-1].  And
+    every move instruction travels some way.
     """
     found = _classify_cycle(cycle)
+    if not isinstance(found, Symmetric):
+        for i, _ in _nominees_cycle(cycle):
+            row = oracles.rotate(cycle, i)
+            assert row != row[::-1], (cycle, i)
     if isinstance(found, DoubleNomineeTied):
         (_, da), (_, db) = _nominees_cycle(cycle)
         assert da is db.opposite, cycle

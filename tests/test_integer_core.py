@@ -162,9 +162,11 @@ def _check_against_brute(c: Configuration) -> None:
     brute = oracles.brute_nominees(c.positions)
     assert {i for i, _ in nominees(c)} == set(brute)
     if len(brute) == 1:
-        (leader,) = brute
-        assert isinstance(found, LeaderConfig) and found.leader == leader
-        assert found.pivotal in brute[leader]
+        # a lone owner reads the least reading one way round only: read both
+        # ways, its neighbour's other reading would be smaller unless every
+        # gap were equal
+        ((leader, (pivotal,)),) = brute.items()
+        assert found == LeaderConfig(leader, pivotal)
         return
     # two owners reading the least reading the same way round would make the
     # rotation from one to the other a symmetry; reading it opposite ways,
