@@ -153,7 +153,8 @@ def _rooted(gaps: tuple, i: int, d: Direction) -> tuple:
 
 @lru_cache(maxsize=_CACHE)
 def _nominees_cycle(gaps: tuple[int, ...]) -> tuple[tuple[int, Direction], ...]:
-    """Owners of the globally minimal rooted sequence, as (index, direction).
+    """Owners of the globally minimal rooted sequence of a rotationally
+    asymmetric cycle, as (index, direction).
 
     Only robots adjacent to a minimal gap can own the minimum, so the scan is
     restricted to those candidates.
@@ -168,13 +169,10 @@ def _nominees_cycle(gaps: tuple[int, ...]) -> tuple[tuple[int, Direction], ...]:
     readings = [_rooted(gaps, i, d) for i, d in cands]
     best = min(readings)
     winners = [c for c, seq in zip(cands, readings) if seq == best]
-    # One robot can in principle own the minimum in both directions; that
-    # would be a reflection through it, which still counts once.
-    seen: dict[int, Direction] = {}
-    for i, d in winners:
-        if i not in seen:
-            seen[i] = d
-    return tuple(sorted(seen.items()))
+    # the winners are distinct robots: one reading the least reading both
+    # ways round would leave its neighbour's other reading smaller, unless
+    # every gap were equal
+    return tuple(sorted(winners))
 
 
 def nominees(c: Configuration) -> list[tuple[int, Direction]]:
@@ -214,11 +212,10 @@ def _classify_cycle(gaps: tuple[int, ...]) -> ConfigClass:
 
     The result only depends on the cycle, so it is shared by every
     configuration that differs by a global rotation.  A leader comes only
-    from a single nominee.  Two nominees read the least reading opposite
-    ways round (the same way would make the rotation from one to the other
-    a symmetry), so the reflection swapping them fixes the configuration:
-    they are mirror images, tied, and a robot on their bisector reads the
-    same both ways round.
+    from a single nominee: two nominees read the least reading opposite
+    ways round (the same way would make the rotation between them a
+    symmetry), so they are mirror images, tied, and a robot on their
+    bisector reads the same both ways round.
     """
     fold = len(gaps) // least_period(gaps)
     if fold > 1:

@@ -274,10 +274,9 @@ def _break_tie(cycle: tuple[int, ...], full: int, floor: int) -> tuple:
     move is worked out toward the neighbour across cycle[0].
     """
     off = prefix_sums(cycle)
-    near = cycle[0]
-    lo, hi = near - min(cycle), near - floor
+    lo, hi = cycle[0] - min(cycle), cycle[0] - floor
     if hi <= lo:
-        hi = near
+        hi = cycle[0]
     bad = _bisector_blocked(off[1], 1, off[2:], full)
     return ("move", _pick(lo, hi, bad, full), 0, "break_tie")
 
@@ -401,9 +400,7 @@ def _survey(canon: tuple[int, ...], pat: tuple[int, ...], mutant: Optional[str])
 
     # robot 0 reads the canonical cycle forward, so it owns the least
     # reading; a second owner would be its mirror image and the shape tied.
-    # Hence robot 0 leads, canon-forward is pivotal and role k is index k,
-    # and role gap 1 is at most role gap n-1 (robot 1 reads canon[0],
-    # canon[-1], ... the other way round).
+    # Hence robot 0 leads, canon-forward is pivotal and role k is index k.
     if found != LeaderConfig(0, Direction.FORWARD):
         raise InvariantViolationError(f"canonical cycle classified as {found}")
     moves, phase = _role_moves(cycle, pat, full, floor, mutant)
