@@ -209,8 +209,12 @@ def _cmd_gen(args) -> int:
         per_sector = max(1, args.n // args.fold)
         if per_sector * args.fold != args.n:
             raise PreconditionError("--n must be a multiple of --fold")
-        c = symmetric_instance(args.fold, per_sector, seed)
+        if args.q is not None and args.q % args.fold:
+            raise PreconditionError("--q must be a multiple of --fold")
         _, pattern = gen_instance(args.n, seed, args.q)
+        # a sector grid of q / fold puts the start on the 1/q grid
+        grid = None if args.q is None else args.q // args.fold
+        c = symmetric_instance(args.fold, per_sector, seed, grid)
     else:
         c, pattern = gen_instance(args.n, seed, args.q)
     save_config(c, args.config)

@@ -108,6 +108,33 @@ class TestGenCommand:
         assert code == 0
         assert load_config(cpath).fold() % 2 == 0
 
+    def test_gen_symmetric_start_without_q_is_unchanged(self, tmp_path):
+        cpath = tmp_path / "c.json"
+        assert main(["gen", "--n", "6", "--fold", "2", "--seed", "1",
+                     "--config", str(cpath), "--pattern", str(tmp_path / "p.json")]) == 0
+        assert load_config(cpath).positions == (
+            F(1, 24), F(1, 12), F(3, 8), F(13, 24), F(7, 12), F(7, 8)
+        )
+
+    def test_gen_symmetric_start_lies_on_the_q_grid(self, tmp_path):
+        # without --q the start of this seed lies on the 1/24 grid, which
+        # neither 1/30 nor 1/36 contains
+        cpath = tmp_path / "c.json"
+        for q in (30, 36, 48):
+            assert main(["gen", "--n", "6", "--fold", "2", "--seed", "1", "--q", str(q),
+                         "--config", str(cpath), "--pattern", str(tmp_path / "p.json")]) == 0
+            c = load_config(cpath)
+            assert c.fold() % 2 == 0
+            assert all(q % p.denominator == 0 for p in c.positions), (q, c.positions)
+
+    def test_gen_q_must_be_a_multiple_of_the_fold(self, tmp_path, capsys):
+        code = main(["gen", "--n", "8", "--fold", "4", "--q", "50", "--seed", "1",
+                     "--config", str(tmp_path / "c.json"),
+                     "--pattern", str(tmp_path / "p.json")])
+        assert code == 1
+        assert "--q must be a multiple of --fold" in capsys.readouterr().err
+        assert not (tmp_path / "c.json").exists()
+
     def test_gen_fold_below_one_exits_one(self, tmp_path, capsys):
         for fold in ("0", "-2"):
             code = main(["gen", "--n", "5", "--fold", fold, "--seed", "1",
@@ -162,6 +189,15 @@ class TestRunCommand:
         code = main(["run", "--config", cpath, "--pattern", ppath, "--mode", "det"])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    def test_exhausted_epoch_budget_exits_two(self, tmp_path, capsys):
+        cpath, ppath = write_instance(tmp_path, *gen_instance(7, 3))
+        code = main(["run", "--config", cpath, "--pattern", ppath, "--max-epochs", "1"])
+        assert code == 2
+        assert capsys.readouterr().out.splitlines() == [
+            "did not form: 1 epochs, 1 rounds, 0/7 terminated",
+            "violation: epoch budget (1) exhausted before full termination",
+        ]
 
     def test_start_below_the_gap_floor_exits_one(self, tmp_path, capsys):
         p = TargetPattern.from_angles([F(30, 100), F(31, 100), F(39, 100)])
@@ -265,6 +301,10 @@ class TestBatchCommand:
     def test_small_n_exits_one(self, capsys):
         assert main(["batch", "--ns", "2", "--trials", "1", "--schedulers", "fsync"]) == 1
 
+    def test_non_integer_count_exits_one(self, capsys):
+        assert main(["batch", "--ns", "3,x", "--trials", "1"]) == 1
+        assert "--ns expects comma-separated integers" in capsys.readouterr().err
+
     def test_batch_ok_flags_missing_forms(self):
         rows = batch([4], 1, ["fsync"], seed=0, mode="det")
         assert rows[0]["violations"] > 0
@@ -298,6 +338,17 @@ class TestExploreCommand:
                   "--budget", "3", "--mutant", "typo-of-eps1"])
         assert err.value.code == 1
         assert "no counterexample" not in capsys.readouterr().out
+
+    def test_symmetric_start_exits_two(self, tmp_path, capsys):
+        cpath, ppath = str(tmp_path / "c.json"), str(tmp_path / "p.json")
+        assert main(["gen", "--n", "4", "--fold", "2", "--seed", "1",
+                     "--config", cpath, "--pattern", ppath]) == 0
+        capsys.readouterr()
+        code = main(["explore", "--config", cpath, "--pattern", ppath, "--budget", "2"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: configuration has 2-fold rotational symmetry; unsolvable\n"
+        )
 
     def test_large_n_is_rejected(self, tmp_path, capsys):
         c, pattern = gen_instance(7, 1)
@@ -559,3 +610,70 @@ class TestVerifyTrace:
     def test_unknown_mode_is_rejected(self, pattern5):
         with pytest.raises(PreconditionError):
             verify_trace([], pattern5, mode="半")
+
+
+class TestForgedTraces:
+    """Checks ``verify_trace`` makes of input from outside the program, each
+    on records of a real run with one thing forged."""
+
+    @pytest.fixture
+    def records(self, single_nominee5, pattern5):
+        report, records = run(single_nominee5, pattern5, FullSync())
+        assert report.ok and len(records) > 2
+        return records
+
+    def test_robot_count_change_is_reported(self, records, pattern5):
+        second = records[1]
+        short = replace(second, positions_before=second.positions_before[:-1])
+        problems = verify_trace([records[0], short], pattern5)
+        assert problems[-1] == "round 2: robot count changed mid-trace"
+
+    def test_repeated_pre_round_position_is_reported(self, records, pattern5):
+        first = records[0]
+        before = (first.positions_before[0],) + first.positions_before[:-1]
+        assert verify_trace([replace(first, positions_before=before)], pattern5) == [
+            "round 1: bad pre-round positions: positions must be distinct"
+        ]
+
+    def test_activation_after_termination_is_reported(self, records, pattern5):
+        last = records[-1]
+        assert all(d.kind is DecisionKind.TERMINATE for d in last.decisions.values())
+        again = replace(last, round=last.round + 1, positions_before=last.positions_after)
+        problems = verify_trace(records + [again], pattern5)
+        assert [f"round {again.round}: robot {rid} was activated after terminating"
+                for rid in again.activated] == [p for p in problems if "activated after" in p]
+
+    def test_symmetric_pre_round_positions_are_reported(self, mirror_tied4):
+        pattern = TargetPattern.from_angles([F(1, 12), F(3, 12), F(4, 12), F(4, 12)])
+        _, records = run(mirror_tied4, pattern, FullSync(), mode="rand", seed=2)
+        first = records[0]
+        assert first.decisions[1].branch == "wait_tie"
+        forged = replace(first, positions_before=(F(0), F(1, 8), F(1, 2), F(5, 8)))
+        assert "round 1: robot 1: configuration has 2-fold rotational symmetry; unsolvable" in (
+            verify_trace([forged], pattern, mode="rand")
+        )
+
+    def test_collision_is_reported(self, records, pattern5):
+        # robot 0 at 0 moving forward to 1/6 meets robot 1 at 1/12 halfway
+        first = records[0]
+        assert first.positions_before[:2] == (0, F(1, 12))
+        dash = Decision(DecisionKind.MOVE, F(1, 6), Direction.FORWARD, "shrink_lead_gap")
+        forged = replace(first, decisions={**first.decisions, 0: dash},
+                         positions_after=(F(1, 6),) + first.positions_before[1:])
+        assert "round 1: robots 0 and 1 collide at t=1/2" in verify_trace([forged], pattern5)
+
+    def test_unexplained_end_position_is_reported(self, records, pattern5):
+        first = records[0]
+        still = next(r for r, d in first.decisions.items() if not d.is_move)
+        after = list(first.positions_after)
+        after[still] += F(1, 10_000)
+        forged = replace(first, positions_after=tuple(after))
+        assert f"round 1: robot {still} ended at an unexplained position" in (
+            verify_trace([forged], pattern5)
+        )
+
+    def test_repeated_post_round_position_is_reported(self, records, pattern5):
+        first = records[0]
+        after = (first.positions_after[1],) + first.positions_after[1:]
+        problems = verify_trace([replace(first, positions_after=after)], pattern5)
+        assert problems[-1] == "round 1: bad post-round positions: positions must be distinct"

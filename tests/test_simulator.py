@@ -156,6 +156,19 @@ class _PickThree(ActivationPolicy):
         return self._note(rnd, {3} if rnd == 1 else set(alive))
 
 
+class _Wakes(ActivationPolicy):
+    """Wakes the same fixed set every round, whether or not it is valid."""
+
+    name = "wakes"
+
+    def __init__(self, ids):
+        super().__init__()
+        self.ids = frozenset(ids)
+
+    def select(self, rnd, alive, movers):
+        return self.ids
+
+
 class TestFirstRound:
     def test_singleton_stay_changes_nothing(self, single_nominee5, pattern5):
         # robot 3 of the worked example holds until release
@@ -225,6 +238,16 @@ class TestRun:
     def test_odd_count_rejects_randomized_mode(self, single_nominee5, pattern5):
         with pytest.raises(PreconditionError):
             run(single_nominee5, pattern5, FullSync(), seed=0, mode="rand")
+
+    def test_unknown_mode_is_refused(self, single_nominee5, pattern5):
+        with pytest.raises(PreconditionError, match="unknown mode"):
+            run(single_nominee5, pattern5, FullSync(), seed=0, mode="x")
+
+    @pytest.mark.parametrize("ids", [(), (5,)], ids=["nobody", "not-alive"])
+    def test_broken_activation_contract_ends_the_run(self, single_nominee5, pattern5, ids):
+        report, records = run(single_nominee5, pattern5, _Wakes(ids), seed=0)
+        assert report.violations == ["round 1: scheduler broke the activation contract"]
+        assert not report.ok and records == []
 
     def test_symmetric_start_is_refused(self):
         c = config(0, F(1, 12), F(1, 3), F(1, 2), F(7, 12), F(5, 6))
