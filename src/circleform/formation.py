@@ -274,9 +274,10 @@ def _break_tie(cycle: tuple[int, ...], full: int, floor: int) -> tuple:
     move is worked out toward the neighbour across cycle[0].
     """
     off = prefix_sums(cycle)
-    lo, hi = cycle[0] - min(cycle), cycle[0] - floor
+    near = cycle[0]
+    lo, hi = near - min(cycle), near - floor
     if hi <= lo:
-        hi = cycle[0]
+        hi = near
     bad = _bisector_blocked(off[1], 1, off[2:], full)
     return ("move", _pick(lo, hi, bad, full), 0, "break_tie")
 
