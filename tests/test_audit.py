@@ -19,13 +19,23 @@ from circleform import (
     Decision,
     DecisionKind,
     Direction,
+    LeaderConfig,
+    TargetPattern,
     compute,
     read_trace,
     simulator,
     snapshot_of,
 )
 from circleform.formation import gen_instance
-from circleform.simulator import FullSync, _Frame, _plan, make_policy, run, verify_trace
+from circleform.simulator import (
+    FullSync,
+    _EpochLedger,
+    _Frame,
+    _plan,
+    make_policy,
+    run,
+    verify_trace,
+)
 from conftest import tied_even_instance
 from oracles import reference_epochs
 
@@ -231,3 +241,179 @@ def test_moved_frame_rotates_its_order(moves, order):
     assert after.c == fresh.c and after.c.cycle == fresh.c.cycle
     # the next frame is decided under the same rule, draw source included
     assert all(a is b for a, b in zip((after.pattern, after.mutant, after.rng), rule))
+
+
+# ---------------------------------------------------------------------------
+# every audit check fires: hand-built frames and plans through the ledger,
+# which does not ask that a round's after-frame be its before-frame moved
+
+# role gaps 1/100 < 2/100, both under the pattern's least gap 1/18, and
+# robots 3 and 4 off target: a released (rfc) leader configuration whose
+# leader is robot 0, reading forward
+_RELEASED = (Fraction(0), Fraction(1, 100), Fraction(3, 100), Fraction(33, 100), Fraction(63, 100))
+_FORMED = (Fraction(0), Fraction(1, 18), Fraction(1, 6), Fraction(7, 18), Fraction(2, 3))
+_PATTERN4 = TargetPattern.from_angles([Fraction(1, 12), Fraction(3, 12), Fraction(4, 12), Fraction(4, 12)])
+
+
+def _frame5(pos) -> _Frame:
+    return _Frame(pos, gc.PATTERN5)
+
+
+def _stay(*ids):
+    return _plan({rid: Decision(DecisionKind.STAY, branch="by-hand") for rid in ids})
+
+
+def _lone(branch: str, after: _Frame, rid: int = 0):
+    return _plan({rid: Decision(DecisionKind.MOVE, after.pos[rid], Direction.FORWARD, branch)})
+
+
+def _epochs(ledger, before, after, count: int) -> list[str]:
+    """``count`` epochs of two rounds each, robots {0, 1} then the rest
+    activated and staying."""
+    out = []
+    for _ in range(count):
+        rnd = 2 * ledger.epoch - 1
+        out += ledger.round(rnd, before, after, _stay(0, 1))
+        out += ledger.round(rnd + 1, before, after, _stay(*range(2, ledger.n)))
+    return out
+
+
+def test_released_frame_is_released():
+    frame = _frame5(_RELEASED)
+    assert frame.phase() == "rfc" and frame.classify() == LeaderConfig(0, Direction.FORWARD)
+    assert _frame5(_FORMED).phase() == "formed"
+
+
+def test_symmetry_created_fires():
+    ledger = _EpochLedger(5, "det")
+    even = _frame5(tuple(Fraction(k, 5) for k in range(5)))
+    out = ledger.round(1, _frame5(gc.SINGLE_NOMINEE5.positions), even, _stay(0))
+    assert "round 1: 5-fold symmetry created before formation" in out
+
+
+def test_leader_change_after_release_fires():
+    ledger = _EpochLedger(5, "det")
+    released = _frame5(_RELEASED)
+    assert ledger.round(1, released, released, _stay(0)) == []
+    # the mirror image keeps robot 0 leading, reading the other way round
+    mirrored = _frame5(tuple(-x % 1 for x in _RELEASED))
+    out = ledger.round(2, released, mirrored, _stay(0))
+    assert "round 2: leader or direction changed after release" in out
+
+
+def test_leadership_lost_after_release_fires():
+    ledger = _EpochLedger(5, "det")
+    released = _frame5(_RELEASED)
+    assert ledger.round(1, released, released, _stay(0)) == []
+    out = ledger.round(2, released, _frame5(gc.TIED5.positions), _stay(0))
+    assert "round 2: leadership lost after release" in out
+
+
+def test_coincident_tie_break_draws_fire(mirror_tied4):
+    ledger = _EpochLedger(4, "rand")
+    before = _Frame(mirror_tied4.positions, _PATTERN4)
+    step = Fraction(1, 100)
+    pos = list(before.pos)
+    pos[0] -= step
+    pos[3] += step
+    plan = _plan({
+        0: Decision(DecisionKind.MOVE, pos[0], Direction.REVERSE, "random_tiebreak"),
+        3: Decision(DecisionKind.MOVE, pos[3], Direction.FORWARD, "random_tiebreak"),
+    })
+    out = ledger.round(1, before, _Frame(pos, _PATTERN4), plan)
+    assert "round 1: simultaneous tie-break draws coincide" in out
+
+
+def test_motionless_full_activation_fires_and_halts():
+    ledger = _EpochLedger(5, "det")
+    frame = _frame5(gc.SINGLE_NOMINEE5.positions)
+    out = ledger.round(1, frame, frame, _stay(*range(5)))
+    assert out == ["round 1: full activation produced no motion before formation"]
+    assert ledger.halted
+
+
+def test_lone_tie_break_without_a_leader_fires(mirror_tied4):
+    ledger = _EpochLedger(4, "rand")
+    tied = _Frame(mirror_tied4.positions, _PATTERN4)
+    out = ledger.round(1, tied, tied, _lone("random_tiebreak", tied))
+    assert "round 1: random_tiebreak: no leader after a lone tie-break move" in out
+
+
+def test_lost_leader_fires():
+    ledger = _EpochLedger(5, "det")
+    before, after = _frame5(gc.SINGLE_NOMINEE5.positions), _frame5(gc.TIED5.positions)
+    out = ledger.round(1, before, after, _lone("shrink_lead_gap", after))
+    assert "round 1: shrink_lead_gap: configuration lost its leader" in out
+
+
+@pytest.mark.parametrize("after", ["tied", "leader"])
+def test_unshrunk_minimum_gap_fires(after):
+    # both starts have least gap 1/12, so a move to either shrinks nothing
+    ledger = _EpochLedger(5, "det")
+    tied = _frame5(gc.TIED5.positions)
+    landed = tied if after == "tied" else _frame5(gc.SINGLE_NOMINEE5.positions)
+    out = ledger.round(1, tied, landed, _lone("break_tie", landed))
+    assert "round 1: break_tie: minimum gap did not shrink" in out
+
+
+def test_leader_gap_above_the_minimum_fires():
+    # the leader's gap 1/12 is above the pattern's least gap 1/18
+    ledger = _EpochLedger(5, "det")
+    after = _frame5(gc.SINGLE_NOMINEE5.positions)
+    out = ledger.round(1, _frame5(gc.TIED5.positions), after, _lone("shrink_lead_gap", after))
+    assert "round 1: shrink_lead_gap: leader gap is not the strict minimum" in out
+
+
+def test_landing_outside_release_fires():
+    ledger = _EpochLedger(5, "det")
+    after = _frame5(gc.SINGLE_NOMINEE5.positions)
+    assert after.phase() == "lead"
+    out = ledger.round(1, _frame5(_RELEASED), after, _lone("settle_target", after, 3))
+    assert "round 1: settle_target: landing broke the released ordering" in out
+
+
+def test_parking_within_the_second_target_gap_fires():
+    # role gap 1 is 1/50, inside the pattern's second gap 1/9
+    ledger = _EpochLedger(5, "det")
+    after = _frame5(_RELEASED)
+    out = ledger.round(1, _frame5(gc.SINGLE_NOMINEE5.positions), after,
+                       _lone("finish_detour", after, 2))
+    assert "round 1: finish_detour: parked robot sits within the second target gap" in out
+
+
+def test_late_formation_fires():
+    ledger = _EpochLedger(5, "det")
+    released = _frame5(_RELEASED)
+    _epochs(ledger, released, released, ledger.bound)
+    assert ledger.epoch == ledger.bound + 1 == 10
+    out = ledger.round(19, released, _frame5(_FORMED), _stay(0))
+    assert "round 19: formation took 10 epochs, bound is 9" in out
+
+
+def test_no_leader_at_the_first_boundary_fires():
+    ledger = _EpochLedger(5, "det")
+    tied = _frame5(gc.TIED5.positions)
+    assert "epoch 1: no leader by the first epoch boundary" in _epochs(ledger, tied, tied, 1)
+
+
+def test_slow_settling_fires():
+    # released in epoch 1, so at n=5 settling is owed by the boundary of epoch 3
+    ledger = _EpochLedger(5, "det")
+    released = _frame5(_RELEASED)
+    out = _epochs(ledger, released, released, 3)
+    assert "epoch 2: settling exceeded 2 epochs after release" not in out
+    assert "epoch 3: settling exceeded 2 epochs after release" in out
+
+
+def test_released_epoch_without_a_landing_fires():
+    ledger = _EpochLedger(5, "det")
+    released = _frame5(_RELEASED)
+    assert _epochs(ledger, released, released, 1) == ["epoch 1: released epoch without a landing"]
+
+
+def test_running_an_epoch_after_formation_fires():
+    ledger = _EpochLedger(5, "det")
+    formed = _frame5(_FORMED)
+    out = _epochs(ledger, formed, formed, 2)
+    assert ledger.formed_epoch == 1
+    assert out == ["epoch 2: robots still running an epoch after formation"]
