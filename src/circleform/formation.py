@@ -535,9 +535,9 @@ def symmetric_instance(
     """A fold-rotation-symmetric configuration of fold*per_sector robots."""
     if fold < 2:
         raise PreconditionError("symmetric instances need fold >= 2")
-    if per_sector < 1:
-        raise PreconditionError("at least one robot per sector")
     grid = q if q is not None else max(8 * per_sector, 16)
+    if not 1 <= per_sector <= grid:
+        raise PreconditionError(f"need 1 <= per_sector <= grid; got {per_sector} and {grid}")
     rng = Random(seed)
     base = rng.sample(range(grid), per_sector)
     positions = [

@@ -795,6 +795,13 @@ def verify_trace(
         if len(rec.positions_before) != n or len(rec.positions_after) != n:
             problems.append(f"{where}: robot count changed mid-trace")
             break
+        if set(rec.activated) != set(rec.decisions):
+            problems.append(f"{where}: activated ids and decision keys disagree")
+            break
+        outside = sorted(set(rec.activated) - set(range(n)))
+        if outside:
+            problems.append(f"{where}: robot id {outside[0]} is not in 0..{n - 1}")
+            break
         continuous = prev is None or rec.positions_before == prev.pos
         if not continuous:
             problems.append(f"{where}: positions_before break continuity")

@@ -79,6 +79,11 @@ class TestGenInstance:
         with pytest.raises(PreconditionError):
             symmetric_instance(1, 3, seed=0)
 
+    @pytest.mark.parametrize("per_sector, q", [(5, 3), (1, 0), (1, -4)])
+    def test_symmetric_instance_rejects_a_grid_below_per_sector(self, per_sector, q):
+        with pytest.raises(PreconditionError, match="grid"):
+            symmetric_instance(2, per_sector, 0, q=q)
+
 
 class TestGenCommand:
     def test_gen_writes_loadable_instance(self, tmp_path, capsys):
@@ -677,3 +682,15 @@ class TestForgedTraces:
         after = (first.positions_after[1],) + first.positions_after[1:]
         problems = verify_trace([replace(first, positions_after=after)], pattern5)
         assert problems[-1] == "round 1: bad post-round positions: positions must be distinct"
+
+    def test_activated_id_out_of_range_is_reported(self, records, pattern5):
+        first = records[0]
+        forged = replace(first, activated=(9,), decisions={9: first.decisions[0]})
+        assert verify_trace([forged], pattern5) == ["round 1: robot id 9 is not in 0..4"]
+
+    def test_activation_without_a_decision_is_reported(self, records, pattern5):
+        first = records[0]
+        forged = replace(first, activated=(0, 1), decisions={0: first.decisions[0]})
+        assert verify_trace([forged], pattern5) == [
+            "round 1: activated ids and decision keys disagree"
+        ]
