@@ -407,10 +407,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, IsADirectoryError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except (PreconditionError, StructuralError) as e:
+    except (FileNotFoundError, IsADirectoryError, PreconditionError, StructuralError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except CircleFormError as e:

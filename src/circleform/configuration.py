@@ -151,7 +151,6 @@ def _rooted(gaps: tuple, i: int, d: Direction) -> tuple:
     return gaps[i - 1::-1] + gaps[:i - 1:-1] if i else gaps[::-1]
 
 
-@lru_cache(maxsize=_CACHE)
 def _nominees_cycle(gaps: tuple[int, ...]) -> tuple[tuple[int, Direction], ...]:
     """Owners of the globally minimal rooted sequence of a rotationally
     asymmetric cycle, as (index, direction).

@@ -5,15 +5,15 @@ configuration derives the same leader, pivotal direction and role frame, so
 the rule surveys each configuration shape once, cached per canonical gap
 cycle (``_survey``), and turns the survey into one instruction table per
 gap cycle (``_decide``): robot k, reading the cycle forward from index k,
-finds its instruction at index k, and its draw too if it takes the
-randomized tie-break.  The table also carries the configuration's progress
-phase (formed, symmetric, tied, or a leader configuration's stage), which
-the survey labels from the same role gaps it chooses moves on.  ``compute``
+finds its instruction at index k, a draw if it takes the randomized
+tie-break.  The table also carries the configuration's progress phase
+(formed, symmetric, tied, or a leader configuration's stage), which the
+survey labels from the same role gaps it chooses moves on.  ``compute``
 reads index 0 of its snapshot's cycle; the simulator reads a whole
 configuration's table, and its phase, at once.  One function
-(``_to_decision``) maps any instruction back onto the shared circle, a draw
-taking its travel from the caller's random source.  Every other interval
-choice is made deterministically by midpoint subdivision.
+(``_to_decision``) maps any instruction back onto the shared circle: a
+draw takes its travel from the caller's random source and waits without
+one.  Every other interval choice is made by midpoint subdivision.
 """
 
 from __future__ import annotations
@@ -364,20 +364,18 @@ def _survey(canon: tuple[int, ...], pat: tuple[int, ...], mutant: Optional[str])
     """The rule's analysis of one configuration shape, shared by every observer.
 
     ``canon`` is a canonical cycle (``least_reading``) and ``pat`` the
-    pattern's, each over its own sum.  Returns (moves, draws, phase):
-    moves[k] is the instruction of canon robot k in ``_decide``'s contract,
-    with move signs along canon-forward; draws maps each of the two
-    nominees of a tied, unformed configuration of an even count to its
-    draw, and is empty in every other case; phase is ``_decide``'s.
+    pattern's, each over its own sum.  Returns (moves, phase): moves[k] is
+    the instruction of canon robot k in ``_decide``'s contract, with move
+    and draw signs along canon-forward, and phase is ``_decide``'s.
     """
     n = len(canon)
     den, pden = sum(canon), sum(pat)
     # coprime cycles of one shape have equal sums
     if den == pden and canon == pat:
-        return (("terminate",),) * n, {}, "formed"
+        return (("terminate",),) * n, "formed"
     found = _classify_cycle(canon)
     if isinstance(found, Symmetric):
-        return (("unsolvable", found.fold),) * n, {}, "symmetric"
+        return (("unsolvable", found.fold),) * n, "symmetric"
     # from here on every length is an int over ``full``
     full, cycle, pat = _common_scale(canon, den, pat, pden)
     floor = _gap_floor(pat)
@@ -387,58 +385,53 @@ def _survey(canon: tuple[int, ...], pat: tuple[int, ...], mutant: Optional[str])
         b = found.bisector_robot
         if b is not None:
             moves[b] = _break_tie(cycle[b:] + cycle[:b], full, floor)
-        # at an even count each nominee may draw below half of (min gap -
+        # at an even count each nominee draws below half of (min gap -
         # floor), toward its smaller reading; a nominee reading the same both
         # ways would own the minimum twice, which forces a rotation symmetry
         window = Fraction(min(cycle) - floor, 2 * full)
-        draws = {}
         for i in (found.nominee_a, found.nominee_b) if n % 2 == 0 else ():
             row = canon[i:] + canon[:i]
             if row == row[::-1]:
                 raise InvariantViolationError("nominee with a palindromic view")
-            draws[i] = ("draw", window, 1 if row < row[::-1] else -1, "random_tiebreak")
-        return tuple(moves), draws, "tied"
+            moves[i] = ("draw", window, 1 if row < row[::-1] else -1, "random_tiebreak")
+        return tuple(moves), "tied"
 
     # robot 0 reads the canonical cycle forward, so it owns the least
     # reading; a second owner would be its mirror image and the shape tied.
     # Hence robot 0 leads, canon-forward is pivotal and role k is index k.
     if found != LeaderConfig(0, Direction.FORWARD):
         raise InvariantViolationError(f"canonical cycle classified as {found}")
-    moves, phase = _role_moves(cycle, pat, full, floor, mutant)
-    return moves, {}, phase
+    return _role_moves(cycle, pat, full, floor, mutant)
 
 
 @lru_cache(maxsize=_CACHE)
 def _decide(cycle: tuple[int, ...], pat: tuple[int, ...], mutant: Optional[str]):
-    """The instruction table of a presentation cycle: (instrs, draws, phase).
+    """The instruction table of a presentation cycle: (instrs, phase).
 
     ``cycle`` and ``pat`` are coprime integer gap cycles, each over its own
     sum (``Configuration.cycle`` and ``TargetPattern.cycle``).  instrs[k] is
     the instruction of robot k, which reads ``cycle`` forward from index k:
     ("terminate",), ("stay", why), ("unsolvable", fold), ("invariant",
-    message), or ("move", dist, sign, branch) with dist a Fraction of a turn
+    message), ("move", dist, sign, branch) with dist a Fraction of a turn
     and sign +1 for cycle-forward, -1 for cycle-reverse, 0 when the caller
     may pick either (the two readings tie, so both neighbours are
-    equivalent).  ``draws`` maps each robot that takes the randomized
-    tie-break when given a draw source (the two nominees of a tied, unformed
-    configuration of an even count) to ("draw", window, sign, branch): it
-    moves a random fraction of the turn ``window`` in direction ``sign``.
-    ``phase`` is the configuration's progress label, as
-    ``simulator.phase_of`` lists them; a leader configuration's is read on
-    its role gaps.
+    equivalent), or ("draw", window, sign, branch) for each nominee of a
+    tied, unformed configuration of an even count: given a draw source it
+    moves a random fraction of the turn ``window`` in direction ``sign``,
+    and without one it waits.  ``phase`` is the configuration's progress
+    label, as ``simulator.phase_of`` lists them; a leader configuration's
+    is read on its role gaps.
 
     The table comes from one reading, ``least_reading(cycle) == (canon, j,
     r)``, and one ``_survey`` of canon: robot k is canon robot (k - j) % n,
     or -(j + k) % n with the sign negated when the reading is reversed.
     """
     canon, j, r = least_reading(cycle)
-    moves, draws, phase = _survey(canon, pat, mutant)
+    moves, phase = _survey(canon, pat, mutant)
     n = len(cycle)
     if r:
-        instrs = tuple(_against(moves[-(j + k) % n]) for k in range(n))
-        return instrs, {-(i + j) % n: _against(d) for i, d in draws.items()}, phase
-    instrs = moves[-j % n:] + moves[:-j % n]
-    return instrs, {(i + j) % n: d for i, d in draws.items()}, phase
+        return tuple(_against(moves[-(j + k) % n]) for k in range(n)), phase
+    return moves[-j % n:] + moves[:-j % n], phase
 
 
 def _move_by(d: Fraction, branch: str) -> tuple:
@@ -454,7 +447,8 @@ def _against(instr: tuple) -> tuple:
 
 def _to_decision(instr: tuple, at: Fraction, rng: Optional[Random] = None) -> Decision:
     """The robot at ``at`` acting on ``instr``, whose sign is along the
-    presentation frame; a draw takes its fraction of the window from ``rng``."""
+    presentation frame; a draw takes its fraction of the window from
+    ``rng``, and waits when ``rng`` is None."""
     head = instr[0]
     if head == "terminate":
         return Decision(DecisionKind.TERMINATE, branch="formed")
@@ -466,6 +460,8 @@ def _to_decision(instr: tuple, at: Fraction, rng: Optional[Random] = None) -> De
         raise InvariantViolationError(instr[1])
     _, dist, sign, branch = instr
     if head == "draw":
+        if rng is None:
+            return Decision(DecisionKind.STAY, branch="wait_tie")
         dist = Fraction(rng.randrange(1, _RAND_DENOM), _RAND_DENOM) * dist
     pdir = Direction.REVERSE if sign < 0 else Direction.FORWARD
     return Decision(DecisionKind.MOVE, mod1(at + pdir.sign * dist), pdir, branch)
@@ -487,9 +483,7 @@ def compute(
     """
     _check_mutant(mutant)
     _check_size(pattern, s.n)
-    instrs, draws, _ = _decide(s.cycle, pattern.cycle, mutant)
-    instr = draws[0] if rng is not None and 0 in draws else instrs[0]
-    return _to_decision(instr, s.observer_position, rng)
+    return _to_decision(_decide(s.cycle, pattern.cycle, mutant)[0][0], s.observer_position, rng)
 
 
 # ---------------------------------------------------------------------------

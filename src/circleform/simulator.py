@@ -10,21 +10,22 @@ table of the reversed cycle, so robots are decided from one reading.  One
 audit serves ``run``, ``verify_trace`` and ``explore_schedules``.
 
 The frame is the unit of work.  A ``_Frame`` holds one position state and
-the rule it is decided under (pattern, mutant and draw source); its robots
-read their decisions and tie-break draws off the configuration's
-instruction table (``_Frame.decide``, shared by all three), the frame reads
-its phase off the same table (``_Frame.phase``), and ``_Frame.plan``
-memoises a round's decisions, moves, terminations and move branches per
-activation set (``_Plan``).  ``_Frame.collision`` skips idle rounds, and
-``_Frame.moved`` builds the next frame under the same rule, rotating the
-robots' sorted order instead of sorting afresh, since a round without a
-collision keeps their cyclic order.  ``_check_transition`` checks one round
-from the frame before it to the frame after it (symmetry creation, the
-leader/direction lock, coincident tie-break draws, branch postconditions,
-motion under full activation); ``_EpochLedger`` adds epoch accounting on
-top for ``run`` and ``verify_trace``.  ``explore_schedules`` has no epochs
-and keeps the lock in its state instead; its queue carries each state's
-frame.
+the rule it is decided under (pattern, mutant and draw source); robot k
+reads its decision off entry k of the configuration's instruction table
+(``_Frame.decide``, shared by all three; a tied nominee's entry is its
+draw, which waits without a draw source), the frame reads its phase off
+the same table (``_Frame.phase``), and ``_Frame.plan`` memoises a round's
+decisions, moves, terminations and move branches per activation set
+(``_Plan``).  ``_Frame.collision`` skips idle rounds, and ``_Frame.moved``
+builds the next frame under the same rule, rotating the robots' sorted
+order instead of sorting afresh, since a round without a collision keeps
+their cyclic order.  ``_check_transition`` lists every failed check of one
+round, from the frame before it to the frame after it (symmetry creation,
+the leader/direction lock, coincident tie-break draws, branch
+postconditions, motion under full activation); ``_EpochLedger`` adds epoch
+accounting on top for ``run`` and ``verify_trace``.  ``explore_schedules``
+has no epochs and keeps the lock in its state instead; its queue carries
+each state's frame.
 
 Robots are oblivious, so the only run state is the multiset of positions plus
 which robots have switched themselves off.  ``run`` tracks robots by a stable
@@ -319,7 +320,7 @@ def phase_of(c: Configuration, pattern: TargetPattern) -> str:
     leader's gap has been restored for the finishing moves).
     """
     _check_size(pattern, c.n)
-    return _decide(c.cycle, pattern.cycle, None)[2]
+    return _decide(c.cycle, pattern.cycle, None)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +383,7 @@ class _Frame:
         self._table: Optional[tuple] = None
         self._cls: Optional[ConfigClass] = None
         self._plans: dict[frozenset, _Plan] = {}
-        self._audit: dict[_Lock, tuple[_Lock, list[list[str]]]] = {}
+        self._audit: dict[_Lock, tuple[_Lock, tuple[str, ...]]] = {}
 
     def classify(self) -> ConfigClass:
         if self._cls is None:
@@ -395,17 +396,15 @@ class _Frame:
         return self._table
 
     def phase(self) -> str:
-        return self.table()[2]
+        return self.table()[1]
 
     def decide(self, rid: int) -> Decision:
-        """Robot ``rid``'s decision off the table; with a draw source, a
-        drawer draws."""
+        """Robot ``rid``'s decision off the table: a drawer draws from the
+        frame's draw source, and waits without one."""
         d = self.dec.get(rid)
         if d is None:
-            instrs, draws, _ = self.table()
             k = self.idx_of[rid]
-            instr = draws[k] if self.rng is not None and k in draws else instrs[k]
-            d = self.dec[rid] = _to_decision(instr, self.c.positions[k], self.rng)
+            d = self.dec[rid] = _to_decision(self.table()[0][k], self.c.positions[k], self.rng)
         return d
 
     def plan(self, active: frozenset) -> _Plan:
@@ -416,33 +415,31 @@ class _Frame:
             p = self._plans[active] = _plan({rid: self.decide(rid) for rid in sorted(active)})
         return p
 
-    def audit(self, lock: _Lock) -> tuple[_Lock, list[list[str]]]:
+    def audit(self, lock: _Lock) -> tuple[_Lock, tuple[str, ...]]:
         """The lock after a round that ends here, entered with ``lock``, and
         the after-state failures: symmetry created before formation; leader
         or pivotal direction changed, or leadership lost, after release (the
-        lock is taken at the first released round).  Callers must not
-        mutate the result."""
+        lock is taken at the first released round)."""
         got = self._audit.get(lock)
         if got is not None:
             return got
-        found: list[list[str]] = []
+        found: list[str] = []
         out = lock
         phase = self.phase()
         if phase != "formed":
             cls = self.classify()
             if isinstance(cls, Symmetric):
-                found.append([f"{cls.fold}-fold symmetry created before formation"])
+                found.append(f"{cls.fold}-fold symmetry created before formation")
             if isinstance(cls, LeaderConfig):
                 current = (self.order[cls.leader], cls.pivotal)
                 if lock is None:
                     if phase in ("rfc", "pfc"):
                         out = current
                 elif current != lock:
-                    found.append(["leader or direction changed after release"])
+                    found.append("leader or direction changed after release")
             elif lock is not None:
-                found.append(["leadership lost after release"])
-        got = self._audit[lock] = (out, found)
-        return got
+                found.append("leadership lost after release")
+        return self._audit.setdefault(lock, (out, tuple(found)))
 
     def collision(self, plan: _Plan) -> Optional[str]:
         """How the plan's moves collide; None if they do not.
@@ -521,36 +518,31 @@ def _check_transition(
     plan: _Plan,
     alive: tuple[int, ...],
     lock: _Lock,
-) -> tuple[_Lock, list[list[str]]]:
+) -> tuple[_Lock, list[str]]:
     """Audit one round, ``before`` to ``after`` under ``plan``.
 
-    Returns the lock after the round and one message list per failed check,
-    in this order: the after-state checks (``_Frame.audit``, memoised on
-    ``after``); coincident simultaneous tie-break draws; the lone mover's
-    branch postconditions; a full activation of the ``alive`` robots (a
-    sorted tuple) that moved nobody before formation.  The move checks run
-    only when something moved, and the last check only when nothing did,
-    so an idle round costs O(|alive|) once its after-state checks are
-    memoised.
+    Returns the lock after the round and one flat list of the messages of
+    every failed check, in this order: the after-state checks
+    (``_Frame.audit``, memoised on ``after``); coincident simultaneous
+    tie-break draws; the lone mover's branch postconditions; a full
+    activation of the ``alive`` robots (a sorted tuple) that moved nobody
+    before formation.  The move checks run only when something moved, and
+    the last check only when nothing did, so an idle round costs
+    O(|alive|) once its after-state checks are memoised.
     """
     lock, state_found = after.audit(lock)
     found = list(state_found)
     formed = after.phase() == "formed"
     moves = plan.moves
     if moves:
-        travels = [
-            mod1(d.path_direction.sign * (d.destination - before.pos[rid]))
-            for rid, d in moves
-            if d.branch == "random_tiebreak"
-        ]
+        travels = [mod1(d.path_direction.sign * (d.destination - before.pos[rid]))
+                   for rid, d in moves if d.branch == "random_tiebreak"]
         if len(set(travels)) < len(travels):
-            found.append(["simultaneous tie-break draws coincide"])
+            found.append("simultaneous tie-break draws coincide")
         if not formed and len(moves) == 1:
-            msgs = _branch_postconditions(after, before, moves[0][1].branch)
-            if msgs:
-                found.append(msgs)
+            found += _branch_postconditions(after, before, moves[0][1].branch)
     elif not formed and not plan.ended and plan.ids == alive:
-        found.append([_NO_MOTION])
+        found.append(_NO_MOTION)
     return lock, found
 
 
@@ -580,7 +572,6 @@ class _EpochLedger:
         self.n = n
         self.bound = formation_bound(n, mode)
         self.budget = budget
-        self.terminated: set[int] = set()
         self.alive = tuple(range(n))
         self.alive_set = frozenset(self.alive)
         self.epoch = 1
@@ -598,7 +589,6 @@ class _EpochLedger:
         if self._start_phase is None:
             self._start_phase = before.phase()
         if plan.ended:
-            self.terminated |= plan.ended
             self.alive = tuple(i for i in self.alive if i not in plan.ended)
             self.alive_set = frozenset(self.alive)
         out: list[str] = []
@@ -615,11 +605,11 @@ class _EpochLedger:
         self._lock, found = _check_transition(before, after, plan, self.alive, was)
         if was is None and self._lock is not None:
             self._released = self.epoch
-        out += [f"round {rnd}: {m}" for msgs in found for m in msgs]
+        out += [f"round {rnd}: {m}" for m in found]
         self._landings += plan.branches.count("settle_target")
         if plan.branches.count("random_tiebreak") > 1:
             self.joint_tiebreaks += 1
-        if found and found[-1] == [_NO_MOTION]:
+        if found and found[-1] == _NO_MOTION:
             self.halted = True
             return out
 
@@ -751,7 +741,7 @@ def run(
     report.formed_epoch = ledger.formed_epoch
     report.epochs = ledger.epoch
     report.rounds = rnd
-    report.terminated = len(ledger.terminated)
+    report.terminated = n - len(ledger.alive)
     report.joint_tiebreaks = ledger.joint_tiebreaks
     return report, records
 
@@ -768,14 +758,15 @@ def verify_trace(
     The replay re-derives the decision each activated robot must have
     computed from the recorded pre-round positions, through the frame cache
     ``run`` uses (a frame lives while records leave it unchanged), and checks
-    continuity, round numbers (1, 2, ...), collisions on records with a
-    move, that every robot ends where its decision puts it, and the
-    recorded class.  Every round without a collision then goes through the
-    audit ``run`` applies (``_EpochLedger``), so verification reports what
-    the inline audit reports.  In ``rand`` mode a robot the table sends to
-    the tie-break, or recorded as drawing, is checked against the table's
-    draw (its direction and window) instead of for equality, since the draw
-    itself is not reproducible from the trace.
+    continuity, round numbers (1, 2, ...), that activated ids are robots
+    with a decision each, collisions on records with a move, that every
+    robot ends where its decision puts it, and the recorded class.  Every
+    round without a collision then goes through the audit ``run`` applies
+    (``_EpochLedger``), so verification reports what the inline audit
+    reports.  In ``rand`` mode a robot whose table entry is a draw, or
+    recorded as drawing, is checked against that entry (its direction and
+    window) instead of for equality, since the draw itself is not
+    reproducible from the trace.
     """
     if mode not in ("det", "rand"):
         raise PreconditionError(f"unknown mode {mode!r}")
@@ -817,18 +808,18 @@ def verify_trace(
             break
 
         for rid in rec.activated:
-            if rid in ledger.terminated:
+            if rid not in ledger.alive_set:
                 problems.append(f"{where}: robot {rid} was activated after terminating")
                 continue
             recorded = rec.decisions[rid]
             k = before.idx_of[rid]
             try:
                 # the table's drawers draw, whatever their records say
-                draw = before.table()[1].get(k) if mode == "rand" else None
-                if draw is not None or mode == "rand" and recorded.branch == "random_tiebreak":
+                instr = before.table()[0][k]
+                if mode == "rand" and (instr[0] == "draw" or recorded.branch == "random_tiebreak"):
                     problems.extend(
                         f"{where}: robot {rid}: {msg}"
-                        for msg in _check_random_move(draw, recorded, before.c.positions[k])
+                        for msg in _check_random_move(instr, recorded, before.c.positions[k])
                     )
                     continue
                 expected = before.decide(rid)
@@ -865,14 +856,14 @@ def verify_trace(
     return problems
 
 
-def _check_random_move(draw: Optional[tuple], recorded: Decision, at: Turn) -> list[str]:
+def _check_random_move(instr: tuple, recorded: Decision, at: Turn) -> list[str]:
     """Validity of a draw that cannot be replayed exactly, by the robot at
-    ``at`` whose table draw is ``draw`` (None if the table has none)."""
-    if draw is None:
+    ``at`` whose table entry is ``instr``."""
+    if instr[0] != "draw":
         return ["tie-break move by a robot the rule does not send to the tie-break"]
     if not recorded.is_move:
         return ["tie-break record is not a move"]
-    _, limit, sign, branch = draw
+    _, limit, sign, branch = instr
     msgs = [] if recorded.branch == branch else [f"tie-break move recorded as {recorded.branch}"]
     if recorded.path_direction.sign != sign:
         msgs.append("tie-break moved away from its smaller reading")
@@ -1008,7 +999,8 @@ def explore_schedules(
     round checks ``run`` applies (``_check_transition``): no symmetry
     creation, leader and direction stable from release, and each move
     branch's postcondition (single-mover edges).  The lock is part of the
-    state.  Returns the first failure as a counterexample, if any.
+    state.  Returns the first failing edge as a counterexample, if any;
+    its reason lists every check the edge fails.
     """
     n = c0.n
     if n > 5:
@@ -1070,8 +1062,8 @@ def explore_schedules(
             except CircleFormError as e:
                 return fail(path + (act,), str(e), after.pos)
             if found:
-                return fail(path + (act,), "; ".join(found[0]), after.pos)
-            new_terms = terms | {r for r in sub if not dec[r].is_move}
+                return fail(path + (act,), "; ".join(found), after.pos)
+            new_terms = terms | plan.ended
             state: State = (after.pos, new_terms, new_lock)
             if state not in seen:
                 if len(seen) >= state_cap:
