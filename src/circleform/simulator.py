@@ -475,24 +475,22 @@ def _branch_postconditions(after: _Frame, before: _Frame, branch: str) -> list[s
     do not form the pattern."""
     found = after.classify()
     a, b = after.c, before.c
+    tie = branch in ("break_tie", "random_tiebreak")
     msgs: list[str] = []
-    # min gap after >= min gap before, cross-multiplied over the two denominators
-    no_shrink = min(a.cycle) * b.den >= min(b.cycle) * a.den
     if not isinstance(found, LeaderConfig):
-        if branch in ("break_tie", "random_tiebreak") and a.n % 2 == 0:
+        if tie and a.n % 2 == 0:
             # an even count can legitimately stay tied only under joint moves
             msgs.append(f"{branch}: no leader after a lone tie-break move")
         elif branch != "random_tiebreak":
             msgs.append(f"{branch}: configuration lost its leader")
-        if branch in ("break_tie", "random_tiebreak") and no_shrink:
-            msgs.append(f"{branch}: minimum gap did not shrink")
+    # min gap after >= min gap before, cross-multiplied over the two denominators
+    if tie and min(a.cycle) * b.den >= min(b.cycle) * a.den:
+        msgs.append(f"{branch}: minimum gap did not shrink")
+    if tie or not isinstance(found, LeaderConfig):
         return msgs
     full, g, pat = _role_gaps(a, found, after.pattern)
     beta0 = pat[0]
-    if branch in ("break_tie", "random_tiebreak"):
-        if no_shrink:
-            msgs.append(f"{branch}: minimum gap did not shrink")
-    elif branch == "shrink_lead_gap":
+    if branch == "shrink_lead_gap":
         if not g[0] < min(min(g[1:]), beta0):
             msgs.append("shrink_lead_gap: leader gap is not the strict minimum")
     elif branch == "shrink_second_gap":
@@ -535,8 +533,11 @@ def _check_transition(
     formed = after.phase() == "formed"
     moves = plan.moves
     if moves:
-        travels = [mod1(d.path_direction.sign * (d.destination - before.pos[rid]))
-                   for rid, d in moves if d.branch == "random_tiebreak"]
+        travels = [
+            mod1(d.path_direction.sign * (d.destination - before.pos[rid]))
+            for rid, d in moves
+            if d.branch == "random_tiebreak"
+        ]
         if len(set(travels)) < len(travels):
             found.append("simultaneous tie-break draws coincide")
         if not formed and len(moves) == 1:
