@@ -8,9 +8,11 @@ must never be corrupted by rounding.
 At the boundary (files, traces, decisions) an angle is a
 ``fractions.Fraction``.  Inside the rule a configuration is held as integer
 gaps over one common denominator, so the hot path compares and adds plain
-ints.  The sequence helpers here (``min_rotation``, ``least_reading``,
-``canonical_cycle``, ``prefix_sums``, ``least_period``) take either kind of
-number unchanged; gap sequences compare as plain tuples.
+ints.  The sequence helpers here (``least_reading``, ``canonical_cycle``,
+``prefix_sums``, ``least_period``) take either kind of number unchanged; gap
+sequences compare as plain tuples.  ``least_reading`` is the one scan for
+the least reading of a cycle: it returns the reading and every (offset,
+reversed) that reads it, which are the owners the rule classifies by.
 """
 
 from __future__ import annotations
@@ -67,38 +69,30 @@ class Direction(Enum):
         return self.value
 
 
-def min_rotation(seq: Sequence[Fraction]) -> tuple[tuple[Fraction, ...], int]:
-    """Lexicographically least cyclic rotation of seq, with its offset.
+def least_reading(
+    seq: Sequence[Fraction],
+) -> tuple[tuple[Fraction, ...], tuple[tuple[int, bool], ...]]:
+    """(canon, owners): the least reading of the cycle seq, and where it is read.
 
-    Ties between equal rotations are broken toward the smallest offset.  A
-    least rotation starts at a least entry, so only the m offsets holding
-    min(seq) are tried, each with one tuple comparison: O(n*m), with m the
-    number of minimal gaps.
+    A reading is a rotation of seq or of ``seq[::-1]``; canon is the least of
+    all 2n.  owners lists every (j, r) with ``canon == s[j:] + s[:j]``, where
+    s is ``seq[::-1]`` when r is set and seq otherwise: forward readings
+    first, then by increasing offset.  A least reading starts at a least
+    entry, so only the offsets holding min(seq) are tried, each with one or
+    two tuple comparisons: O(n*m), with m the number of minimal gaps.
     """
     seq = tuple(seq)
-    if not seq:
-        return (), 0
     low = min(seq)
-    best, best_j = None, 0
-    for j, x in enumerate(seq):
-        if x == low:
-            cand = seq[j:] + seq[:j]
-            if best is None or cand < best:
-                best, best_j = cand, j
-    return best, best_j
-
-
-def least_reading(seq: Sequence[Fraction]) -> tuple[tuple[Fraction, ...], int, bool]:
-    """(canon, j, r): the canonical cycle and where seq reads it.
-
-    ``canon == seq[j:] + seq[:j]``, read on ``seq[::-1]`` instead when ``r``
-    is set.  Equal readings prefer the forward one, then the smallest offset.
-    """
-    fwd, jf = min_rotation(seq)
-    rev, jr = min_rotation(tuple(seq)[::-1])
-    if rev < fwd:
-        return rev, jr, True
-    return fwd, jf, False
+    canon, owners = None, []
+    for r, s in ((False, seq), (True, seq[::-1])):
+        for j, x in enumerate(s):
+            if x == low:
+                cand = s[j:] + s[:j]
+                if canon is None or cand < canon:
+                    canon, owners = cand, [(j, r)]
+                elif cand == canon:
+                    owners.append((j, r))
+    return canon, tuple(owners)
 
 
 def canonical_cycle(seq: Sequence[Fraction]) -> tuple[Fraction, ...]:

@@ -8,7 +8,9 @@ orientation changes no move is checked by explore and by mirror-image tests.
 Classification works on integer gap cycles: a configuration's gaps over one
 common denominator, divided by their gcd.  That reduced cycle is unique for
 the gaps it stands for, so caches keyed on it hit exactly when the gaps are
-equal.
+equal.  The class is read off the owners of the cycle's least reading
+(``angles.least_reading``): one owner is the leader, two are the tied
+nominees.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from math import gcd, lcm
 from operator import lt
 from typing import Iterable, Optional, Union
 
-from .angles import Direction, least_period, mod1, prefix_sums
+from .angles import Direction, least_period, least_reading, mod1, prefix_sums
 from .errors import ClassificationError, PreconditionError, StructuralError
 
 _CACHE = 1 << 16
@@ -143,51 +145,22 @@ class DoubleNomineeTied:
 ConfigClass = Union[Symmetric, LeaderConfig, DoubleNomineeTied]
 
 
-def _rooted(gaps: tuple, i: int, d: Direction) -> tuple:
-    """Gap sequence read from robot i in presentation direction d."""
-    if d is Direction.FORWARD:
-        return gaps[i:] + gaps[:i]
-    # gaps[i-1], gaps[i-2], ..., wrapping round to gaps[i]
-    return gaps[i - 1::-1] + gaps[:i - 1:-1] if i else gaps[::-1]
-
-
-def _nominees_cycle(gaps: tuple[int, ...]) -> tuple[tuple[int, Direction], ...]:
-    """Owners of the globally minimal rooted sequence of a rotationally
-    asymmetric cycle, as (index, direction).
-
-    Only robots adjacent to a minimal gap can own the minimum, so the scan is
-    restricted to those candidates.
-    """
-    n = len(gaps)
-    g_min = min(gaps)
-    cands: list[tuple[int, Direction]] = []
-    for j, g in enumerate(gaps):
-        if g == g_min:
-            cands.append((j, Direction.FORWARD))          # reads gaps[j] first
-            cands.append(((j + 1) % n, Direction.REVERSE))  # reads gaps[j] first
-    readings = [_rooted(gaps, i, d) for i, d in cands]
-    best = min(readings)
-    winners = [c for c, seq in zip(cands, readings) if seq == best]
-    # the winners are distinct robots: one reading the least reading both
-    # ways round would leave its neighbour's other reading smaller, unless
-    # every gap were equal
-    return tuple(sorted(winners))
-
-
 def nominees(c: Configuration) -> list[tuple[int, Direction]]:
-    """Robots owning the global minimum angle sequence, with the realising direction.
+    """Robots owning the global minimum angle sequence, with the realising
+    direction, in index order.
 
-    Defined only for rotationally asymmetric configurations; the caller must
-    screen symmetry first.
+    Defined only for rotationally asymmetric configurations of n >= 3
+    robots, the ones ``classify`` sends to a leader or a tie.
     """
-    if c.fold() != 1:
+    if isinstance(classify(c), Symmetric):
         raise ClassificationError("nominees are undefined for symmetric configurations")
-    found = list(_nominees_cycle(c.cycle))
-    if not 1 <= len(found) <= 2:
-        raise ClassificationError(
-            f"{len(found)} nominees in an asymmetric configuration; expected 1 or 2"
-        )
-    return found
+    n = c.n
+    # no robot owns the least reading both ways round, so the sort never
+    # compares two directions
+    return sorted(
+        (-j % n, Direction.REVERSE) if r else (j, Direction.FORWARD)
+        for j, r in least_reading(c.cycle)[1]
+    )
 
 
 def _on_bisector(gaps: tuple[int, ...], ia: int, ib: int) -> list[int]:
@@ -216,18 +189,19 @@ def _classify_cycle(gaps: tuple[int, ...]) -> ConfigClass:
     symmetry), so they are mirror images, tied, and a robot on their
     bisector reads the same both ways round.
     """
-    fold = len(gaps) // least_period(gaps)
+    n = len(gaps)
+    fold = n // least_period(gaps)
     if fold > 1:
         return Symmetric(fold)
-    noms = _nominees_cycle(gaps)
-    if len(noms) > 2:
+    owners = least_reading(gaps)[1]
+    if len(owners) > 2:
         raise ClassificationError(
-            f"{len(noms)} owners of the minimal sequence in an asymmetric configuration"
+            f"{len(owners)} owners of the minimal sequence in an asymmetric configuration"
         )
-    if len(noms) == 1:
-        (i, d), = noms
-        return LeaderConfig(i, d)
-    (ia, _), (ib, _) = noms
+    if len(owners) == 1:
+        (j, r), = owners
+        return LeaderConfig(-j % n, Direction.REVERSE) if r else LeaderConfig(j, Direction.FORWARD)
+    ia, ib = sorted(-j % n if r else j for j, r in owners)
     on_bis = _on_bisector(gaps, ia, ib)
     return DoubleNomineeTied(ia, ib, on_bis[0] if len(on_bis) == 1 else None)
 

@@ -42,7 +42,6 @@ from .configuration import (
     Snapshot,
     Symmetric,
     _classify_cycle,
-    _rooted,
 )
 from .errors import (
     EmptyIntervalError,
@@ -202,19 +201,6 @@ def _common_scale(
         gaps if a == 1 else tuple(g * a for g in gaps),
         pat if b == 1 else tuple(x * b for x in pat),
     )
-
-
-def _role_gaps(
-    c: Configuration, found: LeaderConfig, pattern: TargetPattern
-) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-    """(full, role gaps, pattern gaps) of a leader configuration, as ints over full.
-
-    Role k is the k-th robot from the leader along the pivotal direction and
-    role gap k separates roles k and k+1; role k's target sits
-    ``prefix_sums(pattern gaps)[k]`` from the leader along the same direction.
-    """
-    gaps = _rooted(c.cycle, found.leader, found.pivotal)
-    return _common_scale(gaps, c.den, pattern.cycle, pattern.den)
 
 
 def _settled(gaps: tuple, pat: tuple) -> bool:
@@ -422,11 +408,13 @@ def _decide(cycle: tuple[int, ...], pat: tuple[int, ...], mutant: Optional[str])
     label, as ``simulator.phase_of`` lists them; a leader configuration's
     is read on its role gaps.
 
-    The table comes from one reading, ``least_reading(cycle) == (canon, j,
-    r)``, and one ``_survey`` of canon: robot k is canon robot (k - j) % n,
-    or -(j + k) % n with the sign negated when the reading is reversed.
+    The table comes from one reading, ``least_reading(cycle) == (canon,
+    owners)`` with ``owners[0] == (j, r)``, and one ``_survey`` of canon:
+    robot k is canon robot (k - j) % n, or -(j + k) % n with the sign
+    negated when the reading is reversed.
     """
-    canon, j, r = least_reading(cycle)
+    canon, owners = least_reading(cycle)
+    j, r = owners[0]
     moves, phase = _survey(canon, pat, mutant)
     n = len(cycle)
     if r:

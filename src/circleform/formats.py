@@ -177,6 +177,8 @@ def record_from_json(obj: Any, line_no: int) -> RoundRecord:
         raise TraceParseError(line_no, str(exc)) from exc
     if len(before) != len(after):
         raise TraceParseError(line_no, "positions_before and positions_after differ in length")
+    if not activated:
+        raise TraceParseError(line_no, "no robot activated")
     if len(set(activated)) != len(activated):
         raise TraceParseError(line_no, "activated ids repeat")
     if set(activated) != set(decisions):

@@ -42,7 +42,7 @@ from random import Random
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
-from .angles import Direction, Turn, mod1
+from .angles import Direction, Turn, least_reading, mod1
 from .configuration import (
     ConfigClass,
     Configuration,
@@ -66,8 +66,8 @@ from .formation import (
     _against,
     _check_mutant,
     _check_size,
+    _common_scale,
     _decide,
-    _role_gaps,
     _to_decision,
     gen_instance,
 )
@@ -488,7 +488,10 @@ def _branch_postconditions(after: _Frame, before: _Frame, branch: str) -> list[s
         msgs.append(f"{branch}: minimum gap did not shrink")
     if tie or not isinstance(found, LeaderConfig):
         return msgs
-    full, g, pat = _role_gaps(a, found, after.pattern)
+    # the leader reads the least reading along the pivotal direction, so
+    # that reading is the role gaps
+    p = after.pattern
+    full, g, pat = _common_scale(least_reading(a.cycle)[0], a.den, p.cycle, p.den)
     beta0 = pat[0]
     if branch == "shrink_lead_gap":
         if not g[0] < min(min(g[1:]), beta0):
@@ -759,15 +762,15 @@ def verify_trace(
     The replay re-derives the decision each activated robot must have
     computed from the recorded pre-round positions, through the frame cache
     ``run`` uses (a frame lives while records leave it unchanged), and checks
-    continuity, round numbers (1, 2, ...), that activated ids are robots
-    with a decision each, collisions on records with a move, that every
-    robot ends where its decision puts it, and the recorded class.  Every
-    round without a collision then goes through the audit ``run`` applies
-    (``_EpochLedger``), so verification reports what the inline audit
-    reports.  In ``rand`` mode a robot whose table entry is a draw, or
-    recorded as drawing, is checked against that entry (its direction and
-    window) instead of for equality, since the draw itself is not
-    reproducible from the trace.
+    continuity, round numbers (1, 2, ...), that each record activates at
+    least one robot and no robot twice, each with a decision, collisions on
+    records with a move, that every robot ends where its decision puts it,
+    and the recorded class.  Every round without a collision then goes
+    through the audit ``run`` applies (``_EpochLedger``), so verification
+    reports what the inline audit reports.  In ``rand`` mode a robot whose
+    table entry is a draw, or recorded as drawing, is checked against that
+    entry (its direction and window) instead of for equality, since the
+    draw itself is not reproducible from the trace.
     """
     if mode not in ("det", "rand"):
         raise PreconditionError(f"unknown mode {mode!r}")
@@ -786,6 +789,12 @@ def verify_trace(
         where = f"round {rec.round}"
         if len(rec.positions_before) != n or len(rec.positions_after) != n:
             problems.append(f"{where}: robot count changed mid-trace")
+            break
+        if not rec.activated:
+            problems.append(f"{where}: no robot activated")
+            break
+        if len(set(rec.activated)) != len(rec.activated):
+            problems.append(f"{where}: activated ids repeat")
             break
         if set(rec.activated) != set(rec.decisions):
             problems.append(f"{where}: activated ids and decision keys disagree")

@@ -13,6 +13,10 @@ own classification and role frame, for the phase the rule's table carries.
 The first seven functions are small angle, mirror and bisector helpers
 that only the tests need; ``arc_population`` counts a pair's arcs on raw
 positions and checks the library's bisector robots against them.
+``_rooted`` and ``_role_gaps`` read a leader configuration's role gaps
+from the leader's own reading, for the rule that takes them from the
+configuration's least reading (``angles.least_reading``); ``brute_owners``
+finds that reading's owners over all 2n readings.
 """
 
 from fractions import Fraction
@@ -35,7 +39,6 @@ from circleform.configuration import (
     Symmetric,
     _classify_cycle,
     _on_bisector,
-    _rooted,
 )
 from circleform.formation import (
     _bisector_blocked,
@@ -43,7 +46,6 @@ from circleform.formation import (
     _move_ready_role,
     _pick,
     _rfc_on,
-    _role_gaps,
     _settled,
     pattern_formed,
 )
@@ -160,6 +162,40 @@ def brute_min_rotation(seq: Sequence[Fraction]) -> tuple[tuple[Fraction, ...], i
     rots = [tuple(seq[(j + k) % n] for k in range(n)) for j in range(n)]
     best = min(rots)
     return best, rots.index(best)
+
+
+def brute_owners(seq: Sequence) -> tuple[tuple[int, bool], ...]:
+    """Every (offset, reversed) whose reading of ``seq`` is the least of all
+    2n readings, a reading being a rotation of ``seq`` or of ``seq[::-1]``:
+    forward readings first, then by offset."""
+    readings = {
+        (j, r): rotate(seq[::-1] if r else seq, j)
+        for r in (False, True)
+        for j in range(len(seq))
+    }
+    best = min(readings.values())
+    return tuple(k for k, reading in readings.items() if reading == best)
+
+
+def _rooted(gaps: tuple, i: int, d: Direction) -> tuple:
+    """Gap sequence read from robot i in presentation direction d."""
+    if d is Direction.FORWARD:
+        return gaps[i:] + gaps[:i]
+    # gaps[i-1], gaps[i-2], ..., wrapping round to gaps[i]
+    return gaps[i - 1::-1] + gaps[:i - 1:-1] if i else gaps[::-1]
+
+
+def _role_gaps(
+    c: Configuration, found: LeaderConfig, pattern: TargetPattern
+) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """(full, role gaps, pattern gaps) of a leader configuration, as ints over full.
+
+    Role k is the k-th robot from the leader along the pivotal direction and
+    role gap k separates roles k and k+1; role k's target sits
+    ``prefix_sums(pattern gaps)[k]`` from the leader along the same direction.
+    """
+    gaps = _rooted(c.cycle, found.leader, found.pivotal)
+    return _common_scale(gaps, c.den, pattern.cycle, pattern.den)
 
 
 def brute_fold(positions: Sequence[Fraction]) -> int:

@@ -21,9 +21,9 @@ from circleform import (
     nominees,
     run,
 )
-from circleform.angles import min_rotation, mod1, prefix_sums
+from circleform.angles import least_reading, mod1, prefix_sums
 from circleform.cli import gen_instance, main, make_policy, symmetric_instance
-from circleform.formation import _move_ready_role, _rfc_on, _role_gaps
+from circleform.formation import _move_ready_role, _rfc_on
 from circleform.simulator import (
     SYMMETRY_RULES,
     explore_schedules,
@@ -265,14 +265,19 @@ def test_criterion_10_oracle_agreement_on_random_instances():
         seq = tuple(F(rng.randrange(den), den) for _ in range(m))
         if rng.random() < 0.3:
             seq = seq * rng.randrange(2, 4)  # forced repeats exercise tie handling
-        assert min_rotation(seq) == oracles.brute_min_rotation(seq), seq
+        # the least rotation either way round, and every offset reading it
+        canon, owners = least_reading(seq)
+        assert owners == oracles.brute_owners(seq), seq
+        assert canon == min(
+            oracles.brute_min_rotation(seq)[0], oracles.brute_min_rotation(seq[::-1])[0]
+        ), seq
 
     done = 0
     while done < 1000:
         c, pattern = _random_released(rng)
         cls = classify(c)
         assert isinstance(cls, LeaderConfig), c.positions
-        full, gaps, pat = _role_gaps(c, cls, pattern)
+        full, gaps, pat = oracles._role_gaps(c, cls, pattern)
         if not _rfc_on(gaps, pat[0]):
             continue
         k = _move_ready_role(gaps, prefix_sums(pat), full)

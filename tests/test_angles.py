@@ -11,12 +11,18 @@ from circleform.angles import (
     canonical_cycle,
     gaps_of,
     least_reading,
-    min_rotation,
     mod1,
     parse_turn,
     prefix_sums,
 )
-from oracles import angle_between, bisector_points, brute_fold, brute_min_rotation, rotate
+from oracles import (
+    angle_between,
+    bisector_points,
+    brute_fold,
+    brute_min_rotation,
+    brute_owners,
+    rotate,
+)
 
 F = Fraction
 
@@ -71,33 +77,32 @@ DEG = F(1, 360)
 
 class TestLexCompare:
     """Gap readings compare lexicographically; ``least_reading`` picks the
-    least of a cycle's readings and says whether it runs reversed."""
+    least of a cycle's readings and lists where it is read, reversed or not."""
 
     def test_worked_example_readings(self):
         fwd = tuple(k * DEG for k in (30, 90, 60, 75, 105))
         rev = tuple(reversed(fwd))
-        assert least_reading(fwd) == (fwd, 0, False)
-        assert least_reading(rev) == (fwd, 0, True)
+        assert least_reading(fwd) == (fwd, ((0, False),))
+        assert least_reading(rev) == (fwd, ((0, True),))
 
     def test_equal(self):
-        # a palindromic reading ties with its reverse; forward wins the tie
+        # a palindromic reading ties with its reverse; forward comes first
         s = (F(1, 4), F(1, 4), F(1, 2))
-        assert least_reading(s) == (s, 0, False)
+        assert least_reading(s) == (s, ((0, False), (1, True)))
 
     def test_second_element_decides(self):
         s = (F(1, 4), F(1, 2), F(1, 4))
-        assert min_rotation(s) == ((F(1, 4), F(1, 4), F(1, 2)), 2)
+        assert least_reading(s) == ((F(1, 4), F(1, 4), F(1, 2)), ((2, False), (2, True)))
 
     @given(gap_seqs)
     def test_antisymmetric(self, s):
-        # reversing the cycle flips which reading is least, unless they tie
-        canon, _, r = least_reading(s)
-        canon_rev, _, r_rev = least_reading(s[::-1])
+        # reversing the cycle flips which way round each owner reads, and
+        # forward owners still come first
+        canon, owners = least_reading(s)
+        canon_rev, owners_rev = least_reading(s[::-1])
         assert canon == canon_rev
-        if min_rotation(s)[0] == min_rotation(s[::-1])[0]:
-            assert not r and not r_rev
-        else:
-            assert r_rev is not r
+        flipped = sorted(((j, not r) for j, r in owners), key=lambda o: (o[1], o[0]))
+        assert owners_rev == tuple(flipped)
 
     @given(gap_seqs, st.integers(0, 7))
     def test_transitive(self, s, j):
@@ -108,24 +113,37 @@ class TestLexCompare:
 
 
 class TestMinRotation:
+    """The least rotation and its smallest-offset tie-break, as the first
+    owner of ``least_reading``."""
+
     def test_offset_one(self):
-        assert min_rotation((F(1, 2), F(1, 6), F(1, 3))) == ((F(1, 6), F(1, 3), F(1, 2)), 1)
+        s = (F(1, 2), F(1, 6), F(1, 3))
+        assert least_reading(s) == ((F(1, 6), F(1, 3), F(1, 2)), ((1, False),))
 
     def test_already_minimal(self):
         s = (F(1, 6), F(1, 3), F(1, 2))
-        assert min_rotation(s) == (s, 0)
+        assert least_reading(s) == (s, ((0, False),))
 
     def test_all_equal_prefers_offset_zero(self):
         s = (F(1, 4),) * 4
-        assert min_rotation(s) == (s, 0)
+        canon, owners = least_reading(s)
+        assert canon == s
+        assert owners == tuple((j, r) for r in (False, True) for j in range(4))
 
     @given(gap_seqs)
     def test_matches_brute_force(self, s):
-        assert min_rotation(s) == brute_min_rotation(s)
+        # a least forward rotation that is the least reading is read from
+        # the smallest offset holding it
+        canon, owners = least_reading(s)
+        fwd = brute_min_rotation(s)
+        if fwd[0] == canon:
+            assert owners[0] == (fwd[1], False)
+        else:
+            assert all(r for _, r in owners)
 
     @given(gap_seqs, st.integers(0, 7))
     def test_invariant_under_pre_rotation(self, s, j):
-        assert min_rotation(rotate(s, j))[0] == min_rotation(s)[0]
+        assert least_reading(rotate(s, j))[0] == least_reading(s)[0]
 
 
 class TestCanonicalCycle:
@@ -143,12 +161,22 @@ class TestCanonicalCycle:
     @given(st.lists(st.integers(1, 4), min_size=1, max_size=9).map(tuple))
     def test_least_reading_locates_the_canonical_cycle(self, s):
         # small entries make equal rotations and palindromes common
-        canon, j, r = least_reading(s)
+        canon, owners = least_reading(s)
         fwd, rev = brute_min_rotation(s), brute_min_rotation(s[::-1])
         assert canon == canonical_cycle(s) == min(fwd[0], rev[0])
-        assert canon == rotate(s[::-1] if r else s, j)
+        assert all(canon == rotate(s[::-1] if r else s, j) for j, r in owners)
         # equal readings prefer the forward one, then the smallest offset
-        assert (j, r) == ((rev[1], True) if rev[0] < fwd[0] else (fwd[1], False))
+        assert owners[0] == ((rev[1], True) if rev[0] < fwd[0] else (fwd[1], False))
+
+    @given(
+        st.lists(st.integers(1, 3), min_size=1, max_size=6).map(tuple),
+        st.integers(1, 3),
+    )
+    def test_owners_match_brute_force(self, base, repeats):
+        # small entries and repeated blocks make palindromes, rotational
+        # symmetry and tied owners common
+        s = base * repeats
+        assert least_reading(s)[1] == brute_owners(s)
 
 
 def fold(pts) -> int:

@@ -688,6 +688,17 @@ class TestForgedTraces:
         forged = replace(first, activated=(9,), decisions={9: first.decisions[0]})
         assert verify_trace([forged], pattern5) == ["round 1: robot id 9 is not in 0..4"]
 
+    def test_repeated_activation_is_reported(self, records, pattern5):
+        first = records[0]
+        forged = replace(first, activated=first.activated + first.activated[:1])
+        assert verify_trace([forged], pattern5) == ["round 1: activated ids repeat"]
+
+    def test_round_without_activation_is_reported(self, records, pattern5):
+        first = records[0]
+        idle = replace(first, activated=(), decisions={}, positions_after=first.positions_before)
+        renumbered = [replace(r, round=r.round + 1) for r in records]
+        assert verify_trace([idle] + renumbered, pattern5) == ["round 1: no robot activated"]
+
     def test_activation_without_a_decision_is_reported(self, records, pattern5):
         first = records[0]
         forged = replace(first, activated=(0, 1), decisions={0: first.decisions[0]})

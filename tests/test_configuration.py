@@ -118,6 +118,12 @@ class TestNominees:
         with pytest.raises(ClassificationError):
             nominees(config(0, F(1, 4), F(1, 2), F(3, 4)))
 
+    @pytest.mark.parametrize("positions", [(F(0),), (F(0), F(1, 3))])
+    def test_too_few_robots(self, positions):
+        # as classify does
+        with pytest.raises(PreconditionError):
+            nominees(Configuration.from_positions(positions))
+
     @given(position_sets)
     @settings(max_examples=150)
     def test_cardinality_and_brute_agreement(self, pts):

@@ -45,7 +45,6 @@ from circleform.configuration import (
     LeaderConfig,
     Symmetric,
     _classify_cycle,
-    _nominees_cycle,
 )
 from circleform.formation import _RAND_DENOM, _decide
 from circleform.simulator import make_policy
@@ -231,13 +230,15 @@ def _check_mirror_facts(cycle, pat, mutant) -> None:
     every move instruction travels some way.
     """
     found = _classify_cycle(cycle)
+    owners = least_reading(cycle)[1]
     if not isinstance(found, Symmetric):
-        for i, _ in _nominees_cycle(cycle):
+        for j, r in owners:
+            i = -j % len(cycle) if r else j
             row = oracles.rotate(cycle, i)
             assert row != row[::-1], (cycle, i)
     if isinstance(found, DoubleNomineeTied):
-        (_, da), (_, db) = _nominees_cycle(cycle)
-        assert da is db.opposite, cycle
+        (_, ra), (_, rb) = owners
+        assert ra is not rb, cycle
         if found.bisector_robot is not None:
             row = oracles.rotate(cycle, found.bisector_robot)
             assert row == row[::-1], (cycle, found)

@@ -28,13 +28,13 @@ from circleform.formation import (
     _decide,
     _move_ready_role,
     _rfc_on,
-    _role_gaps,
     _settled,
     pattern_formed,
     select_in_interval,
 )
 from conftest import config, random_positions
 from oracles import (
+    _role_gaps,
     angle_between,
     brute_move_ready,
     mirror,

@@ -220,6 +220,12 @@ class TestTraces:
         with pytest.raises(TraceParseError, match="line 5: activated ids repeat"):
             record_from_json(obj, 5)
 
+    def test_record_rejects_an_empty_activation(self, records):
+        obj = record_to_json(records[0])
+        obj["activated"], obj["decisions"] = [], {}
+        with pytest.raises(TraceParseError, match="line 6: no robot activated"):
+            record_from_json(obj, 6)
+
     @pytest.mark.parametrize("rid", [7, -1])
     def test_read_rejects_a_robot_id_outside_the_trace(self, tmp_path, records, rid):
         obj = record_to_json(records[0])

@@ -28,7 +28,7 @@ from circleform import (
     run,
     snapshot_of,
 )
-from circleform.angles import mod1
+from circleform.angles import least_reading, mod1
 from circleform.configuration import _on_bisector
 from circleform.cli import gen_instance, make_policy
 from circleform.simulator import explore_schedules
@@ -167,6 +167,12 @@ def _check_against_brute(c: Configuration) -> None:
         # gap were equal
         ((leader, (pivotal,)),) = brute.items()
         assert found == LeaderConfig(leader, pivotal)
+        # the audit reads the leader's role gaps off the least reading
+        canon = least_reading(c.cycle)[0]
+        assert oracles._rooted(c.cycle, leader, pivotal) == canon
+        assert oracles.rooted_sequence(c.positions, leader, pivotal) == tuple(
+            F(g, c.den) for g in canon
+        )
         return
     # two owners reading the least reading the same way round would make the
     # rotation from one to the other a symmetry; reading it opposite ways,
