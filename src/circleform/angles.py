@@ -35,8 +35,14 @@ def mod1(x: Fraction) -> Fraction:
     return x % 1
 
 
+@lru_cache(maxsize=1 << 12)
 def parse_turn(text: str) -> Fraction:
-    """Parse a 'p/q' string into a Fraction.  Plain integers are accepted too."""
+    """Parse a 'p/q' string into a Fraction.  Plain integers are accepted too.
+
+    Each distinct text is parsed once and later calls return the same
+    (immutable) Fraction, so decoded traces share their angles.  A text that
+    does not parse raises on every call.
+    """
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:

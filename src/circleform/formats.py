@@ -4,13 +4,20 @@ Instances are small JSON documents ({"positions": [...]} for configurations,
 {"pattern": [...]} for target patterns) with every angle written as an exact
 'p/q' fraction of a turn.  A trace is one JSON object per line per round,
 with fixed field names, so runs can be replayed and audited offline.
+
+Decoding parses each distinct angle text and each distinct decision once
+(``parse_turn`` and ``_decision`` are cached), so decoded records share
+immutable Fraction and ``Decision`` objects: an idle round repeats every
+position object of the round before it.  Ids, rounds, epochs and class
+fields must be JSON integers; booleans, floats and strings are refused.
 """
 
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Union
+from typing import Any, Iterable, Mapping, Optional, Union
 
 from .angles import Direction, format_turn, parse_turn
 from .configuration import (
@@ -69,13 +76,27 @@ def _load_json(path: PathLike) -> dict:
     return doc
 
 
+def _at(where: str, msg: str) -> str:
+    """``msg`` located at ``where``; an empty ``where`` adds nothing."""
+    return f"{where}: {msg}" if where else msg
+
+
 def _field(doc: Mapping[str, Any], name: str, typ: type, where: str):
     if name not in doc:
-        raise StructuralError(f"{where}: missing field {name!r}")
+        raise StructuralError(_at(where, f"missing field {name!r}"))
     value = doc[name]
-    if not isinstance(value, typ):
-        raise StructuralError(f"{where}: field {name!r} must be a {typ.__name__}")
+    # JSON decodes to exact types, so a boolean is not an int here
+    if type(value) is not typ:
+        article = "an" if typ is int else "a"
+        raise StructuralError(_at(where, f"field {name!r} must be {article} {typ.__name__}"))
     return value
+
+
+def _int_list(doc: Mapping[str, Any], name: str, where: str) -> tuple[int, ...]:
+    values = _field(doc, name, list, where)
+    if any(type(v) is not int for v in values):
+        raise StructuralError(_at(where, f"field {name!r} must hold ints"))
+    return tuple(values)
 
 
 # ---------------------------------------------------------------------------
@@ -93,18 +114,26 @@ def decision_to_json(d: Decision) -> dict:
 def decision_from_json(obj: Any, where: str) -> Decision:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise StructuralError(f"{where}: decision must be an object with a 'kind'")
-    kind = _KIND_BACK.get(obj["kind"])
-    if kind is None:
-        raise StructuralError(f"{where}: unknown decision kind {obj['kind']!r}")
-    branch = obj.get("branch", "")
-    if kind is not DecisionKind.MOVE:
-        return Decision(kind, branch=str(branch))
+    kind = obj["kind"]
+    if kind not in _KIND_BACK:
+        raise StructuralError(f"{where}: unknown decision kind {kind!r}")
+    branch = str(obj.get("branch", ""))
+    if kind != "move":
+        return _decision(kind, branch, None, None)
     if "to" not in obj or "dir" not in obj:
         raise StructuralError(f"{where}: a move needs 'to' and 'dir'")
-    direction = _DIR_BACK.get(obj["dir"])
-    if direction is None:
+    if obj["dir"] not in _DIR_BACK:
         raise StructuralError(f"{where}: unknown direction {obj['dir']!r}")
-    return Decision(kind, parse_turn(str(obj["to"])), direction, str(branch))
+    return _decision(kind, branch, str(obj["to"]), obj["dir"])
+
+
+@lru_cache(maxsize=1 << 12)
+def _decision(kind: str, branch: str, to: Optional[str], direction: Optional[str]) -> Decision:
+    """The one shared Decision for validated decision fields, keyed on their
+    texts (Decision is frozen, and text keys hash faster than enums)."""
+    if to is None:
+        return Decision(_KIND_BACK[kind], branch=branch)
+    return Decision(DecisionKind.MOVE, parse_turn(to), _DIR_BACK[direction], branch)
 
 
 def class_to_json(cls: ConfigClass) -> dict:
@@ -125,20 +154,20 @@ def class_from_json(obj: Any, where: str) -> ConfigClass:
         raise StructuralError(f"{where}: class must be an object with a 'kind'")
     kind = obj["kind"]
     if kind == "symmetric":
-        return Symmetric(int(_field(obj, "fold", int, where)))
+        return Symmetric(_field(obj, "fold", int, where))
     if kind == "leader":
         direction = _DIR_BACK.get(obj.get("pivotal"))
         if direction is None:
             raise StructuralError(f"{where}: unknown pivotal direction")
-        return LeaderConfig(int(_field(obj, "leader", int, where)), direction)
+        return LeaderConfig(_field(obj, "leader", int, where), direction)
     if kind == "tied":
-        nominees = _field(obj, "nominees", list, where)
+        nominees = _int_list(obj, "nominees", where)
         if len(nominees) != 2:
             raise StructuralError(f"{where}: a tie names exactly two nominees")
         bis = obj.get("bisector")
-        return DoubleNomineeTied(
-            int(nominees[0]), int(nominees[1]), None if bis is None else int(bis)
-        )
+        if bis is not None and type(bis) is not int:
+            raise StructuralError(f"{where}: field 'bisector' must be an int or null")
+        return DoubleNomineeTied(nominees[0], nominees[1], bis)
     raise StructuralError(f"{where}: unknown class kind {kind!r}")
 
 
@@ -158,21 +187,32 @@ def record_to_json(rec: RoundRecord) -> dict:
     }
 
 
+def _robot_id(key: str) -> int:
+    """A decision key, which must be the decimal form of a robot id."""
+    try:
+        rid = int(key)
+    except ValueError:
+        rid = None
+    if rid is None or str(rid) != key:
+        raise StructuralError(f"decision key {key!r} is not a robot id")
+    return rid
+
+
 def record_from_json(obj: Any, line_no: int) -> RoundRecord:
-    where = f"line {line_no}"
+    # TraceParseError names the line, so the fields' errors name only their place in it
     try:
         if not isinstance(obj, dict):
-            raise StructuralError(f"{where}: expected a JSON object")
-        rnd = int(_field(obj, "round", int, where))
-        epoch = int(_field(obj, "epoch", int, where))
-        activated = tuple(int(i) for i in _field(obj, "activated", list, where))
-        raw_dec = _field(obj, "decisions", dict, where)
+            raise StructuralError("expected a JSON object")
+        rnd = _field(obj, "round", int, "")
+        epoch = _field(obj, "epoch", int, "")
+        activated = _int_list(obj, "activated", "")
         decisions = {
-            int(i): decision_from_json(d, where) for i, d in raw_dec.items()
+            _robot_id(k): decision_from_json(d, f"decision {k}")
+            for k, d in _field(obj, "decisions", dict, "").items()
         }
-        before = tuple(parse_turn(str(p)) for p in _field(obj, "positions_before", list, where))
-        after = tuple(parse_turn(str(p)) for p in _field(obj, "positions_after", list, where))
-        cls = class_from_json(_field(obj, "class", dict, where), where)
+        before = tuple(parse_turn(str(p)) for p in _field(obj, "positions_before", list, ""))
+        after = tuple(parse_turn(str(p)) for p in _field(obj, "positions_after", list, ""))
+        cls = class_from_json(_field(obj, "class", dict, ""), "class")
     except (CircleFormError, ValueError, TypeError) as exc:
         raise TraceParseError(line_no, str(exc)) from exc
     if len(before) != len(after):
@@ -197,7 +237,12 @@ def write_trace(records: Iterable[RoundRecord], path: PathLike) -> None:
 
 def read_trace(path: PathLike) -> list[RoundRecord]:
     """Parse a JSONL trace; malformed lines raise TraceParseError with the
-    1-based line number."""
+    1-based line number.
+
+    The records share immutable objects: equal angle texts decode to one
+    Fraction and equal decisions to one ``Decision``, across records and
+    across calls, so comparing shared positions short-circuits on identity.
+    """
     out: list[RoundRecord] = []
     with Path(path).open() as fh:
         for line_no, line in enumerate(fh, start=1):

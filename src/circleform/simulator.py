@@ -846,11 +846,15 @@ def verify_trace(
         if collision is not None:
             problems.append(f"{where}: {collision}")
 
-        for rid in range(n):
-            d = rec.decisions.get(rid)
-            want = d.destination if d is not None and d.is_move else rec.positions_before[rid]
-            if rec.positions_after[rid] != want:
-                problems.append(f"{where}: robot {rid} ended at an unexplained position")
+        # decoded traces share position objects, so the tuples compare by identity
+        want = list(rec.positions_before)
+        for rid, d in plan.moves:
+            want[rid] = d.destination
+        if rec.positions_after != tuple(want):
+            problems.extend(
+                f"{where}: robot {rid} ended at an unexplained position"
+                for rid in range(n) if rec.positions_after[rid] != want[rid]
+            )
 
         try:
             after = (before if rec.positions_after == before.pos

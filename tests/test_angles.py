@@ -51,6 +51,18 @@ class TestTurnSerialisation:
         with pytest.raises(StructuralError):
             parse_turn("1/0")
 
+    def test_garbage_raises_on_every_call(self):
+        # the parse cache keeps results, never errors
+        messages = []
+        for _ in range(2):
+            with pytest.raises(StructuralError) as err:
+                parse_turn("a/b")
+            messages.append(str(err.value))
+        assert messages == ["not a rational angle: 'a/b'"] * 2
+
+    def test_equal_texts_share_one_fraction(self):
+        assert parse_turn("7/12") is parse_turn("7/12")
+
 
 class TestAngleBetween:
     def test_adjacent_pair(self):

@@ -677,6 +677,29 @@ class TestForgedTraces:
             verify_trace([forged], pattern5)
         )
 
+    def test_mover_off_its_destination_is_reported(self, records, pattern5):
+        first = records[0]
+        mover = next(r for r, d in first.decisions.items() if d.is_move)
+        after = list(first.positions_after)
+        after[mover] += F(1, 10_000)
+        forged = replace(first, positions_after=tuple(after))
+        assert f"round 1: robot {mover} ended at an unexplained position" in (
+            verify_trace([forged], pattern5)
+        )
+
+    def test_every_misplaced_robot_is_reported_in_id_order(self, records, pattern5):
+        first = records[0]
+        mover = next(r for r, d in first.decisions.items() if d.is_move)
+        still = next(r for r, d in first.decisions.items() if not d.is_move)
+        after = list(first.positions_after)
+        for rid in (mover, still):
+            after[rid] += F(1, 10_000)
+        problems = verify_trace([replace(first, positions_after=tuple(after))], pattern5)
+        assert [p for p in problems if "unexplained" in p] == [
+            f"round 1: robot {rid} ended at an unexplained position"
+            for rid in sorted((mover, still))
+        ]
+
     def test_repeated_post_round_position_is_reported(self, records, pattern5):
         first = records[0]
         after = (first.positions_after[1],) + first.positions_after[1:]

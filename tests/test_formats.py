@@ -128,6 +128,10 @@ class TestDecisionJson:
         with pytest.raises(StructuralError):
             decision_from_json(["move"], "here")
 
+    def test_equal_decisions_decode_to_one_object(self):
+        obj = {"kind": "move", "branch": "break_tie", "to": "1/24", "dir": "reverse"}
+        assert decision_from_json(obj, "here") is decision_from_json(dict(obj), "there")
+
 
 class TestClassJson:
     @pytest.mark.parametrize(
@@ -255,3 +259,73 @@ class TestTraces:
     def test_record_rejects_non_object(self):
         with pytest.raises(TraceParseError):
             record_from_json("not a record", 12)
+
+    def test_read_records_share_positions(self, tmp_path, records):
+        path = tmp_path / "trace.jsonl"
+        write_trace(records, path)
+        back = read_trace(path)
+        for prev, rec in zip(back, back[1:]):
+            assert all(a is b for a, b in zip(prev.positions_after, rec.positions_before))
+
+    @pytest.mark.parametrize("field", ["round", "epoch"])
+    def test_record_rejects_a_boolean_count(self, records, field):
+        obj = record_to_json(records[0])
+        obj[field] = bool(obj[field])
+        with pytest.raises(TraceParseError) as err:
+            record_from_json(obj, 3)
+        assert str(err.value) == f"line 3: field {field!r} must be an int"
+
+    @pytest.mark.parametrize("forge", [lambda rid: rid + 0.5, str], ids=["float", "string"])
+    def test_record_rejects_a_non_integer_activated_id(self, records, forge):
+        obj = record_to_json(records[0])
+        (rid,) = obj["activated"]
+        obj["activated"] = [forge(rid)]
+        with pytest.raises(TraceParseError) as err:
+            record_from_json(obj, 3)
+        assert str(err.value) == "line 3: field 'activated' must hold ints"
+
+    @pytest.mark.parametrize("pad", [" {}", "0{}", "+{}"], ids=["space", "zero", "plus"])
+    def test_record_rejects_a_decision_key_that_is_not_an_id(self, records, pad):
+        obj = record_to_json(records[0])
+        ((key, decision),) = obj["decisions"].items()
+        obj["decisions"] = {pad.format(key): decision}
+        with pytest.raises(TraceParseError) as err:
+            record_from_json(obj, 3)
+        assert str(err.value) == f"line 3: decision key {pad.format(key)!r} is not a robot id"
+
+    @pytest.mark.parametrize(
+        "cls, message",
+        [
+            ({"kind": "symmetric", "fold": True}, "field 'fold' must be an int"),
+            ({"kind": "leader", "leader": True, "pivotal": "forward"},
+             "field 'leader' must be an int"),
+            ({"kind": "tied", "nominees": [0.5, 3], "bisector": None},
+             "field 'nominees' must hold ints"),
+            ({"kind": "tied", "nominees": [1, 4], "bisector": True},
+             "field 'bisector' must be an int or null"),
+        ],
+        ids=["fold", "leader", "nominees", "bisector"],
+    )
+    def test_record_rejects_a_non_integer_class_field(self, records, cls, message):
+        obj = record_to_json(records[0])
+        obj["class"] = cls
+        with pytest.raises(TraceParseError) as err:
+            record_from_json(obj, 3)
+        assert str(err.value) == f"line 3: class: {message}"
+
+    def test_field_errors_name_the_line_once(self, records):
+        obj = record_to_json(records[0])
+        obj["epoch"] = "0"
+        with pytest.raises(TraceParseError) as err:
+            record_from_json(obj, 1)
+        assert str(err.value) == "line 1: field 'epoch' must be an int"
+        del obj["epoch"]
+        with pytest.raises(TraceParseError) as err:
+            record_from_json(obj, 1)
+        assert str(err.value) == "line 1: missing field 'epoch'"
+        (key,) = obj["decisions"]
+        obj["decisions"][key] = {"kind": "sprint"}
+        obj["epoch"] = 0
+        with pytest.raises(TraceParseError) as err:
+            record_from_json(obj, 1)
+        assert str(err.value) == f"line 1: decision {key}: unknown decision kind 'sprint'"
