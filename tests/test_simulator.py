@@ -404,6 +404,12 @@ class TestExploreSchedules:
         (5, 8002): (37, 41, True), (5, 8003): (7, 12, True), (5, 8004): (37, 41, True),
         (5, 8005): (7, 12, True), (5, 8006): (37, 41, True), (5, 8007): (37, 41, True),
         (5, 8008): (7, 12, True), (5, 8009): (7, 12, True),
+        # n=3: the benchmark's two probe starts, which once had
+        # counterexamples, and eight seeded starts
+        (3, 111442966): (10, 23, True), (3, 927313916): (10, 23, True),
+        (3, 8000): (11, 25, True), (3, 8001): (11, 25, True), (3, 8002): (10, 23, True),
+        (3, 8003): (11, 25, True), (3, 8004): (11, 25, True), (3, 8005): (12, 29, True),
+        (3, 8006): (11, 25, True), (3, 8007): (11, 25, True),
     }
 
     def test_seeded_counts_are_pinned(self):
