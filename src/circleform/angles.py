@@ -41,8 +41,11 @@ def parse_turn(text: str) -> Fraction:
 
     Each distinct text is parsed once and later calls return the same
     (immutable) Fraction, so decoded traces share their angles.  A text that
-    does not parse raises on every call.
+    does not parse raises on every call, and so does anything but a string:
+    a JSON number is no exact angle.
     """
+    if not isinstance(text, str):
+        raise StructuralError(f"not a rational angle text: {text!r}")
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:

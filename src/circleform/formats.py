@@ -10,6 +10,8 @@ Decoding parses each distinct angle text and each distinct decision once
 immutable Fraction and ``Decision`` objects: an idle round repeats every
 position object of the round before it.  Ids, rounds, epochs and class
 fields must be JSON integers; booleans, floats and strings are refused.
+Angles, decision destinations and branches must be JSON strings: a number
+is refused, not read as its decimal expansion.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Optional, Union
 
-from .angles import Direction, format_turn, parse_turn
+from .angles import Direction, Turn, format_turn, parse_turn
 from .configuration import (
     ConfigClass,
     Configuration,
@@ -49,9 +51,7 @@ def save_config(c: Configuration, path: PathLike) -> None:
 
 
 def load_config(path: PathLike) -> Configuration:
-    doc = _load_json(path)
-    positions = _field(doc, "positions", list, str(path))
-    return Configuration.from_positions(parse_turn(str(p)) for p in positions)
+    return Configuration.from_positions(_turns(_load_json(path), "positions", str(path)))
 
 
 def save_pattern(pattern: TargetPattern, path: PathLike) -> None:
@@ -61,9 +61,7 @@ def save_pattern(pattern: TargetPattern, path: PathLike) -> None:
 
 
 def load_pattern(path: PathLike) -> TargetPattern:
-    doc = _load_json(path)
-    gaps = _field(doc, "pattern", list, str(path))
-    return TargetPattern.from_angles(parse_turn(str(g)) for g in gaps)
+    return TargetPattern.from_angles(_turns(_load_json(path), "pattern", str(path)))
 
 
 def _load_json(path: PathLike) -> dict:
@@ -99,6 +97,16 @@ def _int_list(doc: Mapping[str, Any], name: str, where: str) -> tuple[int, ...]:
     return tuple(values)
 
 
+def _turns(doc: Mapping[str, Any], name: str, where: str) -> tuple[Turn, ...]:
+    """The angles listed in field ``name``: 'p/q' strings, each parsed by
+    ``parse_turn``, which refuses any other value.  A list or an object
+    cannot key its cache, so it is refused here."""
+    try:
+        return tuple(parse_turn(v) for v in _field(doc, name, list, where))
+    except TypeError:
+        raise StructuralError(_at(where, f"field {name!r} must hold 'p/q' strings")) from None
+
+
 # ---------------------------------------------------------------------------
 # decisions and classes as JSON values
 
@@ -117,14 +125,18 @@ def decision_from_json(obj: Any, where: str) -> Decision:
     kind = obj["kind"]
     if kind not in _KIND_BACK:
         raise StructuralError(f"{where}: unknown decision kind {kind!r}")
-    branch = str(obj.get("branch", ""))
+    branch = obj.get("branch", "")
+    if not isinstance(branch, str):
+        raise StructuralError(f"{where}: branch must be a string")
     if kind != "move":
         return _decision(kind, branch, None, None)
     if "to" not in obj or "dir" not in obj:
         raise StructuralError(f"{where}: a move needs 'to' and 'dir'")
     if obj["dir"] not in _DIR_BACK:
         raise StructuralError(f"{where}: unknown direction {obj['dir']!r}")
-    return _decision(kind, branch, str(obj["to"]), obj["dir"])
+    if not isinstance(obj["to"], str):
+        raise StructuralError(f"{where}: 'to' must be a 'p/q' string")
+    return _decision(kind, branch, obj["to"], obj["dir"])
 
 
 @lru_cache(maxsize=1 << 12)
@@ -210,8 +222,8 @@ def record_from_json(obj: Any, line_no: int) -> RoundRecord:
             _robot_id(k): decision_from_json(d, f"decision {k}")
             for k, d in _field(obj, "decisions", dict, "").items()
         }
-        before = tuple(parse_turn(str(p)) for p in _field(obj, "positions_before", list, ""))
-        after = tuple(parse_turn(str(p)) for p in _field(obj, "positions_after", list, ""))
+        before = _turns(obj, "positions_before", "")
+        after = _turns(obj, "positions_after", "")
         cls = class_from_json(_field(obj, "class", dict, ""), "class")
     except (CircleFormError, ValueError, TypeError) as exc:
         raise TraceParseError(line_no, str(exc)) from exc

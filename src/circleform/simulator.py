@@ -25,7 +25,8 @@ the leader/direction lock, coincident tie-break draws, branch
 postconditions, motion under full activation); ``_EpochLedger`` adds epoch
 accounting on top for ``run`` and ``verify_trace``.  ``explore_schedules``
 has no epochs and keeps the lock in its state instead; its queue carries
-each state's frame.
+each state's frame, and it keys states on the frame's integer key
+(``_Frame.key``).
 
 Robots are oblivious, so the only run state is the multiset of positions plus
 which robots have switched themselves off.  ``run`` tracks robots by a stable
@@ -38,6 +39,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from random import Random
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
@@ -355,21 +357,23 @@ def _plan(decisions: Mapping[int, Decision]) -> _Plan:
 class _Frame:
     """One position state under one rule: positions by robot id, the rule
     (pattern, mutant and draw source, which ``moved`` passes on), the
-    robots' sorted order, the configuration, and lazily its class, its
-    instruction table, per-robot decisions, round plans and the checks
-    owed by a round that ends on it.
+    robots' sorted order, the configuration, and lazily its integer key,
+    its class, its instruction table, per-robot decisions, round plans and
+    the checks owed by a round that ends on it.
 
     Robot k of the sorted order reads index k of the table
     (``formation._decide``), and the frame's phase is the table's, so while
     no move lands all of these are reusable across rounds.  Plans are
     memoised per activation set.  The after-state checks (``audit``) depend
     only on the frame and the lock a round enters with, so each is computed
-    once per lock.  A frame built without a pattern only moves and checks
-    collisions.
+    once per lock.  The key (``key``) stands for the positions wherever
+    they are hashed, as explore's state keys are: ints hash without the
+    modular inverse a ``Fraction`` hash takes.  A frame built without a
+    pattern only moves and checks collisions.
     """
 
     __slots__ = ("pos", "pattern", "mutant", "rng", "order", "idx_of", "c", "dec", "_table",
-                 "_cls", "_plans", "_audit")
+                 "_cls", "_plans", "_audit", "_key")
 
     def __init__(self, pos: Sequence[Turn], pattern: Optional[TargetPattern] = None,
                  mutant: Optional[str] = None, rng: Optional[Random] = None,
@@ -384,6 +388,17 @@ class _Frame:
         self._cls: Optional[ConfigClass] = None
         self._plans: dict[frozenset, _Plan] = {}
         self._audit: dict[_Lock, tuple[_Lock, tuple[str, ...]]] = {}
+        self._key: Optional[tuple[int, ...]] = None
+
+    def key(self) -> tuple[int, ...]:
+        """The positions as ints: their least common denominator, then each
+        robot's numerator over it, in id order.  Two frames' keys are equal
+        exactly when their position tuples are."""
+        k = self._key
+        if k is None:
+            den = lcm(*(p.denominator for p in self.pos))
+            k = self._key = (den, *(p.numerator * (den // p.denominator) for p in self.pos))
+        return k
 
     def classify(self) -> ConfigClass:
         if self._cls is None:
@@ -1003,11 +1018,15 @@ def explore_schedules(
     Every robot is decided through the frame's cache (``_Frame.decide``,
     the reading ``run`` uses) and must act the same read the other way
     round: robot k reads the table of the reversed cycle at index -k mod n.
-    Activation subsets that differ only in robots deciding to stay reach
-    identical states, so subsets are enumerated over the robots whose
-    decisions have an effect.  States are memoised, making the walk
-    exhaustive over reachable states rather than over the exponentially
-    redundant schedule tree.
+    That check runs once per robot of a frame: an edge on which nobody
+    moves keeps its frame, and a robot the frame has decided was checked at
+    an earlier visit.  Activation subsets that differ only in robots
+    deciding to stay reach identical states, so subsets are enumerated over
+    the robots whose decisions have an effect, and each edge's plan comes
+    from the frame's memo (``_Frame.plan``).  States are memoised on the
+    frame's integer key (``_Frame.key``), the terminated set and the lock,
+    making the walk exhaustive over reachable states rather than over the
+    exponentially redundant schedule tree.
 
     Verified per edge: no collision, no error from the rule, and the
     round checks ``run`` applies (``_check_transition``): no symmetry
@@ -1023,10 +1042,13 @@ def explore_schedules(
         raise PreconditionError(f"round budget {round_budget} is outside 0..6")
     _check_start(c0, pattern, mutant)
 
-    State = tuple  # (positions by id, terminated frozenset, lock)
-    seen: set[State] = {(c0.positions, frozenset(), None)}
+    # (frame key, terminated frozenset, lock): the key's ints stand for the
+    # positions, which hash slowly as Fractions
+    State = tuple
+    start = _Frame(c0.positions, pattern, mutant)
+    seen: set[State] = {(start.key(), frozenset(), None)}
     # a queued state carries the frame that the edge reaching it built
-    queue = deque([(_Frame(c0.positions, pattern, mutant), frozenset(), None, ())])
+    queue = deque([(start, frozenset(), None, ())])
     edges = 0
 
     def fail(path, reason, positions) -> ExploreReport:
@@ -1042,8 +1064,11 @@ def explore_schedules(
         alive = tuple(i for i in range(n) if i not in terms)
         if not alive:
             continue
+        dec = frame.dec
         mirror = None  # the reversed cycle's table, looked up after the frame's own
         for rid in alive:
+            if rid in dec:
+                continue  # checked at an earlier visit to this frame
             k = frame.idx_of[rid]
             try:
                 d0 = frame.decide(rid)
@@ -1057,16 +1082,15 @@ def explore_schedules(
                 why = f"robot {rid}: decision depends on presentation orientation"
                 return fail(path + ((rid,),), why, frame.pos)
 
-        dec = frame.dec
         relevant = [rid for rid in alive if dec[rid].kind is not DecisionKind.STAY]
-        stayers = [rid for rid in alive if rid not in set(relevant)]
+        stayers = [rid for rid in alive if dec[rid].kind is DecisionKind.STAY]
         for mask in range(2 ** len(relevant)):
             sub = [relevant[b] for b in range(len(relevant)) if mask >> b & 1]
             if not sub and not stayers:
                 continue
             edges += 1
             act = tuple(sub) if sub else (stayers[0],)
-            plan = _plan({r: dec[r] for r in act})
+            plan = frame.plan(frozenset(act))
             collision = frame.collision(plan)
             if collision is not None:
                 return fail(path + (act,), collision, frame.pos)
@@ -1078,7 +1102,7 @@ def explore_schedules(
             if found:
                 return fail(path + (act,), "; ".join(found), after.pos)
             new_terms = terms | plan.ended
-            state: State = (after.pos, new_terms, new_lock)
+            state: State = (after.key(), new_terms, new_lock)
             if state not in seen:
                 if len(seen) >= state_cap:
                     raise PreconditionError(

@@ -63,6 +63,12 @@ class TestTurnSerialisation:
     def test_equal_texts_share_one_fraction(self):
         assert parse_turn("7/12") is parse_turn("7/12")
 
+    @pytest.mark.parametrize("value", [0.6722222222222223, 1, True, None])
+    def test_non_string_rejected(self, value):
+        # a JSON number is a decimal expansion, not the exact 'p/q' a file promises
+        with pytest.raises(StructuralError, match="not a rational angle text"):
+            parse_turn(value)
+
 
 class TestAngleBetween:
     def test_adjacent_pair(self):

@@ -3,6 +3,7 @@
 import json
 from dataclasses import replace
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -211,6 +212,14 @@ class TestRunCommand:
         assert "gap floor" in capsys.readouterr().err
         assert main(["explore", "--config", cpath, "--pattern", ppath, "--budget", "2"]) == 1
         assert "gap floor" in capsys.readouterr().err
+
+    def test_numeric_position_exits_one(self, tmp_path, capsys, single_nominee5, pattern5):
+        cpath, ppath = write_instance(tmp_path, single_nominee5, pattern5)
+        doc = json.loads(Path(cpath).read_text())
+        doc["positions"][1] = float(F(doc["positions"][1]))
+        Path(cpath).write_text(json.dumps(doc))
+        assert main(["run", "--config", cpath, "--pattern", ppath]) == 1
+        assert "not a rational angle text" in capsys.readouterr().err
 
     def test_missing_file_exits_one(self, tmp_path, capsys):
         code = main(["run", "--config", str(tmp_path / "nope.json"),
@@ -487,6 +496,18 @@ class TestVerifyCommand:
         assert code == 2
         out = capsys.readouterr().out
         assert "parse error" in out and "line 2" in out
+
+    def test_numeric_position_is_a_parse_error(self, traced_run, capsys):
+        tpath, ppath = traced_run
+        lines = tpath.read_text().splitlines()
+        obj = json.loads(lines[1])
+        obj["positions_after"][0] = float(F(obj["positions_after"][0]))
+        lines[1] = json.dumps(obj)
+        tpath.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = main(["verify", "--trace", str(tpath), "--pattern", ppath])
+        assert code == 2
+        assert "parse error: line 2: not a rational angle text" in capsys.readouterr().out
 
     def test_repeated_activated_id_is_a_parse_error(self, traced_run, capsys):
         tpath, ppath = traced_run

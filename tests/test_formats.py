@@ -94,6 +94,20 @@ class TestInstanceFiles:
         with pytest.raises(StructuralError):
             load_pattern(path)
 
+    @pytest.mark.parametrize("value", [0.5, ["1/2"]])
+    def test_load_config_rejects_a_non_string_position(self, tmp_path, value):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"positions": ["0/1", value, "3/4"]}))
+        with pytest.raises(StructuralError):
+            load_config(path)
+
+    @pytest.mark.parametrize("value", [0.5, {"p": 1}])
+    def test_load_pattern_rejects_a_non_string_gap(self, tmp_path, value):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"pattern": ["1/4", value, "1/4"]}))
+        with pytest.raises(StructuralError):
+            load_pattern(path)
+
 
 class TestDecisionJson:
     def test_stay_round_trip(self):
@@ -127,6 +141,17 @@ class TestDecisionJson:
     def test_rejects_non_object(self):
         with pytest.raises(StructuralError):
             decision_from_json(["move"], "here")
+
+    @pytest.mark.parametrize("to", [0.5, 1, ["1/2"]])
+    def test_rejects_a_non_string_destination(self, to):
+        with pytest.raises(StructuralError, match="here: 'to'"):
+            decision_from_json({"kind": "move", "to": to, "dir": "forward"}, "here")
+
+    @pytest.mark.parametrize("kind", ["stay", "move"])
+    def test_rejects_a_non_string_branch(self, kind):
+        obj = {"kind": kind, "branch": 17, "to": "1/2", "dir": "forward"}
+        with pytest.raises(StructuralError, match="here: branch"):
+            decision_from_json(obj, "here")
 
     def test_equal_decisions_decode_to_one_object(self):
         obj = {"kind": "move", "branch": "break_tie", "to": "1/24", "dir": "reverse"}
@@ -259,6 +284,16 @@ class TestTraces:
     def test_record_rejects_non_object(self):
         with pytest.raises(TraceParseError):
             record_from_json("not a record", 12)
+
+    @pytest.mark.parametrize("field", ["positions_before", "positions_after"])
+    @pytest.mark.parametrize("forge", [lambda t: float(F(t)), lambda t: [t]], ids=["float", "list"])
+    def test_record_rejects_a_non_string_position(self, records, field, forge):
+        # the float is what a JSON writer makes of the exact angle
+        obj = record_to_json(records[0])
+        obj[field][1] = forge(obj[field][1])
+        with pytest.raises(TraceParseError) as err:
+            record_from_json(obj, 5)
+        assert err.value.line_no == 5
 
     def test_read_records_share_positions(self, tmp_path, records):
         path = tmp_path / "trace.jsonl"

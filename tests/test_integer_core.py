@@ -7,7 +7,7 @@ tie-break positions.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from random import Random
 
 import pytest
@@ -31,10 +31,10 @@ from circleform import (
 from circleform.angles import least_reading, mod1
 from circleform.configuration import _on_bisector
 from circleform.cli import gen_instance, make_policy
-from circleform.simulator import explore_schedules
+from circleform.simulator import _Frame, explore_schedules
 
 import oracles
-from conftest import TIE_DEN, mixed_position_sets, tied_even_instance
+from conftest import TIE_DEN, mixed_position_sets, mixed_turns, tied_even_instance
 
 F = Fraction
 
@@ -184,6 +184,43 @@ def _check_against_brute(c: Configuration) -> None:
     assert count_a == count_b
     assert _on_bisector(c.cycle, a, b) == on_bis
     assert found == DoubleNomineeTied(a, b, on_bis[0] if len(on_bis) == 1 else None)
+
+
+# ---------------------------------------------------------------------------
+# frame keys: explore hashes a frame's positions as ints over their least
+# common denominator, in robot-id order
+
+
+class TestFrameKey:
+    @given(mixed_position_sets(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_keys_are_equal_exactly_when_positions_are(self, pts, data):
+        pos = data.draw(st.permutations(sorted(pts)))
+        how = data.draw(st.sampled_from(("copied", "reordered", "nudged", "other")))
+        if how == "copied":
+            # equal values in new Fraction objects
+            other = [F(p.numerator, p.denominator) for p in pos]
+        elif how == "reordered":
+            # the same positions held by other robot ids
+            other = data.draw(st.permutations(pos))
+        elif how == "nudged":
+            other = list(pos)
+            other[data.draw(st.integers(0, len(pos) - 1))] = data.draw(
+                mixed_turns.filter(lambda t: t not in pts))
+        else:
+            other = data.draw(st.permutations(sorted(data.draw(mixed_position_sets()))))
+        a, b = _Frame(pos), _Frame(other)
+        assert (a.key() == b.key()) == (a.pos == b.pos)
+        den = a.key()[0]
+        assert den == lcm(*(p.denominator for p in pos))
+        assert a.pos == tuple(F(x, den) for x in a.key()[1:])
+
+    def test_a_moved_frame_keys_as_a_fresh_one(self):
+        c0, pattern = gen_instance(5, 3)
+        frame = _Frame(c0.positions, pattern)
+        plan = frame.plan(frozenset(range(5)))
+        after = frame.moved(plan)
+        assert after.key() == _Frame(after.pos).key() != frame.key()
 
 
 # ---------------------------------------------------------------------------
