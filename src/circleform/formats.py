@@ -5,10 +5,14 @@ Instances are small JSON documents ({"positions": [...]} for configurations,
 'p/q' fraction of a turn.  A trace is one JSON object per line per round,
 with fixed field names, so runs can be replayed and audited offline.
 
-Decoding parses each distinct angle text and each distinct decision once
-(``parse_turn`` and ``_decision`` are cached), so decoded records share
-immutable Fraction and ``Decision`` objects: an idle round repeats every
-position object of the round before it.  Ids, rounds, epochs and class
+Decoding parses each distinct angle text, each distinct list of angle
+texts and each distinct decision once (``parse_turn``, ``_parse_turns`` and
+``_decision`` are cached), so decoded records share immutable Fraction,
+position tuple and ``Decision`` objects: an idle round's positions are one
+tuple, which is the round before's ``positions_after``.  Decisions decode
+to read-only mappings, shared by consecutive lines with equal decisions.
+Encoding formats a position tuple only when it is not the one encoded
+last (``record_to_json``).  Ids, rounds, epochs and class
 fields must be JSON integers; booleans, floats and strings are refused.
 Angles, decision destinations and branches must be JSON strings: a number
 is refused, not read as its decimal expansion.
@@ -19,7 +23,8 @@ from __future__ import annotations
 import json
 from functools import lru_cache
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Optional, Union
+from types import MappingProxyType
+from typing import Any, Iterable, Mapping, Optional, Sequence, Union
 
 from .angles import Direction, Turn, format_turn, parse_turn
 from .configuration import (
@@ -99,12 +104,21 @@ def _int_list(doc: Mapping[str, Any], name: str, where: str) -> tuple[int, ...]:
 
 def _turns(doc: Mapping[str, Any], name: str, where: str) -> tuple[Turn, ...]:
     """The angles listed in field ``name``: 'p/q' strings, each parsed by
-    ``parse_turn``, which refuses any other value.  A list or an object
-    cannot key its cache, so it is refused here."""
+    ``parse_turn``, which refuses any other value.  Equal lists decode to
+    one tuple (``_parse_turns``).  A list or an object cannot key that
+    cache, so it is refused here."""
     try:
-        return tuple(parse_turn(v) for v in _field(doc, name, list, where))
+        return _parse_turns(tuple(_field(doc, name, list, where)))
     except TypeError:
         raise StructuralError(_at(where, f"field {name!r} must hold 'p/q' strings")) from None
+
+
+@lru_cache(maxsize=1 << 8)
+def _parse_turns(texts: tuple) -> tuple[Turn, ...]:
+    """The one shared tuple of angles for a tuple of texts.  A text that
+    does not parse raises, and nothing is cached for it; no other JSON value
+    equals a string, so a cached key holds strings only."""
+    return tuple(map(parse_turn, texts))
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +137,8 @@ def decision_from_json(obj: Any, where: str) -> Decision:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise StructuralError(f"{where}: decision must be an object with a 'kind'")
     kind = obj["kind"]
-    if kind not in _KIND_BACK:
+    # a JSON list or object cannot key the lookup tables, so test for a string first
+    if not isinstance(kind, str) or kind not in _KIND_BACK:
         raise StructuralError(f"{where}: unknown decision kind {kind!r}")
     branch = obj.get("branch", "")
     if not isinstance(branch, str):
@@ -132,7 +147,7 @@ def decision_from_json(obj: Any, where: str) -> Decision:
         return _decision(kind, branch, None, None)
     if "to" not in obj or "dir" not in obj:
         raise StructuralError(f"{where}: a move needs 'to' and 'dir'")
-    if obj["dir"] not in _DIR_BACK:
+    if not isinstance(obj["dir"], str) or obj["dir"] not in _DIR_BACK:
         raise StructuralError(f"{where}: unknown direction {obj['dir']!r}")
     if not isinstance(obj["to"], str):
         raise StructuralError(f"{where}: 'to' must be a 'p/q' string")
@@ -187,14 +202,39 @@ def class_from_json(obj: Any, where: str) -> ConfigClass:
 # traces
 
 
+# the position tuple encoded last and its texts (see record_to_json), kept
+# as one pair so that a concurrent caller never reads one without the other
+_last_encoded: tuple[tuple, list[str]] = ((), [])
+
+
+def _turn_texts(turns: Sequence[Turn]) -> list[str]:
+    global _last_encoded
+    last, texts = _last_encoded
+    if turns is not last:
+        texts = [format_turn(p) for p in turns]
+        if type(turns) is tuple:
+            _last_encoded = (turns, texts)
+    return list(texts)
+
+
 def record_to_json(rec: RoundRecord) -> dict:
+    """The JSON object of one trace line.
+
+    A position tuple is formatted only when it is not the object encoded
+    last: an idle round's positions are one tuple, and so are a round's
+    positions_after and the next round's positions_before, in ``run``'s
+    records and in decoded ones.  The memo holds one tuple (so its id is
+    not reused while it is held) and never a list, which a caller could
+    change; every call returns fresh lists.  It is keyed on identity, not on
+    the Fractions, whose hash costs more than formatting them.
+    """
     return {
         "round": rec.round,
         "epoch": rec.epoch,
         "activated": list(rec.activated),
         "decisions": {str(i): decision_to_json(d) for i, d in sorted(rec.decisions.items())},
-        "positions_before": [format_turn(p) for p in rec.positions_before],
-        "positions_after": [format_turn(p) for p in rec.positions_after],
+        "positions_before": _turn_texts(rec.positions_before),
+        "positions_after": _turn_texts(rec.positions_after),
         "class": class_to_json(rec.config_class),
     }
 
@@ -210,7 +250,14 @@ def _robot_id(key: str) -> int:
     return rid
 
 
-def record_from_json(obj: Any, line_no: int) -> RoundRecord:
+def record_from_json(obj: Any, line_no: int, *,
+                     _last: Optional[tuple[dict, Mapping[int, Decision]]] = None) -> RoundRecord:
+    """One trace line's record; its decisions are a read-only mapping.
+
+    ``_last`` is the previous line's raw decisions object and its decoded
+    mapping, which ``read_trace`` passes on: equal raw decisions decode to
+    equal ones, so that mapping is shared instead of decoded again.
+    """
     # TraceParseError names the line, so the fields' errors name only their place in it
     try:
         if not isinstance(obj, dict):
@@ -218,10 +265,13 @@ def record_from_json(obj: Any, line_no: int) -> RoundRecord:
         rnd = _field(obj, "round", int, "")
         epoch = _field(obj, "epoch", int, "")
         activated = _int_list(obj, "activated", "")
-        decisions = {
-            _robot_id(k): decision_from_json(d, f"decision {k}")
-            for k, d in _field(obj, "decisions", dict, "").items()
-        }
+        raw = _field(obj, "decisions", dict, "")
+        if _last is not None and raw == _last[0]:
+            decisions = _last[1]
+        else:
+            decisions = MappingProxyType({
+                _robot_id(k): decision_from_json(d, f"decision {k}") for k, d in raw.items()
+            })
         before = _turns(obj, "positions_before", "")
         after = _turns(obj, "positions_after", "")
         cls = class_from_json(_field(obj, "class", dict, ""), "class")
@@ -252,10 +302,15 @@ def read_trace(path: PathLike) -> list[RoundRecord]:
     1-based line number.
 
     The records share immutable objects: equal angle texts decode to one
-    Fraction and equal decisions to one ``Decision``, across records and
-    across calls, so comparing shared positions short-circuits on identity.
+    Fraction, equal decisions to one ``Decision`` and equal position lists
+    to one tuple, across records and across calls.  So an idle record's
+    ``positions_after`` is its ``positions_before``, and a record's
+    ``positions_before`` is the previous record's ``positions_after``.  A
+    line whose raw decisions equal the line before's shares that line's
+    read-only decisions mapping.  Every line is still checked in full.
     """
     out: list[RoundRecord] = []
+    last = None
     with Path(path).open() as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
@@ -264,5 +319,7 @@ def read_trace(path: PathLike) -> list[RoundRecord]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise TraceParseError(line_no, f"not valid JSON: {exc.msg}") from exc
-            out.append(record_from_json(obj, line_no))
+            rec = record_from_json(obj, line_no, _last=last)
+            last = (obj["decisions"], rec.decisions)
+            out.append(rec)
     return out

@@ -776,11 +776,15 @@ def verify_trace(
 
     The replay re-derives the decision each activated robot must have
     computed from the recorded pre-round positions, through the frame cache
-    ``run`` uses (a frame lives while records leave it unchanged), and checks
-    continuity, round numbers (1, 2, ...), that each record activates at
-    least one robot and no robot twice, each with a decision, collisions on
-    records with a move, that every robot ends where its decision puts it,
-    and the recorded class.  Every round without a collision then goes
+    ``run`` uses (a frame lives while records leave it unchanged).  In
+    ``det`` mode a record whose robots are all alive is first compared with
+    the frame's memoised plan for its activation set (``_det_plan``): if the
+    decisions are equal, that plan is the round's, and only a mismatch is
+    checked robot by robot.  Verification also checks continuity, round
+    numbers (1, 2, ...), that each record activates at least one robot and
+    no robot twice, each with a decision, collisions on records with a
+    move, that every robot ends where its decision puts it, and the
+    recorded class.  Every round without a collision then goes
     through the audit ``run`` applies (``_EpochLedger``), so verification
     reports what the inline audit reports.  In ``rand`` mode a robot whose
     table entry is a draw, or recorded as drawing, is checked against that
@@ -832,31 +836,33 @@ def verify_trace(
             problems.append(f"{where}: bad pre-round positions: {e}")
             break
 
-        for rid in rec.activated:
-            if rid not in ledger.alive_set:
-                problems.append(f"{where}: robot {rid} was activated after terminating")
-                continue
-            recorded = rec.decisions[rid]
-            k = before.idx_of[rid]
-            try:
-                # the table's drawers draw, whatever their records say
-                instr = before.table()[0][k]
-                if mode == "rand" and (instr[0] == "draw" or recorded.branch == "random_tiebreak"):
-                    problems.extend(
-                        f"{where}: robot {rid}: {msg}"
-                        for msg in _check_random_move(instr, recorded, before.c.positions[k])
-                    )
+        plan = _det_plan(before, rec, ledger.alive_set) if mode == "det" else None
+        if plan is None:
+            for rid in rec.activated:
+                if rid not in ledger.alive_set:
+                    problems.append(f"{where}: robot {rid} was activated after terminating")
                     continue
-                expected = before.decide(rid)
-            except CircleFormError as e:
-                problems.append(f"{where}: robot {rid}: {e}")
-                continue
-            if expected != recorded:
-                problems.append(
-                    f"{where}: robot {rid} recorded {recorded} but the rule gives {expected}"
-                )
-
-        plan = _plan(rec.decisions)
+                recorded = rec.decisions[rid]
+                k = before.idx_of[rid]
+                try:
+                    # the table's drawers draw, whatever their records say
+                    instr = before.table()[0][k]
+                    if mode == "rand" and (instr[0] == "draw"
+                                           or recorded.branch == "random_tiebreak"):
+                        problems.extend(
+                            f"{where}: robot {rid}: {msg}"
+                            for msg in _check_random_move(instr, recorded, before.c.positions[k])
+                        )
+                        continue
+                    expected = before.decide(rid)
+                except CircleFormError as e:
+                    problems.append(f"{where}: robot {rid}: {e}")
+                    continue
+                if expected != recorded:
+                    problems.append(
+                        f"{where}: robot {rid} recorded {recorded} but the rule gives {expected}"
+                    )
+            plan = _plan(rec.decisions)
         collision = before.collision(plan)
         if collision is not None:
             problems.append(f"{where}: {collision}")
@@ -883,6 +889,22 @@ def verify_trace(
             problems += ledger.round(rec.round, before, after, plan)
         prev = after
     return problems
+
+
+def _det_plan(before: _Frame, rec: RoundRecord, alive: frozenset) -> Optional[_Plan]:
+    """The frame's memoised plan for the record's activation set when every
+    activated robot is alive and the plan's decisions are the recorded
+    ones; None when the record needs checking robot by robot.
+
+    Only for det mode: a frame built by verify has no draw source, so its
+    drawers wait, and a drawer recorded as staying would match."""
+    if not alive.issuperset(rec.activated):
+        return None
+    try:
+        plan = before.plan(frozenset(rec.activated))
+    except CircleFormError:
+        return None
+    return plan if plan.decisions == rec.decisions else None
 
 
 def _check_random_move(instr: tuple, recorded: Decision, at: Turn) -> list[str]:

@@ -17,6 +17,8 @@ positions and checks the library's bisector robots against them.
 from the leader's own reading, for the rule that takes them from the
 configuration's least reading (``angles.least_reading``); ``brute_owners``
 finds that reading's owners over all 2n readings.
+``reference_record_to_json`` encodes a trace line formatting every
+position anew, for the encoder that formats a position tuple once.
 """
 
 from fractions import Fraction
@@ -33,7 +35,7 @@ from circleform import (
     TargetPattern,
     classify,
 )
-from circleform.angles import mod1, prefix_sums
+from circleform.angles import format_turn, mod1, prefix_sums
 from circleform.configuration import (
     DoubleNomineeTied,
     Symmetric,
@@ -49,6 +51,7 @@ from circleform.formation import (
     _settled,
     pattern_formed,
 )
+from circleform.formats import class_to_json, decision_to_json
 
 
 def angle_between(a: Fraction, b: Fraction, d: Direction) -> Fraction:
@@ -469,3 +472,17 @@ def reference_epochs(records: Sequence, n: int) -> list[int]:
         if running and running <= activated:
             epoch, activated = epoch + 1, set()
     return out
+
+
+def reference_record_to_json(rec) -> dict:
+    """A trace line's object with every position formatted on its own, as
+    the encoder did before it kept the last position tuple's texts."""
+    return {
+        "round": rec.round,
+        "epoch": rec.epoch,
+        "activated": list(rec.activated),
+        "decisions": {str(i): decision_to_json(d) for i, d in sorted(rec.decisions.items())},
+        "positions_before": [format_turn(p) for p in rec.positions_before],
+        "positions_after": [format_turn(p) for p in rec.positions_after],
+        "class": class_to_json(rec.config_class),
+    }

@@ -669,6 +669,45 @@ class TestForgedTraces:
         assert [f"round {again.round}: robot {rid} was activated after terminating"
                 for rid in again.activated] == [p for p in problems if "activated after" in p]
 
+    def test_reactivation_with_the_previous_decisions_is_reported(
+        self, tmp_path, single_nominee5, pattern5
+    ):
+        # the forged record repeats a lone termination while others still
+        # run; read back, it shares the decisions mapping of the round
+        # before, which the frame's memoised plan also matches
+        report, records = run(single_nominee5, pattern5, make_policy("rr"))
+        assert report.ok
+        i, rec = next((i, r) for i, r in enumerate(records)
+                      if r.decisions[r.activated[0]].kind is DecisionKind.TERMINATE)
+        assert rec.round < len(records)
+        again = replace(rec, round=rec.round + 1, positions_before=rec.positions_after)
+        path = tmp_path / "trace.jsonl"
+        write_trace(records[: i + 1] + [again], path)
+        back = read_trace(path)
+        assert back[-1].decisions is back[-2].decisions
+        (rid,) = again.activated
+        assert [p for p in verify_trace(back, pattern5) if "activated after" in p] == [
+            f"round {again.round}: robot {rid} was activated after terminating"
+        ]
+
+    def test_edited_decision_on_a_repeated_idle_frame_is_reported(self):
+        # a round whose frame and activation set the round before already
+        # planned: the memoised plan no longer matches the record
+        c0, pattern = gen_instance(7, 1007)
+        _, records = run(c0, pattern, make_policy("lazy"), seed=1007)
+        i = next(i for i in range(1, len(records))
+                 if records[i - 1].activated == records[i].activated
+                 and records[i - 1].positions_after is records[i].positions_before
+                 is records[i].positions_after)
+        rec = records[i]
+        rid = rec.activated[0]
+        d = rec.decisions[rid]
+        edited = replace(d, branch=d.branch + "_edited")
+        records[i] = replace(rec, decisions={**rec.decisions, rid: edited})
+        assert verify_trace(records, pattern) == [
+            f"round {rec.round}: robot {rid} recorded {edited} but the rule gives {d}"
+        ]
+
     def test_symmetric_pre_round_positions_are_reported(self, mirror_tied4):
         pattern = TargetPattern.from_angles([F(1, 12), F(3, 12), F(4, 12), F(4, 12)])
         _, records = run(mirror_tied4, pattern, FullSync(), mode="rand", seed=2)

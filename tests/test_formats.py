@@ -1,7 +1,9 @@
 """Instance files, decision/class JSON values, and JSONL traces."""
 
 import json
+from dataclasses import replace
 from fractions import Fraction as F
+from itertools import pairwise
 
 import pytest
 from hypothesis import given, settings
@@ -36,7 +38,13 @@ from circleform.formats import (
     write_trace,
 )
 
+import golden_corpus as gc
 from conftest import config, near_floor_starts, tied_starts
+from oracles import reference_record_to_json
+
+GOLDEN_TRACES = sorted(gc.GOLDEN.glob("*.jsonl"))
+# a det run under the lazy scheduler: long idle stretches, repeated decisions
+LAZY_CASE = ("det", 7, 1_007, "lazy", False)
 
 
 class TestInstanceFiles:
@@ -129,6 +137,15 @@ class TestDecisionJson:
     def test_rejects_unknown_kind(self):
         with pytest.raises(StructuralError):
             decision_from_json({"kind": "sprint"}, "here")
+
+    @pytest.mark.parametrize("kind", [["move"], {"a": 1}], ids=["list", "object"])
+    def test_rejects_a_kind_that_is_not_a_string(self, kind):
+        with pytest.raises(StructuralError, match="here: unknown decision kind"):
+            decision_from_json({"kind": kind}, "here")
+
+    def test_rejects_a_direction_that_is_not_a_string(self):
+        with pytest.raises(StructuralError, match="here: unknown direction"):
+            decision_from_json({"kind": "move", "to": "1/2", "dir": ["forward"]}, "here")
 
     def test_rejects_move_without_destination(self):
         with pytest.raises(StructuralError):
@@ -364,3 +381,90 @@ class TestTraces:
         with pytest.raises(TraceParseError) as err:
             record_from_json(obj, 1)
         assert str(err.value) == f"line 1: decision {key}: unknown decision kind 'sprint'"
+
+
+class TestDecodedSharing:
+    """What ``read_trace`` shares between the records it decodes."""
+
+    @pytest.fixture(scope="class")
+    def lines(self):
+        path = gc.GOLDEN / gc.case_name(LAZY_CASE)
+        return [json.loads(line) for line in path.read_text().splitlines()]
+
+    @pytest.fixture(scope="class")
+    def records(self):
+        return read_trace(gc.GOLDEN / gc.case_name(LAZY_CASE))
+
+    def test_idle_records_hold_one_position_tuple(self, lines, records):
+        idle = [rec for obj, rec in zip(lines, records)
+                if obj["positions_before"] == obj["positions_after"]]
+        assert len(idle) > len(records) // 2
+        assert all(rec.positions_after is rec.positions_before for rec in idle)
+
+    def test_each_record_starts_on_the_tuple_the_previous_one_ended_on(self, records):
+        for prev, rec in pairwise(records):
+            assert rec.positions_before is prev.positions_after
+
+    def test_equal_raw_decisions_share_one_read_only_mapping(self, lines, records):
+        shared = 0
+        for (a, prev), (b, rec) in pairwise(zip(lines, records)):
+            if a["decisions"] == b["decisions"]:
+                assert rec.decisions is prev.decisions
+                shared += 1
+            else:
+                assert rec.decisions is not prev.decisions
+        assert shared > len(records) // 2
+        rid = records[0].activated[0]
+        with pytest.raises(TypeError):
+            records[0].decisions[rid] = records[0].decisions[rid]
+
+    def test_shared_records_equal_the_run(self, records):
+        assert records == gc.run_case(LAZY_CASE)[1]
+
+
+class TestEncoderAgainstReference:
+    """``record_to_json`` keeps the last position tuple's texts; it must
+    encode exactly what formatting every position anew does."""
+
+    @pytest.fixture(scope="class")
+    def traces(self):
+        return {path.name: read_trace(path) for path in GOLDEN_TRACES}
+
+    def test_every_golden_record(self, traces):
+        for name, records in traces.items():
+            lines = (gc.GOLDEN / name).read_text().splitlines()
+            for rec, line in zip(records, lines, strict=True):
+                obj = record_to_json(rec)
+                assert obj == reference_record_to_json(rec)
+                assert json.dumps(obj, separators=(",", ":")) == line
+
+    def test_two_traces_encoded_in_turn(self, traces):
+        names = sorted(traces)
+        for first, second in zip(names, names[1:] + names[:1]):
+            for a, b in zip(traces[first], traces[second]):
+                assert record_to_json(a) == reference_record_to_json(a)
+                assert record_to_json(b) == reference_record_to_json(b)
+
+    def test_equal_tuples_that_are_distinct_objects(self, traces):
+        for rec in traces[gc.case_name(LAZY_CASE)]:
+            copy = replace(rec, positions_before=tuple(F(p) for p in rec.positions_before),
+                           positions_after=tuple(list(rec.positions_after)))
+            assert copy.positions_before is not rec.positions_before
+            assert record_to_json(rec) == record_to_json(copy) == reference_record_to_json(rec)
+
+    def test_a_returned_list_changed_by_the_caller(self, traces):
+        rec = next(r for r in traces[gc.case_name(LAZY_CASE)]
+                   if r.positions_after is r.positions_before)
+        obj = record_to_json(rec)
+        obj["positions_before"][0] = "sideways"
+        obj["positions_after"].clear()
+        assert record_to_json(rec) == reference_record_to_json(rec)
+
+    def test_a_position_list_changed_in_place(self, traces):
+        # records hold tuples; a caller's list is formatted on every call
+        rec = traces[gc.case_name(LAZY_CASE)][0]
+        positions = list(rec.positions_before)
+        listed = replace(rec, positions_before=positions, positions_after=positions)
+        assert record_to_json(listed) == reference_record_to_json(listed)
+        positions[0] = positions[0] + F(1, 10_000)
+        assert record_to_json(listed) == reference_record_to_json(listed)
