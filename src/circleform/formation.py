@@ -13,7 +13,9 @@ reads index 0 of its snapshot's cycle; the simulator reads a whole
 configuration's table, and its phase, at once.  One function
 (``_to_decision``) maps any instruction back onto the shared circle: a
 draw takes its travel from the caller's random source and waits without
-one.  Every other interval choice is made by midpoint subdivision.
+one.  Every stay branch and termination maps to one shared, frozen
+``Decision`` (decoded traces share them too); only moves are built anew.
+Every other interval choice is made by midpoint subdivision.
 """
 
 from __future__ import annotations
@@ -433,15 +435,23 @@ def _against(instr: tuple) -> tuple:
     return (head, instr[1], -instr[2], instr[3]) if head in ("move", "draw") else instr
 
 
+# the one Decision of each stay branch the rule takes, and of terminating;
+# the table holds the rule's own branch names only, so no input makes it grow
+_STAYS = {why: Decision(DecisionKind.STAY, branch=why) for why in (
+    "wait_lead", "wait_near", "wait_second", "hold", "parked", "wait_settle", "wait_tie")}
+_FORMED = Decision(DecisionKind.TERMINATE, branch="formed")
+
+
 def _to_decision(instr: tuple, at: Fraction, rng: Optional[Random] = None) -> Decision:
     """The robot at ``at`` acting on ``instr``, whose sign is along the
     presentation frame; a draw takes its fraction of the window from
-    ``rng``, and waits when ``rng`` is None."""
+    ``rng``, and waits when ``rng`` is None.  Stays and terminations are
+    the shared objects of ``_STAYS`` and ``_FORMED``; moves are new."""
     head = instr[0]
     if head == "terminate":
-        return Decision(DecisionKind.TERMINATE, branch="formed")
+        return _FORMED
     if head == "stay":
-        return Decision(DecisionKind.STAY, branch=instr[1])
+        return _STAYS[instr[1]]
     if head == "unsolvable":
         raise SymmetricConfigurationError(instr[1])
     if head == "invariant":
@@ -449,7 +459,7 @@ def _to_decision(instr: tuple, at: Fraction, rng: Optional[Random] = None) -> De
     _, dist, sign, branch = instr
     if head == "draw":
         if rng is None:
-            return Decision(DecisionKind.STAY, branch="wait_tie")
+            return _STAYS["wait_tie"]
         dist = Fraction(rng.randrange(1, _RAND_DENOM), _RAND_DENOM) * dist
     pdir = Direction.REVERSE if sign < 0 else Direction.FORWARD
     return Decision(DecisionKind.MOVE, mod1(at + pdir.sign * dist), pdir, branch)

@@ -9,7 +9,9 @@ Decoding parses each distinct angle text, each distinct list of angle
 texts and each distinct decision once (``parse_turn``, ``_parse_turns`` and
 ``_decision`` are cached), so decoded records share immutable Fraction,
 position tuple and ``Decision`` objects: an idle round's positions are one
-tuple, which is the round before's ``positions_after``.  Decisions decode
+tuple, which is the round before's ``positions_after``.  A stay or
+termination the rule makes decodes to the rule's own shared ``Decision``,
+so a replay compares it with the rule's by identity.  Decisions decode
 to read-only mappings, shared by consecutive lines with equal decisions.
 Encoding formats a position tuple only when it is not the one encoded
 last (``record_to_json``).  Ids, rounds, epochs and class
@@ -35,15 +37,14 @@ from .configuration import (
     Symmetric,
 )
 from .errors import CircleFormError, StructuralError, TraceParseError
-from .formation import Decision, DecisionKind, TargetPattern
+from .formation import _FORMED, _STAYS, Decision, DecisionKind, TargetPattern
 from .simulator import RoundRecord
 
 PathLike = Union[str, Path]
 
-_KIND = {DecisionKind.STAY: "stay", DecisionKind.MOVE: "move", DecisionKind.TERMINATE: "terminate"}
-_KIND_BACK = {v: k for k, v in _KIND.items()}
-_DIR = {Direction.FORWARD: "forward", Direction.REVERSE: "reverse"}
-_DIR_BACK = {v: k for k, v in _DIR.items()}
+# decoding tables; encoding reads a kind's value and tests a direction's identity
+_KIND_BACK = {k.value: k for k in DecisionKind}
+_DIR_BACK = {"forward": Direction.FORWARD, "reverse": Direction.REVERSE}
 
 
 # ---------------------------------------------------------------------------
@@ -126,10 +127,11 @@ def _parse_turns(texts: tuple) -> tuple[Turn, ...]:
 
 
 def decision_to_json(d: Decision) -> dict:
-    out: dict[str, Any] = {"kind": _KIND[d.kind], "branch": d.branch}
+    # ``_value_``, the JSON name: the ``value`` property costs more in CPython 3.11
+    out: dict[str, Any] = {"kind": d.kind._value_, "branch": d.branch}
     if d.is_move:
         out["to"] = format_turn(d.destination)
-        out["dir"] = _DIR[d.path_direction]
+        out["dir"] = "forward" if d.path_direction is Direction.FORWARD else "reverse"
     return out
 
 
@@ -157,8 +159,14 @@ def decision_from_json(obj: Any, where: str) -> Decision:
 @lru_cache(maxsize=1 << 12)
 def _decision(kind: str, branch: str, to: Optional[str], direction: Optional[str]) -> Decision:
     """The one shared Decision for validated decision fields, keyed on their
-    texts (Decision is frozen, and text keys hash faster than enums)."""
+    texts (Decision is frozen, and text keys hash faster than enums).  A
+    stay or termination the rule makes is the rule's own object
+    (``formation._STAYS`` and ``_FORMED``)."""
     if to is None:
+        if kind == "stay" and branch in _STAYS:
+            return _STAYS[branch]
+        if kind == "terminate" and branch == _FORMED.branch:
+            return _FORMED
         return Decision(_KIND_BACK[kind], branch=branch)
     return Decision(DecisionKind.MOVE, parse_turn(to), _DIR_BACK[direction], branch)
 
@@ -167,7 +175,8 @@ def class_to_json(cls: ConfigClass) -> dict:
     if isinstance(cls, Symmetric):
         return {"kind": "symmetric", "fold": cls.fold}
     if isinstance(cls, LeaderConfig):
-        return {"kind": "leader", "leader": cls.leader, "pivotal": _DIR[cls.pivotal]}
+        pivotal = "forward" if cls.pivotal is Direction.FORWARD else "reverse"
+        return {"kind": "leader", "leader": cls.leader, "pivotal": pivotal}
     assert isinstance(cls, DoubleNomineeTied)
     return {
         "kind": "tied",

@@ -223,33 +223,45 @@ def detect_collision(
     time is the earliest closing of a gap between cyclic neighbours.  Every
     robot at one point then is a run of neighbours whose gaps all close at
     that time; the witness is the least index pair within such a run.
+
+    The arithmetic is on ints over one denominator: the lcm of ``c.den`` and
+    every mover's travel denominator.  A gap g closing at speed s does so at
+    t = g / s, so closing times compare by cross-multiplying, and only the
+    witness's time is built as a Fraction.
     """
     pos = c.positions
     n = c.n
-    vel: dict[int, Fraction] = {}
+    steps: dict[int, tuple[int, int]] = {}  # each mover's signed travel, as (num, den)
     for i, d in decisions.items():
         if not 0 <= i < n:
             raise PreconditionError(f"decision for unknown robot {i}")
         if d.is_move:
-            travel = mod1(d.path_direction.sign * (d.destination - pos[i]))
-            if travel:
-                vel[i] = d.path_direction.sign * travel
-    if not vel or n < 2:
+            a, b = d.destination.as_integer_ratio()
+            p, q = pos[i].as_integer_ratio()
+            den = lcm(b, q)
+            ahead = a * (den // b) - p * (den // q)
+            step = ahead % den if d.path_direction is Direction.FORWARD else -(-ahead % den)
+            if step:
+                steps[i] = step, den
+    if not steps or n < 2:
         return None
-    cycle, den = c.cycle, c.den
-    best: Optional[Fraction] = None
-    closing: set[int] = set()  # i such that the gap from robot i to i+1 closes at best
-    for i in {(m - 1) % n for m in vel} | set(vel):
+    cycle = c.cycle
+    m = lcm(c.den, *(den for _, den in steps.values()))
+    scale = m // c.den
+    vel = {i: step * (m // den) for i, (step, den) in steps.items()}
+    best_gap = best_speed = 0  # the earliest closing time, as best_gap / best_speed
+    closing: set[int] = set()  # i such that the gap from robot i to i+1 closes then
+    for i in {(k - 1) % n for k in vel} | set(vel):
         speed = vel.get(i, 0) - vel.get((i + 1) % n, 0)
-        if speed <= 0:
+        gap = cycle[i] * scale
+        if speed <= 0 or gap > speed:
+            continue  # never closes, or closes after t = 1
+        if not closing or gap * best_speed < best_gap * speed:
+            best_gap, best_speed, closing = gap, speed, set()
+        elif gap * best_speed > best_gap * speed:
             continue
-        t = Fraction(cycle[i], den) / speed
-        if t > 1 or (best is not None and t > best):
-            continue
-        if t != best:
-            best, closing = t, set()
         closing.add(i)
-    if best is None:
+    if not closing:
         return None
     pairs = []
     for i in closing:
@@ -261,7 +273,7 @@ def detect_collision(
         first, second = sorted(run_ids)[:2]
         pairs.append((first, second))
     first, second = min(pairs)
-    return CollisionWitness(first, second, best)
+    return CollisionWitness(first, second, Fraction(best_gap, best_speed))
 
 
 # ---------------------------------------------------------------------------

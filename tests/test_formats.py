@@ -21,9 +21,13 @@ from circleform import (
     Symmetric,
     TargetPattern,
     TraceParseError,
+    gen_instance,
     run,
 )
+from circleform.cli import make_policy
+from circleform.formation import _FORMED, _STAYS, _to_decision
 from circleform.formats import (
+    _decision,
     class_from_json,
     class_to_json,
     decision_from_json,
@@ -37,6 +41,7 @@ from circleform.formats import (
     save_pattern,
     write_trace,
 )
+from circleform.simulator import _det_plan, _Frame, verify_trace
 
 import golden_corpus as gc
 from conftest import config, near_floor_starts, tied_starts
@@ -420,6 +425,68 @@ class TestDecodedSharing:
 
     def test_shared_records_equal_the_run(self, records):
         assert records == gc.run_case(LAZY_CASE)[1]
+
+
+class TestSharedDecisions:
+    """The rule makes one ``Decision`` per stay branch and one for
+    terminating, and decoding a trace hands back those same objects."""
+
+    @staticmethod
+    def _shared(d: Decision) -> bool:
+        return d is (_FORMED if d.kind is DecisionKind.TERMINATE else _STAYS.get(d.branch))
+
+    def test_rule_returns_one_object_per_stay_branch_and_for_terminate(self):
+        for why, d in _STAYS.items():
+            assert _to_decision(("stay", why), F(0)) is d
+            assert _to_decision(("stay", why), F(1, 3)) is d
+            assert d == Decision(DecisionKind.STAY, branch=why)
+        formed = _to_decision(("terminate",), F(0))
+        assert formed is _to_decision(("terminate",), F(1, 3))
+        assert formed == Decision(DecisionKind.TERMINATE, branch="formed")
+        # a drawer with no draw source waits
+        draw = ("draw", F(1, 8), 1, "random_tiebreak")
+        assert _to_decision(draw, F(0)) is _STAYS["wait_tie"]
+
+    def test_decoded_golden_stays_are_the_rules_objects(self):
+        for path in GOLDEN_TRACES:
+            kept = [d for rec in read_trace(path) for d in rec.decisions.values() if not d.is_move]
+            assert kept and all(map(self._shared, kept)), path.name
+
+    def test_det_plan_refuses_a_stay_that_differs_only_in_branch(self):
+        c0, pattern = gen_instance(7, 1007)
+        _, records = run(c0, pattern, make_policy("lazy"), seed=1007)
+        i, rid = next((i, rid) for i, rec in enumerate(records)
+                      for rid, d in rec.decisions.items() if d.kind is DecisionKind.STAY)
+        rec = records[i]
+        stay = rec.decisions[rid]
+        other = next(d for why, d in _STAYS.items() if why != stay.branch)
+        forged = replace(rec, decisions={**rec.decisions, rid: other})
+        alive = frozenset(range(c0.n))
+        before = _Frame(rec.positions_before, pattern)
+        assert _det_plan(before, rec, alive) is not None
+        assert _det_plan(before, forged, alive) is None
+        records[i] = forged
+        assert verify_trace(records, pattern) == [
+            f"round {rec.round}: robot {rid} recorded {other} but the rule gives {stay}"
+        ]
+
+    def test_distinct_stay_branches_in_a_trace_leave_the_tables_bounded(self, tmp_path):
+        obj = json.loads((gc.GOLDEN / gc.case_name(LAZY_CASE)).read_text().splitlines()[0])
+        rid = str(obj["activated"][0])
+        path = tmp_path / "trace.jsonl"
+        with path.open("w") as fh:
+            for k in range(5000):
+                obj["decisions"][rid] = {"kind": "stay", "branch": f"stay_{k}"}
+                fh.write(json.dumps(obj) + "\n")
+        stays = dict(_STAYS)
+        records = read_trace(path)
+        assert _STAYS == stays
+        info = _decision.cache_info()
+        assert info.currsize <= info.maxsize < 5000
+        got = records[4321].decisions[int(rid)]
+        assert got == Decision(DecisionKind.STAY, branch="stay_4321") and not self._shared(got)
+        # the rule's stays still decode to the shared objects afterwards
+        assert decision_from_json({"kind": "stay", "branch": "hold"}, "here") is _STAYS["hold"]
 
 
 class TestEncoderAgainstReference:

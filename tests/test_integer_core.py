@@ -106,6 +106,43 @@ class TestCollisionAgainstAllPairs:
         assert (witness.first, witness.second, witness.time) == (0, 2, 1)
         assert witness == oracles.all_pairs_collision(c, decisions)
 
+    @given(mixed_position_sets(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_wide_denominators_equal_all_pairs(self, pts, data):
+        # destinations over 2**61, 3 * 2**61 and small unrelated
+        # denominators, or onto another robot, so that meetings occur
+        c = Configuration.from_positions(pts)
+        decisions = {}
+        for i in range(c.n):
+            if data.draw(st.booleans()):
+                dest = data.draw(st.one_of(mixed_turns, st.sampled_from(c.positions)))
+                direction = data.draw(st.sampled_from((Direction.FORWARD, Direction.REVERSE)))
+                decisions[i] = Decision(DecisionKind.MOVE, dest, direction, "test")
+        assert detect_collision(c, decisions) == oracles.all_pairs_collision(c, decisions)
+
+    @pytest.mark.parametrize("n", (4, 6, 8))
+    def test_every_plan_of_tied_rand_runs_equals_all_pairs(self, n):
+        # each tie-break draw is over 2**61, so these plans mix it with the
+        # configuration's own denominator
+        wide = 0
+        for seed in range(3):
+            c0, pattern = tied_even_instance(n, seed)
+            for name in ("fsync", "rr", "random", "lazy"):
+                _, records = run(c0, pattern, make_policy(name), mode="rand", seed=seed)
+                for rec in records:
+                    if not any(d.is_move for d in rec.decisions.values()):
+                        continue
+                    order = sorted(range(n), key=rec.positions_before.__getitem__)
+                    c = Configuration(tuple(rec.positions_before[r] for r in order))
+                    decisions = {k: rec.decisions[r] for k, r in enumerate(order)
+                                 if r in rec.decisions}
+                    assert detect_collision(c, decisions) == (
+                        oracles.all_pairs_collision(c, decisions)
+                    )
+                    wide += any(d.is_move and d.destination.denominator >= TIE_DEN
+                                for d in decisions.values())
+        assert wide > 0
+
 
 # ---------------------------------------------------------------------------
 # snapshots and classification
