@@ -19,7 +19,16 @@ decisions, moves, terminations and move branches per activation set
 (``_Plan``).  ``_Frame.collision`` skips idle rounds, and ``_Frame.moved``
 builds the next frame under the same rule, rotating the robots' sorted
 order instead of sorting afresh, since a round without a collision keeps
-their cyclic order.  ``_check_transition`` lists every failed check of one
+their cyclic order.  Both memoise their outcome per set of movers, so a
+frame builds each successor once.
+
+Det-mode runs share their start frames (``_start_frame``): a small table
+holds the start frame of the last few (start, pattern, mutant) triples.
+``batch`` and the acceptance battery run one start under every scheduler
+in a row, and the rule is deterministic and the robots oblivious, so the
+later runs walk the frames the earlier ones built, reaching them through
+the successor memos.  Rand-mode frames hold their run's draw source and
+are never shared.  ``_check_transition`` lists every failed check of one
 round, from the frame before it to the frame after it (symmetry creation,
 the leader/direction lock, coincident tie-break draws, branch
 postconditions, motion under full activation); ``_EpochLedger`` adds epoch
@@ -378,14 +387,25 @@ class _Frame:
     no move lands all of these are reusable across rounds.  Plans are
     memoised per activation set.  The after-state checks (``audit``) depend
     only on the frame and the lock a round enters with, so each is computed
-    once per lock.  The key (``key``) stands for the positions wherever
-    they are hashed, as explore's state keys are: ints hash without the
-    modular inverse a ``Fraction`` hash takes.  A frame built without a
-    pattern only moves and checks collisions.
+    once per lock.  A round's collision verdict and successor frame depend
+    only on its moves, so ``collision`` and ``moved`` memoise them per set
+    of movers; an entry answers only a plan whose moves equal the ones it
+    was made from (an identity check for the frame's own plans), and a plan
+    built elsewhere with other moves for the same movers is worked out
+    afresh.  The key (``key``) stands for the positions wherever they are
+    hashed, as explore's state keys are: ints hash without the modular
+    inverse a ``Fraction`` hash takes.  A frame built without a pattern
+    only moves and checks collisions.
+
+    Det-mode start frames, and through their memos every frame reached
+    from them, are shared by the runs of one start (``_start_frame``), so
+    a frame's memos must hold for the rule alone.  Anything that patches
+    the rule (``formation._decide`` or what it calls) must also empty the
+    start table, ``_starts``, as it clears the rule's caches.
     """
 
     __slots__ = ("pos", "pattern", "mutant", "rng", "order", "idx_of", "c", "dec", "_table",
-                 "_cls", "_plans", "_audit", "_key")
+                 "_cls", "_plans", "_audit", "_key", "_collided", "_next")
 
     def __init__(self, pos: Sequence[Turn], pattern: Optional[TargetPattern] = None,
                  mutant: Optional[str] = None, rng: Optional[Random] = None,
@@ -401,6 +421,9 @@ class _Frame:
         self._plans: dict[frozenset, _Plan] = {}
         self._audit: dict[_Lock, tuple[_Lock, tuple[str, ...]]] = {}
         self._key: Optional[tuple[int, ...]] = None
+        # movers -> (the moves the entry was made from, its outcome)
+        self._collided: dict[frozenset, tuple[tuple, Optional[str]]] = {}
+        self._next: dict[frozenset, tuple[tuple, _Frame]] = {}
 
     def key(self) -> tuple[int, ...]:
         """The positions as ints: their least common denominator, then each
@@ -473,12 +496,17 @@ class _Frame:
 
         A round in which nobody moves is idle: a frame's positions are
         distinct, so nothing can meet and nothing is checked."""
-        if not plan.moves:
+        moves = plan.moves
+        if not moves:
             return None
-        w = detect_collision(self.c, {self.idx_of[r]: d for r, d in plan.moves})
-        if w is None:
-            return None
-        return f"robots {self.order[w.first]} and {self.order[w.second]} collide at t={w.time}"
+        got = self._collided.get(plan.movers)
+        if got is not None and got[0] == moves:
+            return got[1]
+        w = detect_collision(self.c, {self.idx_of[r]: d for r, d in moves})
+        msg = None if w is None else (
+            f"robots {self.order[w.first]} and {self.order[w.second]} collide at t={w.time}")
+        self._collided[plan.movers] = moves, msg
+        return msg
 
     def moved(self, plan: _Plan) -> "_Frame":
         """The frame once the plan's moves land; ``self`` when nobody moves.
@@ -486,15 +514,40 @@ class _Frame:
         The plan must not collide, so the robots keep their cyclic order and
         the new sorted order is a rotation of the old one.  Its first robot
         is a mover or the first robot of the old order that stays."""
-        if not plan.moves:
+        moves = plan.moves
+        if not moves:
             return self
+        got = self._next.get(plan.movers)
+        if got is not None and got[0] == moves:
+            return got[1]
         pos = list(self.pos)
-        for r, d in plan.moves:
+        for r, d in moves:
             pos[r] = d.destination
         order = self.order
         heads = [*plan.movers, *next(([r] for r in order if r not in plan.movers), [])]
         k = self.idx_of[min(heads, key=pos.__getitem__)]
-        return _Frame(pos, self.pattern, self.mutant, self.rng, order[k:] + order[:k])
+        after = _Frame(pos, self.pattern, self.mutant, self.rng, order[k:] + order[:k])
+        self._next[plan.movers] = moves, after
+        return after
+
+
+# det-mode start frames by (positions, pattern cycle, mutant), oldest first
+_starts: dict[tuple, _Frame] = {}
+# batch and the acceptance battery run one start's schedulers back to back,
+# so a few starts suffice; every frame reached from a held start stays alive
+_STARTS_HELD = 2
+
+
+def _start_frame(c0: Configuration, pattern: TargetPattern, mutant: Optional[str]) -> _Frame:
+    """The shared det-mode start frame of ``c0`` under the rule; the oldest
+    held start is dropped when the table is full."""
+    key = (c0.positions, pattern.cycle, mutant)
+    frame = _starts.get(key)
+    if frame is None:
+        if len(_starts) >= _STARTS_HELD:
+            del _starts[next(iter(_starts))]
+        frame = _starts[key] = _Frame(c0.positions, pattern, mutant)
+    return frame
 
 
 def _branch_postconditions(after: _Frame, before: _Frame, branch: str) -> list[str]:
@@ -707,7 +760,10 @@ def run(
     Each round's plan comes from the frame (``_Frame.plan``, memoised per
     activation set); an idle round leaves the frame as it was and is not
     checked for collisions, and a round with moves rotates the frame's
-    sorted order instead of sorting afresh (``_Frame.moved``).  Every
+    sorted order instead of sorting afresh (``_Frame.moved``).  A det-mode
+    run starts from the start's shared frame (``_start_frame``), so it
+    walks the frames earlier runs of the start built; a rand-mode run
+    builds its own, which draw from the run's seed.  Every
     round is audited as it happens (``_EpochLedger``): the audit records
     (never raises) violations of the progress and stability guarantees.
     Collisions, scheduler contract breaks, decision errors, a full
@@ -734,7 +790,8 @@ def run(
 
     report = RunReport(n=n, scheduler=policy.name, mode=mode, bound=ledger.bound)
     records: list[RoundRecord] = []
-    state = _Frame(c0.positions, pattern, mutant, rng)
+    state = (_start_frame(c0, pattern, mutant) if rng is None
+             else _Frame(c0.positions, pattern, mutant, rng))
     rnd = 0
 
     while not ledger.halted:
@@ -830,9 +887,9 @@ def verify_trace(
         if set(rec.activated) != set(rec.decisions):
             problems.append(f"{where}: activated ids and decision keys disagree")
             break
-        outside = sorted(set(rec.activated) - set(range(n)))
-        if outside:
-            problems.append(f"{where}: robot id {outside[0]} is not in 0..{n - 1}")
+        if min(rec.activated) < 0 or max(rec.activated) >= n:
+            outside = min(rid for rid in rec.activated if not 0 <= rid < n)
+            problems.append(f"{where}: robot id {outside} is not in 0..{n - 1}")
             break
         continuous = prev is None or rec.positions_before == prev.pos
         if not continuous:

@@ -768,8 +768,13 @@ class TestForgedTraces:
 
     def test_activated_id_out_of_range_is_reported(self, records, pattern5):
         first = records[0]
-        forged = replace(first, activated=(9,), decisions={9: first.decisions[0]})
-        assert verify_trace([forged], pattern5) == ["round 1: robot id 9 is not in 0..4"]
+        # the smallest id outside 0..n-1 is named
+        for ids, named in [((9,), 9), ((5,), 5), ((2, 9, -1), -1)]:
+            forged = replace(first, activated=ids,
+                             decisions=dict.fromkeys(ids, first.decisions[0]))
+            assert verify_trace([forged], pattern5) == [
+                f"round 1: robot id {named} is not in 0..4"
+            ]
 
     def test_repeated_activation_is_reported(self, records, pattern5):
         first = records[0]

@@ -1,5 +1,7 @@
 """Schedulers, collision detection, full runs, exploration, symmetry runs."""
 
+import dataclasses
+import re
 from fractions import Fraction
 
 import pytest
@@ -18,8 +20,9 @@ from circleform import (
     SymmetricConfigurationError,
     TargetPattern,
 )
-from circleform import formation
+from circleform import formation, simulator
 from circleform.cli import gen_instance
+from circleform.formats import record_to_json
 from circleform.simulator import (
     POLICIES,
     SYMMETRY_RULES,
@@ -33,10 +36,12 @@ from circleform.simulator import (
     explore_schedules,
     formation_bound,
     fsync_symmetry_experiment,
+    make_policy,
     phase_of,
     run,
     verify_trace,
 )
+import golden_corpus as gc
 from conftest import config, near_floor_starts, tied_starts
 
 F = Fraction
@@ -297,6 +302,107 @@ class TestRunsVerify:
         assert verify_trace(records, pattern, mode) == []
 
 
+def _outcome(c0, pattern, name, mode="det", seed=0, mutant=None):
+    """A run's report and encoded records, as plain values."""
+    report, records = run(c0, pattern, make_policy(name), mode=mode, seed=seed, mutant=mutant)
+    return dataclasses.asdict(report), [record_to_json(rec) for rec in records]
+
+
+def _cold(c0, pattern, name, mode="det", seed=0, mutant=None):
+    simulator._starts.clear()
+    return _outcome(c0, pattern, name, mode, seed, mutant)
+
+
+class TestSharedStartFrames:
+    """Det runs of one start share its frames; no run may see the sharing."""
+
+    @staticmethod
+    def _cases():
+        """(mode, start, pattern, seed) of every golden-trace start, a
+        seven-robot start and the tied five-robot start."""
+        out = {}
+        for case in gc.cases():
+            mode, n, seed, _, tied = case
+            out[(mode, n, seed, tied)] = (mode, *gc.start(case), seed)
+        out["gen7"] = ("det", *gen_instance(7, 70_001), 70_001)
+        out["tied5"] = ("det", gc.TIED5, gc.PATTERN5, 3)
+        return list(out.values())
+
+    def test_cold_and_warm_runs_are_equal(self):
+        for mode, c0, pattern, seed in self._cases():
+            cold = {name: _cold(c0, pattern, name, mode, seed) for name in gc.SCHEDULERS}
+            for order in (gc.SCHEDULERS, gc.SCHEDULERS[::-1]):
+                simulator._starts.clear()
+                for _ in range(2):  # the table empty for the first run, then warm
+                    for name in order:
+                        assert _outcome(c0, pattern, name, mode, seed) == cold[name], (
+                            mode, c0, name, order)
+
+    def test_a_mutant_run_leaves_the_clean_rule_alone(self):
+        start, pattern = gc.MUTANT_START, gc.PATTERN5
+        for name in gc.SCHEDULERS:
+            clean = _cold(start, pattern, name)
+            mutant = _cold(start, pattern, name, mutant="eps1-lower")
+            assert _outcome(start, pattern, name, mutant="eps1-lower") == mutant
+            assert _outcome(start, pattern, name) == clean
+
+    def test_a_rand_run_never_adds_to_the_table(self, mirror_tied4):
+        p = TargetPattern.from_angles([F(1, 12), F(3, 12), F(4, 12), F(4, 12)])
+        simulator._starts.clear()
+        for name in gc.SCHEDULERS:
+            run(mirror_tied4, p, make_policy(name), mode="rand", seed=2)
+        assert simulator._starts == {}
+
+    def test_the_table_is_bounded_and_an_evicted_start_rebuilds(self):
+        held = simulator._STARTS_HELD
+        first = gen_instance(5, 0)
+        before = _cold(*first, "rr")
+        start_frame = simulator._start_frame(first[0], first[1], None)
+        for seed in range(1, held + 3):
+            run(*gen_instance(5, seed), RoundRobinSingleton())
+            assert len(simulator._starts) <= held
+        assert all(frame is not start_frame for frame in simulator._starts.values())
+        assert _outcome(*first, "rr") == before
+        assert simulator._start_frame(first[0], first[1], None) is not start_frame
+
+
+class TestFramePlans:
+    """A frame's round outcomes are memoised per mover set, but only for
+    the moves they were worked out from."""
+
+    def test_same_mover_other_moves_get_their_own_outcome(self):
+        frame = simulator._Frame(config(0, F(1, 4), F(1, 2), F(3, 4)).positions)
+        near = simulator._plan({0: move_to(F(1, 8))})
+        nearer = simulator._plan({0: move_to(F(1, 16))})
+        onto = simulator._plan({0: move_to(F(1, 4))})  # lands on robot 1
+        assert near.movers == nearer.movers == onto.movers
+        for _ in range(2):
+            assert frame.collision(near) is None
+            assert frame.moved(near).pos[0] == F(1, 8)
+            assert frame.collision(onto) == "robots 0 and 1 collide at t=1"
+            assert frame.collision(nearer) is None
+            assert frame.moved(nearer).pos[0] == F(1, 16)
+        assert frame.moved(near) is frame.moved(near)
+
+    def test_a_forged_collision_is_found_on_a_warm_start(self):
+        c0, pattern = gen_instance(5, 1_005)
+        _, records = run(c0, pattern, RoundRobinSingleton())
+        k, rec = next((k, r) for k, r in enumerate(records) if len(r.decisions) == 1
+                      and next(iter(r.decisions.values())).is_move)
+        (rid, d), = rec.decisions.items()
+        at = rec.positions_before[rid]
+        # the neighbour the mover heads for: the least travel along its path
+        neighbour = min(set(rec.positions_before) - {at},
+                        key=lambda p: d.path_direction.sign * (p - at) % 1)
+        onto = dataclasses.replace(d, destination=neighbour)
+        after = list(rec.positions_before)
+        after[rid] = onto.destination
+        forged = dataclasses.replace(rec, decisions={rid: onto}, positions_after=tuple(after))
+        problems = verify_trace([*records[:k], forged, *records[k + 1:]], pattern)
+        assert any(re.fullmatch(rf"round {rec.round}: robots \d+ and \d+ collide at t=1", m)
+                   for m in problems), problems
+
+
 class TestPhases:
     def test_labels(self, single_nominee5, tied5, pattern5):
         from circleform.angles import prefix_sums
@@ -362,11 +468,13 @@ class TestExploreSchedules:
 
         formation._survey.cache_clear()
         formation._decide.cache_clear()
+        simulator._starts.clear()
         monkeypatch.setattr(formation, "_break_tie", skewed)
         yield
         monkeypatch.undo()
         formation._survey.cache_clear()
         formation._decide.cache_clear()
+        simulator._starts.clear()
 
     def test_chirality_is_checked(self, skewed_tie_break, tied5, pattern5):
         report = explore_schedules(tied5, pattern5, 2)
