@@ -94,6 +94,10 @@ class TargetPattern:
             )
         return cls(canon, orig)
 
+    def __hash__(self) -> int:
+        # equal patterns have equal cycles, whose ints hash faster than Fractions
+        return hash(self.cycle)
+
     @property
     def n(self) -> int:
         return len(self.angles)
@@ -141,7 +145,9 @@ class Decision:
     ``branch`` names the rule branch that produced the action; traces carry
     it so replays can be checked branch by branch.  ``is_move`` is stored
     once, since the run loop asks it of every decision every round; it takes
-    no part in equality, hashing or ``repr``.
+    no part in equality, hashing or ``repr``.  A move needs a ``Fraction``
+    destination in [0, 1) and a ``Direction``; a stay or termination carries
+    neither.  Anything else raises StructuralError.
     """
 
     kind: DecisionKind
@@ -151,7 +157,16 @@ class Decision:
     is_move: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "is_move", self.kind is DecisionKind.MOVE)
+        to, way = self.destination, self.path_direction
+        move = self.kind is DecisionKind.MOVE
+        object.__setattr__(self, "is_move", move)
+        if not move:
+            if to is not None or way is not None:
+                raise StructuralError(f"a {self.kind.value} carries no destination or direction")
+        elif not isinstance(to, Fraction) or not 0 <= to.numerator < to.denominator:
+            raise StructuralError(f"a move needs a destination in [0, 1), got {to}")
+        elif not isinstance(way, Direction):
+            raise StructuralError(f"a move needs a direction, got {way}")
 
 
 def select_in_interval(lo: Fraction, hi: Fraction, forbidden: Iterable[Fraction] = ()) -> Fraction:

@@ -38,7 +38,7 @@ from .configuration import (
 )
 from .errors import CircleFormError, StructuralError, TraceParseError
 from .formation import _FORMED, _STAYS, Decision, DecisionKind, TargetPattern
-from .simulator import RoundRecord
+from .simulator import RoundRecord, _record_fault
 
 PathLike = Union[str, Path]
 
@@ -288,15 +288,9 @@ def record_from_json(obj: Any, line_no: int, *,
         raise TraceParseError(line_no, str(exc)) from exc
     if len(before) != len(after):
         raise TraceParseError(line_no, "positions_before and positions_after differ in length")
-    if not activated:
-        raise TraceParseError(line_no, "no robot activated")
-    if len(set(activated)) != len(activated):
-        raise TraceParseError(line_no, "activated ids repeat")
-    if set(activated) != set(decisions):
-        raise TraceParseError(line_no, "activated ids and decision keys disagree")
-    outside = sorted(i for i in activated if not 0 <= i < len(before))
-    if outside:
-        raise TraceParseError(line_no, f"robot id {outside[0]} is not in 0..{len(before) - 1}")
+    fault = _record_fault(activated, decisions, len(before))
+    if fault is not None:
+        raise TraceParseError(line_no, fault)
     return RoundRecord(rnd, epoch, activated, decisions, before, after, cls)
 
 

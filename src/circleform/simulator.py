@@ -16,19 +16,19 @@ reads its decision off entry k of the configuration's instruction table
 draw, which waits without a draw source), the frame reads its phase off
 the same table (``_Frame.phase``), and ``_Frame.plan`` memoises a round's
 decisions, moves, terminations and move branches per activation set
-(``_Plan``).  ``_Frame.collision`` skips idle rounds, and ``_Frame.moved``
-builds the next frame under the same rule, rotating the robots' sorted
-order instead of sorting afresh, since a round without a collision keeps
-their cyclic order.  Both memoise their outcome per set of movers, so a
-frame builds each successor once.
+(``_Plan``).  ``_Frame.step`` is a round, the one transition every driver
+takes: the round's collision, if any, and the frame after it, which
+rotates the robots' sorted order instead of sorting afresh, since a round
+without a collision keeps their cyclic order.  It memoises its outcome per
+set of movers, so a frame builds each successor once.
 
-Det-mode runs share their start frames (``_start_frame``): a small table
-holds the start frame of the last few (start, pattern, mutant) triples.
+Det-mode runs share their start frames (``_start_frame``, an
+``lru_cache`` of the last two (start, pattern, mutant) triples).
 ``batch`` and the acceptance battery run one start under every scheduler
 in a row, and the rule is deterministic and the robots oblivious, so the
 later runs walk the frames the earlier ones built, reaching them through
-the successor memos.  Rand-mode frames hold their run's draw source and
-are never shared.  ``_check_transition`` lists every failed check of one
+the step memos.  Rand-mode frames hold their run's draw source and are
+never shared.  ``_check_transition`` lists every failed check of one
 round, from the frame before it to the frame after it (symmetry creation,
 the leader/direction lock, coincident tie-break draws, branch
 postconditions, motion under full activation); ``_EpochLedger`` adds epoch
@@ -48,6 +48,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from random import Random
 from types import MappingProxyType
@@ -377,7 +378,7 @@ def _plan(decisions: Mapping[int, Decision]) -> _Plan:
 
 class _Frame:
     """One position state under one rule: positions by robot id, the rule
-    (pattern, mutant and draw source, which ``moved`` passes on), the
+    (pattern, mutant and draw source, which ``step`` passes on), the
     robots' sorted order, the configuration, and lazily its integer key,
     its class, its instruction table, per-robot decisions, round plans and
     the checks owed by a round that ends on it.
@@ -387,10 +388,10 @@ class _Frame:
     no move lands all of these are reusable across rounds.  Plans are
     memoised per activation set.  The after-state checks (``audit``) depend
     only on the frame and the lock a round enters with, so each is computed
-    once per lock.  A round's collision verdict and successor frame depend
-    only on its moves, so ``collision`` and ``moved`` memoise them per set
-    of movers; an entry answers only a plan whose moves equal the ones it
-    was made from (an identity check for the frame's own plans), and a plan
+    once per lock.  A round's outcome, its collision and the frame after
+    it, depends only on its moves, so ``step`` memoises it per set of
+    movers; an entry answers only a plan whose moves equal the ones it was
+    made from (an identity check for the frame's own plans), and a plan
     built elsewhere with other moves for the same movers is worked out
     afresh.  The key (``key``) stands for the positions wherever they are
     hashed, as explore's state keys are: ints hash without the modular
@@ -400,12 +401,12 @@ class _Frame:
     Det-mode start frames, and through their memos every frame reached
     from them, are shared by the runs of one start (``_start_frame``), so
     a frame's memos must hold for the rule alone.  Anything that patches
-    the rule (``formation._decide`` or what it calls) must also empty the
-    start table, ``_starts``, as it clears the rule's caches.
+    the rule (``formation._decide`` or what it calls) must also call
+    ``_start_frame.cache_clear()``, as it clears the rule's caches.
     """
 
     __slots__ = ("pos", "pattern", "mutant", "rng", "order", "idx_of", "c", "dec", "_table",
-                 "_cls", "_plans", "_audit", "_key", "_collided", "_next")
+                 "_cls", "_plans", "_audit", "_key", "_steps")
 
     def __init__(self, pos: Sequence[Turn], pattern: Optional[TargetPattern] = None,
                  mutant: Optional[str] = None, rng: Optional[Random] = None,
@@ -421,9 +422,8 @@ class _Frame:
         self._plans: dict[frozenset, _Plan] = {}
         self._audit: dict[_Lock, tuple[_Lock, tuple[str, ...]]] = {}
         self._key: Optional[tuple[int, ...]] = None
-        # movers -> (the moves the entry was made from, its outcome)
-        self._collided: dict[frozenset, tuple[tuple, Optional[str]]] = {}
-        self._next: dict[frozenset, tuple[tuple, _Frame]] = {}
+        # movers -> (the moves the entry was made from, the step's outcome)
+        self._steps: dict[frozenset, tuple[tuple, tuple[Optional[str], _Frame]]] = {}
 
     def key(self) -> tuple[int, ...]:
         """The positions as ints: their least common denominator, then each
@@ -491,63 +491,42 @@ class _Frame:
                 found.append("leadership lost after release")
         return self._audit.setdefault(lock, (out, tuple(found)))
 
-    def collision(self, plan: _Plan) -> Optional[str]:
-        """How the plan's moves collide; None if they do not.
+    def step(self, plan: _Plan) -> tuple[Optional[str], "_Frame"]:
+        """The plan's round: how its moves collide (None if they do not), and
+        the frame once they land, ``self`` on a collision or an idle round
+        (a frame's positions are distinct, so nothing idle can meet).
 
-        A round in which nobody moves is idle: a frame's positions are
-        distinct, so nothing can meet and nothing is checked."""
+        Without a collision the robots keep their cyclic order, so the new
+        sorted order is a rotation of the old one.  Its first robot is a
+        mover or the first robot of the old order that stays."""
         moves = plan.moves
         if not moves:
-            return None
-        got = self._collided.get(plan.movers)
+            return None, self
+        got = self._steps.get(plan.movers)
         if got is not None and got[0] == moves:
             return got[1]
         w = detect_collision(self.c, {self.idx_of[r]: d for r, d in moves})
-        msg = None if w is None else (
-            f"robots {self.order[w.first]} and {self.order[w.second]} collide at t={w.time}")
-        self._collided[plan.movers] = moves, msg
-        return msg
-
-    def moved(self, plan: _Plan) -> "_Frame":
-        """The frame once the plan's moves land; ``self`` when nobody moves.
-
-        The plan must not collide, so the robots keep their cyclic order and
-        the new sorted order is a rotation of the old one.  Its first robot
-        is a mover or the first robot of the old order that stays."""
-        moves = plan.moves
-        if not moves:
-            return self
-        got = self._next.get(plan.movers)
-        if got is not None and got[0] == moves:
-            return got[1]
-        pos = list(self.pos)
-        for r, d in moves:
-            pos[r] = d.destination
-        order = self.order
-        heads = [*plan.movers, *next(([r] for r in order if r not in plan.movers), [])]
-        k = self.idx_of[min(heads, key=pos.__getitem__)]
-        after = _Frame(pos, self.pattern, self.mutant, self.rng, order[k:] + order[:k])
-        self._next[plan.movers] = moves, after
-        return after
+        if w is not None:
+            why = f"robots {self.order[w.first]} and {self.order[w.second]} collide at t={w.time}"
+            out = why, self
+        else:
+            pos = list(self.pos)
+            for r, d in moves:
+                pos[r] = d.destination
+            order = self.order
+            heads = [*plan.movers, *next(([r] for r in order if r not in plan.movers), [])]
+            k = self.idx_of[min(heads, key=pos.__getitem__)]
+            out = None, _Frame(pos, self.pattern, self.mutant, self.rng, order[k:] + order[:k])
+        self._steps[plan.movers] = moves, out
+        return out
 
 
-# det-mode start frames by (positions, pattern cycle, mutant), oldest first
-_starts: dict[tuple, _Frame] = {}
-# batch and the acceptance battery run one start's schedulers back to back,
-# so a few starts suffice; every frame reached from a held start stays alive
-_STARTS_HELD = 2
-
-
+@lru_cache(maxsize=2)
 def _start_frame(c0: Configuration, pattern: TargetPattern, mutant: Optional[str]) -> _Frame:
-    """The shared det-mode start frame of ``c0`` under the rule; the oldest
-    held start is dropped when the table is full."""
-    key = (c0.positions, pattern.cycle, mutant)
-    frame = _starts.get(key)
-    if frame is None:
-        if len(_starts) >= _STARTS_HELD:
-            del _starts[next(iter(_starts))]
-        frame = _starts[key] = _Frame(c0.positions, pattern, mutant)
-    return frame
+    """The shared det-mode start frame of ``c0`` under the rule.  ``batch``
+    and the acceptance battery run one start's schedulers back to back, so
+    two starts suffice; every frame reached from a held start stays alive."""
+    return _Frame(c0.positions, pattern, mutant)
 
 
 def _branch_postconditions(after: _Frame, before: _Frame, branch: str) -> list[str]:
@@ -758,9 +737,10 @@ def run(
     """Drive a full run until every robot terminates or the budget runs out.
 
     Each round's plan comes from the frame (``_Frame.plan``, memoised per
-    activation set); an idle round leaves the frame as it was and is not
-    checked for collisions, and a round with moves rotates the frame's
-    sorted order instead of sorting afresh (``_Frame.moved``).  A det-mode
+    activation set), and the round itself from ``_Frame.step``: an idle
+    round leaves the frame as it was and is not checked for collisions, a
+    collided round leaves it too and ends the run, and a round with moves
+    rotates the frame's sorted order instead of sorting afresh.  A det-mode
     run starts from the start's shared frame (``_start_frame``), so it
     walks the frames earlier runs of the start built; a rand-mode run
     builds its own, which draw from the run's seed.  Every
@@ -814,9 +794,7 @@ def run(
             break
 
         before = state
-        collision = state.collision(plan)
-        if collision is None:
-            state = state.moved(plan)
+        collision, state = state.step(plan)
         records.append(RoundRecord(rnd, ledger.epoch, plan.ids, plan.decisions,
                                    before.pos, state.pos, state.classify()))
         if collision is not None:
@@ -844,18 +822,20 @@ def verify_trace(
     """Replay a trace and list everything inconsistent about it.
 
     The replay re-derives the decision each activated robot must have
-    computed from the recorded pre-round positions, through the frame cache
-    ``run`` uses (a frame lives while records leave it unchanged).  In
-    ``det`` mode a record whose robots are all alive is first compared with
-    the frame's memoised plan for its activation set (``_det_plan``): if the
-    decisions are equal, that plan is the round's, and only a mismatch is
-    checked robot by robot.  Verification also checks continuity, round
-    numbers (1, 2, ...), that each record activates at least one robot and
-    no robot twice, each with a decision, collisions on records with a
-    move, that every robot ends where its decision puts it, and the
-    recorded class.  Every round without a collision then goes
-    through the audit ``run`` applies (``_EpochLedger``), so verification
-    reports what the inline audit reports.  In ``rand`` mode a robot whose
+    computed from the recorded pre-round positions, through the frames
+    ``run`` uses.  In ``det`` mode a record whose robots are all alive is
+    first compared with the frame's memoised plan for its activation set
+    (``_det_plan``): if the decisions are equal, that plan is the round's,
+    and only a mismatch is checked robot by robot.  Each round then takes
+    ``_Frame.step``, as in ``run``, so a collided round leaves every robot
+    where it was; a frame is built from a record's positions only when it
+    ends elsewhere than its round puts it.  Verification also checks
+    continuity with the previous record, round numbers (1, 2, ...), the
+    record's ids (``_record_fault``, shared with the trace decoder),
+    collisions, that every robot ends where its decision puts it, and the
+    recorded class.  Every round without a collision then goes through the
+    audit ``run`` applies (``_EpochLedger``), so verification reports what
+    the inline audit reports.  In ``rand`` mode a robot whose
     table entry is a draw, or recorded as drawing, is checked against that
     entry (its direction and window) instead of for equality, since the
     draw itself is not reproducible from the trace.
@@ -872,26 +852,19 @@ def verify_trace(
         return [str(e)]
     ledger = _EpochLedger(n, mode)
     prev: Optional[_Frame] = None
+    prev_after: Optional[tuple[Turn, ...]] = None  # the previous record's positions_after
 
     for rnd, rec in enumerate(records, start=1):
         where = f"round {rec.round}"
         if len(rec.positions_before) != n or len(rec.positions_after) != n:
             problems.append(f"{where}: robot count changed mid-trace")
             break
-        if not rec.activated:
-            problems.append(f"{where}: no robot activated")
+        fault = _record_fault(rec.activated, rec.decisions, n)
+        if fault is not None:
+            problems.append(f"{where}: {fault}")
             break
-        if len(set(rec.activated)) != len(rec.activated):
-            problems.append(f"{where}: activated ids repeat")
-            break
-        if set(rec.activated) != set(rec.decisions):
-            problems.append(f"{where}: activated ids and decision keys disagree")
-            break
-        if min(rec.activated) < 0 or max(rec.activated) >= n:
-            outside = min(rid for rid in rec.activated if not 0 <= rid < n)
-            problems.append(f"{where}: robot id {outside} is not in 0..{n - 1}")
-            break
-        continuous = prev is None or rec.positions_before == prev.pos
+        # decoded traces share position objects, so the tuples compare by identity
+        continuous = prev is None or rec.positions_before == prev_after
         if not continuous:
             problems.append(f"{where}: positions_before break continuity")
         if rec.round != rnd:
@@ -932,32 +905,46 @@ def verify_trace(
                         f"{where}: robot {rid} recorded {recorded} but the rule gives {expected}"
                     )
             plan = _plan(rec.decisions)
-        collision = before.collision(plan)
-        if collision is not None:
-            problems.append(f"{where}: {collision}")
-
-        # decoded traces share position objects, so the tuples compare by identity
+        # a collided round leaves every robot where it was, as ``run`` records it
+        collision, after = before.step(plan)
         want = list(rec.positions_before)
-        for rid, d in plan.moves:
-            want[rid] = d.destination
+        if collision is None:
+            for rid, d in plan.moves:
+                want[rid] = d.destination
+        else:
+            problems.append(f"{where}: {collision}")
         if rec.positions_after != tuple(want):
             problems.extend(
                 f"{where}: robot {rid} ended at an unexplained position"
                 for rid in range(n) if rec.positions_after[rid] != want[rid]
             )
-
-        try:
-            after = (before if rec.positions_after == before.pos
-                     else _Frame(rec.positions_after, pattern))
-        except CircleFormError as e:
-            problems.append(f"{where}: bad post-round positions: {e}")
-            break
+            try:
+                after = _Frame(rec.positions_after, pattern)
+            except CircleFormError as e:
+                problems.append(f"{where}: bad post-round positions: {e}")
+                break
         if after.classify() != rec.config_class:
             problems.append(f"{where}: recorded class does not match the positions")
         if collision is None:
             problems += ledger.round(rec.round, before, after, plan)
-        prev = after
+        prev, prev_after = after, rec.positions_after
     return problems
+
+
+def _record_fault(activated: Sequence[int], decisions: Mapping, n: int) -> Optional[str]:
+    """What is wrong with a record's activation of ``n`` robots, None if
+    nothing: no robot activated, an id activated twice, ids that are not
+    the decisions' keys, or an id outside 0..n-1 (the smallest is named)."""
+    if not activated:
+        return "no robot activated"
+    if len(set(activated)) != len(activated):
+        return "activated ids repeat"
+    if set(activated) != decisions.keys():
+        return "activated ids and decision keys disagree"
+    if min(activated) < 0 or max(activated) >= n:
+        outside = min(rid for rid in activated if not 0 <= rid < n)
+        return f"robot id {outside} is not in 0..{n - 1}"
+    return None
 
 
 def _det_plan(before: _Frame, rec: RoundRecord, alive: frozenset) -> Optional[_Plan]:
@@ -1182,10 +1169,9 @@ def explore_schedules(
             edges += 1
             act = tuple(sub) if sub else (stayers[0],)
             plan = frame.plan(frozenset(act))
-            collision = frame.collision(plan)
+            collision, after = frame.step(plan)
             if collision is not None:
                 return fail(path + (act,), collision, frame.pos)
-            after = frame.moved(plan)
             try:
                 new_lock, found = _check_transition(frame, after, plan, alive, lock)
             except CircleFormError as e:
@@ -1265,10 +1251,9 @@ def fsync_symmetry_experiment(
         plan = _plan({
             rid: rule(snapshot_of(frame.c, frame.idx_of[rid])) for rid in frame.order
         })
-        collision = frame.collision(plan)
+        collision, frame = frame.step(plan)
         if collision is not None:
             raise InvariantViolationError(f"round {rnd}: {collision}")
-        frame = frame.moved(plan)
         k = frame.c.fold()
         folds.append(k)
         if k < k0:

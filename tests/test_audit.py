@@ -156,7 +156,7 @@ def test_seeded_epochs_match_the_recount():
 def test_fast_paths_match_fresh_work(monkeypatch, mode, name, start, mutant):
     c0, pattern = start
     audits, plans, moved = [], [], []
-    audit, plan, move = _Frame.audit, _Frame.plan, _Frame.moved
+    audit, plan, step = _Frame.audit, _Frame.plan, _Frame.step
 
     def spy_audit(frame, lock):
         got = audit(frame, lock)
@@ -168,14 +168,15 @@ def test_fast_paths_match_fresh_work(monkeypatch, mode, name, start, mutant):
         plans.append((frame.pos, active, got))
         return got
 
-    def spy_moved(frame, p):
-        got = move(frame, p)
-        moved.append(got)
+    def spy_step(frame, p):
+        got = step(frame, p)
+        if got[1] is not frame:
+            moved.append(got[1])
         return got
 
     monkeypatch.setattr(_Frame, "audit", spy_audit)
     monkeypatch.setattr(_Frame, "plan", spy_plan)
-    monkeypatch.setattr(_Frame, "moved", spy_moved)
+    monkeypatch.setattr(_Frame, "step", spy_step)
     _, records = run(c0, pattern, make_policy(name), mode=mode, seed=7, mutant=mutant)
     monkeypatch.undo()
 
@@ -233,8 +234,8 @@ def test_moved_frame_rotates_its_order(moves, order):
     plan = _plan({
         rid: Decision(DecisionKind.MOVE, dest, way, "by-hand") for rid, (dest, way) in moves.items()
     })
-    assert frame.collision(plan) is None
-    after = frame.moved(plan)
+    collision, after = frame.step(plan)
+    assert collision is None
     fresh = _Frame(after.pos)
     assert after.order == fresh.order == order
     assert after.idx_of == fresh.idx_of

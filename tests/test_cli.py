@@ -725,7 +725,11 @@ class TestForgedTraces:
         dash = Decision(DecisionKind.MOVE, F(1, 6), Direction.FORWARD, "shrink_lead_gap")
         forged = replace(first, decisions={**first.decisions, 0: dash},
                          positions_after=(F(1, 6),) + first.positions_before[1:])
-        assert "round 1: robots 0 and 1 collide at t=1/2" in verify_trace([forged], pattern5)
+        problems = verify_trace([forged], pattern5)
+        assert "round 1: robots 0 and 1 collide at t=1/2" in problems
+        # a collided round leaves every robot where it was, so a record that
+        # has the robots arrive is unexplained
+        assert "round 1: robot 0 ended at an unexplained position" in problems
 
     def test_unexplained_end_position_is_reported(self, records, pattern5):
         first = records[0]

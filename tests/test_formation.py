@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from circleform import (
     Configuration,
+    Decision,
     DecisionKind,
     Direction,
     EmptyIntervalError,
@@ -96,6 +97,29 @@ def rfc5(pattern5):
     return config(0, F(1, 100), F(3, 100), F(7, 18), F(12, 18))
 
 
+class TestDecision:
+    """A decision is refused at construction unless it is well formed."""
+
+    MOVE, STAY, TERMINATE = DecisionKind.MOVE, DecisionKind.STAY, DecisionKind.TERMINATE
+
+    @pytest.mark.parametrize("kind, to, way, message", [
+        (MOVE, None, None, "a move needs a destination in [0, 1), got None"),
+        (MOVE, F(1, 8), None, "a move needs a direction, got None"),
+        (MOVE, F(3, 2), Direction.FORWARD, "a move needs a destination in [0, 1), got 3/2"),
+        (MOVE, F(1), Direction.FORWARD, "a move needs a destination in [0, 1), got 1"),
+        (MOVE, F(-1, 8), Direction.REVERSE, "a move needs a destination in [0, 1), got -1/8"),
+        (MOVE, 0.5, Direction.FORWARD, "a move needs a destination in [0, 1), got 0.5"),
+        (MOVE, F(1, 8), 1, "a move needs a direction, got 1"),
+        (STAY, F(1, 8), None, "a stay carries no destination or direction"),
+        (STAY, None, Direction.FORWARD, "a stay carries no destination or direction"),
+        (TERMINATE, F(0), Direction.REVERSE, "a terminate carries no destination or direction"),
+    ])
+    def test_malformed_decisions_are_refused(self, kind, to, way, message):
+        with pytest.raises(StructuralError) as err:
+            Decision(kind, to, way, "by-hand")
+        assert str(err.value) == message
+
+
 class TestTargetPattern:
     def test_canonical_reading_kept(self, pattern5):
         assert pattern5.angles == tuple(F(k, 18) for k in (1, 2, 4, 5, 6))
@@ -107,6 +131,9 @@ class TestTargetPattern:
         assert rotated.angles == pattern5.angles
         assert mirrored.angles == pattern5.angles
         assert rotated.original == tuple(F(k, 18) for k in (4, 5, 6, 1, 2))
+        # a pattern hashes on its cycle: equal for every reading of it
+        assert hash(rotated) == hash(mirrored) == hash(pattern5) == hash(pattern5.cycle)
+        assert pat(1, 2, 4, 5, 6, den=18) == pattern5 and rotated != pattern5
 
     def test_floor_zero_when_flank_is_wide(self, pattern5):
         assert pattern5.min_gap_floor == 0

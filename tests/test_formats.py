@@ -290,6 +290,36 @@ class TestTraces:
         assert err.value.line_no == 1
         assert f"robot id {rid}" in str(err.value)
 
+    def test_read_rejects_a_move_outside_the_circle(self, tmp_path, records):
+        path = tmp_path / "trace.jsonl"
+        write_trace(records, path)
+        lines = path.read_text().splitlines()
+        k = next(k for k, line in enumerate(lines) if '"to":' in line)
+        obj = json.loads(lines[k])
+        rid = next(r for r, d in obj["decisions"].items() if "to" in d)
+        obj["decisions"][rid]["to"] = "3/2"
+        lines[k] = json.dumps(obj)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(TraceParseError) as err:
+            read_trace(path)
+        assert str(err.value) == f"line {k + 1}: a move needs a destination in [0, 1), got 3/2"
+
+    @pytest.mark.parametrize("fault", ["empty", "repeat", "keys", "above", "below"])
+    def test_record_faults_read_as_verify_reports_them(self, records, pattern5, fault):
+        rec = records[0]
+        ((rid, d),) = rec.decisions.items()
+        other = (rid + 1) % len(rec.positions_before)
+        activated, keys = {
+            "empty": ((), ()), "repeat": ((rid, rid), (rid,)), "keys": ((rid,), (other,)),
+            "above": ((5, rid), (5, rid)), "below": ((9, -1), (9, -1)),
+        }[fault]
+        forged = replace(rec, activated=activated, decisions={k: d for k in keys})
+        with pytest.raises(TraceParseError) as err:
+            record_from_json(record_to_json(forged), 4)
+        msg = str(err.value).removeprefix("line 4: ")
+        assert msg != str(err.value)
+        assert verify_trace([forged], pattern5) == [f"round {rec.round}: {msg}"]
+
     def test_record_rejects_length_mismatch(self, records):
         obj = record_to_json(records[0])
         obj["positions_after"] = obj["positions_after"][:-1]

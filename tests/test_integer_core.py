@@ -256,7 +256,7 @@ class TestFrameKey:
         c0, pattern = gen_instance(5, 3)
         frame = _Frame(c0.positions, pattern)
         plan = frame.plan(frozenset(range(5)))
-        after = frame.moved(plan)
+        after = frame.step(plan)[1]
         assert after.key() == _Frame(after.pos).key() != frame.key()
 
 

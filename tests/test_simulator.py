@@ -22,7 +22,7 @@ from circleform import (
 )
 from circleform import formation, simulator
 from circleform.cli import gen_instance
-from circleform.formats import record_to_json
+from circleform.formats import read_trace, record_to_json
 from circleform.simulator import (
     POLICIES,
     SYMMETRY_RULES,
@@ -309,7 +309,7 @@ def _outcome(c0, pattern, name, mode="det", seed=0, mutant=None):
 
 
 def _cold(c0, pattern, name, mode="det", seed=0, mutant=None):
-    simulator._starts.clear()
+    simulator._start_frame.cache_clear()
     return _outcome(c0, pattern, name, mode, seed, mutant)
 
 
@@ -332,7 +332,7 @@ class TestSharedStartFrames:
         for mode, c0, pattern, seed in self._cases():
             cold = {name: _cold(c0, pattern, name, mode, seed) for name in gc.SCHEDULERS}
             for order in (gc.SCHEDULERS, gc.SCHEDULERS[::-1]):
-                simulator._starts.clear()
+                simulator._start_frame.cache_clear()
                 for _ in range(2):  # the table empty for the first run, then warm
                     for name in order:
                         assert _outcome(c0, pattern, name, mode, seed) == cold[name], (
@@ -348,21 +348,25 @@ class TestSharedStartFrames:
 
     def test_a_rand_run_never_adds_to_the_table(self, mirror_tied4):
         p = TargetPattern.from_angles([F(1, 12), F(3, 12), F(4, 12), F(4, 12)])
-        simulator._starts.clear()
+        simulator._start_frame.cache_clear()
         for name in gc.SCHEDULERS:
             run(mirror_tied4, p, make_policy(name), mode="rand", seed=2)
-        assert simulator._starts == {}
+        info = simulator._start_frame.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
 
     def test_the_table_is_bounded_and_an_evicted_start_rebuilds(self):
-        held = simulator._STARTS_HELD
+        info = simulator._start_frame.cache_info
+        held = info().maxsize
         first = gen_instance(5, 0)
         before = _cold(*first, "rr")
         start_frame = simulator._start_frame(first[0], first[1], None)
+        assert info().hits == 1  # the run above built it
         for seed in range(1, held + 3):
             run(*gen_instance(5, seed), RoundRobinSingleton())
-            assert len(simulator._starts) <= held
-        assert all(frame is not start_frame for frame in simulator._starts.values())
+            assert info().currsize <= held
+        misses = info().misses
         assert _outcome(*first, "rr") == before
+        assert info().misses == misses + 1  # evicted, so built again
         assert simulator._start_frame(first[0], first[1], None) is not start_frame
 
 
@@ -377,30 +381,91 @@ class TestFramePlans:
         onto = simulator._plan({0: move_to(F(1, 4))})  # lands on robot 1
         assert near.movers == nearer.movers == onto.movers
         for _ in range(2):
-            assert frame.collision(near) is None
-            assert frame.moved(near).pos[0] == F(1, 8)
-            assert frame.collision(onto) == "robots 0 and 1 collide at t=1"
-            assert frame.collision(nearer) is None
-            assert frame.moved(nearer).pos[0] == F(1, 16)
-        assert frame.moved(near) is frame.moved(near)
+            collision, after = frame.step(near)
+            assert collision is None and after.pos[0] == F(1, 8)
+            assert frame.step(onto) == ("robots 0 and 1 collide at t=1", frame)
+            collision, after = frame.step(nearer)
+            assert collision is None and after.pos[0] == F(1, 16)
+        assert frame.step(near)[1] is frame.step(near)[1]
 
-    def test_a_forged_collision_is_found_on_a_warm_start(self):
+    @staticmethod
+    def _onto_neighbour():
+        """The rr run of a five-robot start, the index and record of its first
+        single-mover round, and that mover's decision sent onto the neighbour
+        it heads for (the least travel along its path)."""
         c0, pattern = gen_instance(5, 1_005)
         _, records = run(c0, pattern, RoundRobinSingleton())
         k, rec = next((k, r) for k, r in enumerate(records) if len(r.decisions) == 1
                       and next(iter(r.decisions.values())).is_move)
         (rid, d), = rec.decisions.items()
         at = rec.positions_before[rid]
-        # the neighbour the mover heads for: the least travel along its path
         neighbour = min(set(rec.positions_before) - {at},
                         key=lambda p: d.path_direction.sign * (p - at) % 1)
-        onto = dataclasses.replace(d, destination=neighbour)
+        return pattern, records, k, rec, {rid: dataclasses.replace(d, destination=neighbour)}
+
+    def test_a_forged_collision_is_found_on_a_warm_start(self):
+        pattern, records, k, rec, onto = self._onto_neighbour()
         after = list(rec.positions_before)
-        after[rid] = onto.destination
-        forged = dataclasses.replace(rec, decisions={rid: onto}, positions_after=tuple(after))
+        for rid, d in onto.items():
+            after[rid] = d.destination
+        forged = dataclasses.replace(rec, decisions=onto, positions_after=tuple(after))
         problems = verify_trace([*records[:k], forged, *records[k + 1:]], pattern)
         assert any(re.fullmatch(rf"round {rec.round}: robots \d+ and \d+ collide at t=1", m)
                    for m in problems), problems
+
+    def test_a_collided_round_leaves_every_robot_where_it_was(self):
+        # run ends on a collision with every robot where it was, classed as
+        # before; the forged move is not the rule's, which is reported first
+        pattern, records, k, rec, onto = self._onto_neighbour()
+        collided = dataclasses.replace(
+            rec, decisions=onto, positions_after=rec.positions_before,
+            config_class=simulator._Frame(rec.positions_before).classify())
+        (rid,) = onto
+        rule, collision = verify_trace([*records[:k], collided], pattern)
+        assert rule.startswith(f"round {rec.round}: robot {rid} recorded ")
+        assert re.fullmatch(rf"round {rec.round}: robots \d+ and \d+ collide at t=1", collision)
+
+
+FORGED = "forged collision"
+
+
+class TestOneStep:
+    """Every driver takes its rounds through ``_Frame.step``: a step that
+    reports a collision for any plan with moves ends each of them at the
+    first such round."""
+
+    @pytest.fixture
+    def forged_step(self, monkeypatch):
+        step = simulator._Frame.step
+        monkeypatch.setattr(simulator._Frame, "step",
+                            lambda frame, plan: (FORGED, frame) if plan.moves else step(frame, plan))
+
+    def test_run_reports_it_and_verify_agrees(self, forged_step):
+        c0, pattern = gen_instance(5, 1_005)
+        report, records = run(c0, pattern, RoundRobinSingleton())
+        last = records[-1]
+        assert any(d.is_move for d in last.decisions.values())
+        assert not any(d.is_move for rec in records[:-1] for d in rec.decisions.values())
+        assert report.collisions == 1
+        assert report.violations == [f"round {last.round}: {FORGED}"]
+        assert last.positions_after == last.positions_before
+        assert verify_trace(records, pattern) == [f"round {last.round}: {FORGED}"]
+
+    def test_verify_reports_it_on_a_golden_trace(self, forged_step):
+        case = ("det", 5, 1_005, "rr", False)
+        records = read_trace(gc.GOLDEN / gc.case_name(case))
+        first = next(rec for rec in records if any(d.is_move for d in rec.decisions.values()))
+        problems = verify_trace(records, gc.start(case)[1])
+        assert problems[0] == f"round {first.round}: {FORGED}"
+
+    def test_explore_returns_it_as_the_counterexample(self, forged_step):
+        cx = explore_schedules(*gen_instance(3, 2), 4).counterexample
+        assert cx is not None and cx.reason == FORGED
+
+    def test_the_symmetry_experiment_raises_it(self, forged_step):
+        square = config(0, F(1, 4), F(1, 2), F(3, 4))
+        with pytest.raises(InvariantViolationError, match=f"round 1: {FORGED}"):
+            fsync_symmetry_experiment(square, SYMMETRY_RULES["drift"], 3)
 
 
 class TestPhases:
@@ -468,13 +533,13 @@ class TestExploreSchedules:
 
         formation._survey.cache_clear()
         formation._decide.cache_clear()
-        simulator._starts.clear()
+        simulator._start_frame.cache_clear()
         monkeypatch.setattr(formation, "_break_tie", skewed)
         yield
         monkeypatch.undo()
         formation._survey.cache_clear()
         formation._decide.cache_clear()
-        simulator._starts.clear()
+        simulator._start_frame.cache_clear()
 
     def test_chirality_is_checked(self, skewed_tie_break, tied5, pattern5):
         report = explore_schedules(tied5, pattern5, 2)
