@@ -153,7 +153,10 @@ def decision_from_json(obj: Any, where: str) -> Decision:
         raise StructuralError(f"{where}: unknown direction {obj['dir']!r}")
     if not isinstance(obj["to"], str):
         raise StructuralError(f"{where}: 'to' must be a 'p/q' string")
-    return _decision(kind, branch, obj["to"], obj["dir"])
+    try:
+        return _decision(kind, branch, obj["to"], obj["dir"])
+    except StructuralError as e:  # an angle text or a destination refused
+        raise StructuralError(f"{where}: {e}") from None
 
 
 @lru_cache(maxsize=1 << 12)

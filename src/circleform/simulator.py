@@ -35,7 +35,10 @@ postconditions, motion under full activation); ``_EpochLedger`` adds epoch
 accounting on top for ``run`` and ``verify_trace``.  ``explore_schedules``
 has no epochs and keeps the lock in its state instead; its queue carries
 each state's frame, and it keys states on the frame's integer key
-(``_Frame.key``).
+(``_Frame.key``).  A steady round, whose activation set and frame repeat
+the last round's, costs constant work besides its record: the policy
+returns the set it holds, plan and step are memo hits, and the ledger only
+marks coverage; a step's move checks are memoised with it.
 
 Robots are oblivious, so the only run state is the multiset of positions plus
 which robots have switched themselves off.  ``run`` tracks robots by a stable
@@ -49,7 +52,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import inf, lcm
 from random import Random
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
@@ -93,7 +96,10 @@ class ActivationPolicy:
     """Chooses which robots wake each round.
 
     Subclasses implement ``select``; the base class keeps the fairness
-    bookkeeping (no robot may starve longer than ``fairness`` rounds).
+    bookkeeping (no robot may starve longer than ``fairness`` rounds), which
+    policies record through ``_note`` alone: the set chosen last (``_held``,
+    in round ``_held_at``) and the last round of each robot that has left it
+    since (``_last``), so a repeated choice returns the held set itself.
     ``reset`` is called once at the start of every run with a derived seed,
     so a policy instance can be reused across runs deterministically.
     """
@@ -104,26 +110,32 @@ class ActivationPolicy:
     def __init__(self, fairness: Optional[int] = None):
         self.fairness = fairness
         self._window = 0
-        self._last: dict[int, int] = {}
-        self._rng = Random(0)
+        self._held, self._held_at, self._last = frozenset(), 0, {}
 
     def reset(self, n: int, seed: int) -> None:
         self._window = self.fairness if self.fairness is not None else 2 * n
         if self._window < 1:
             raise PreconditionError("fairness window must be at least one round")
-        self._last = {}
-        self._rng = Random(seed)
+        self._held, self._held_at, self._last = frozenset(), 0, {}
 
     def select(self, rnd: int, alive: Sequence[int], movers: frozenset) -> frozenset:
         raise NotImplementedError
 
-    def _due(self, rnd: int, alive: Sequence[int]) -> set[int]:
+    def _last_at(self, i: int) -> int:
         # rounds are 1-based; an unseen robot counts as last active at round 0
-        return {i for i in alive if rnd - self._last.get(i, 0) >= self._window}
+        return self._held_at if i in self._held else self._last.get(i, 0)
+
+    def _due(self, rnd: int, ids: Iterable[int]) -> set[int]:
+        held, at, last, window = self._held, self._held_at, self._last, self._window
+        return {i for i in ids if rnd - (at if i in held else last.get(i, 0)) >= window}
 
     def _note(self, rnd: int, chosen: Iterable[int]) -> frozenset:
-        self._last.update(dict.fromkeys(chosen, rnd))
-        return frozenset(chosen)
+        chosen, held = frozenset(chosen), self._held
+        if chosen != held:
+            self._last.update(dict.fromkeys(held - chosen, self._held_at))
+            self._held = held = chosen
+        self._held_at = rnd
+        return held
 
 
 class FullSync(ActivationPolicy):
@@ -146,10 +158,9 @@ class RoundRobinSingleton(ActivationPolicy):
         self._cursor = n - 1
 
     def select(self, rnd: int, alive: Sequence[int], movers: frozenset) -> frozenset:
-        live = set(alive)
         for _ in range(self._n):
             self._cursor = (self._cursor + 1) % self._n
-            if self._cursor in live:
+            if self._cursor in alive:
                 return self._note(rnd, {self._cursor})
         raise PreconditionError("no live robot to schedule")
 
@@ -165,6 +176,10 @@ class RandomSubset(ActivationPolicy):
             raise PreconditionError("activation probability must be in (0, 1]")
         self.p = p
 
+    def reset(self, n: int, seed: int) -> None:
+        super().reset(n, seed)
+        self._rng = Random(seed)
+
     def select(self, rnd: int, alive: Sequence[int], movers: frozenset) -> frozenset:
         chosen = {i for i in alive if self._rng.random() < self.p}
         chosen |= self._due(rnd, alive)
@@ -175,19 +190,31 @@ class RandomSubset(ActivationPolicy):
 
 class LazyAdversary(ActivationPolicy):
     """Keeps every robot that wants to move asleep for as long as fairness
-    allows, waking everyone else instead."""
+    allows, waking everyone else instead.  A choice of exactly the robots
+    that stay holds, without looking at any robot, while ``select`` is passed
+    the same ``alive`` and ``movers`` objects (``run`` replaces them rather
+    than changing them) and no mover falls due."""
 
     name = "lazy"
     needs_movers = True
+    # (held set, alive, movers, first due round); ``reset`` replaces the held set
+    _steady: tuple = (None, None, None, 0)
 
     def select(self, rnd: int, alive: Sequence[int], movers: frozenset) -> frozenset:
-        chosen = set(alive) - movers
-        chosen |= self._due(rnd, movers)
+        held, live, still, wake = self._steady
+        if held is self._held and live is alive and still is movers and rnd < wake:
+            self._held_at = rnd
+            return held
+        rest, due = set(alive) - movers, self._due(rnd, movers)
+        chosen = rest | due
         if not chosen:
             # everyone live wants to move and none is overdue; stall the one
             # with the most recent activation
-            chosen = {max(alive, key=lambda i: (self._last.get(i, 0), i))}
-        return self._note(rnd, chosen)
+            chosen = {max(alive, key=lambda i: (self._last_at(i), i))}
+        held = self._note(rnd, chosen)
+        wake = min(map(self._last_at, movers), default=inf) + self._window
+        self._steady = (held, alive, movers, wake) if rest and not due else LazyAdversary._steady
+        return held
 
 
 POLICIES: dict[str, Callable[[], ActivationPolicy]] = {
@@ -368,11 +395,16 @@ class _Plan(NamedTuple):
     branches: tuple[str, ...]
 
 
-def _plan(decisions: Mapping[int, Decision]) -> _Plan:
-    """The plan of a round that takes ``decisions``."""
-    moves = tuple((rid, d) for rid, d in decisions.items() if d.is_move)
-    ended = frozenset(rid for rid, d in decisions.items() if d.kind is DecisionKind.TERMINATE)
-    return _Plan(tuple(sorted(decisions)), MappingProxyType(decisions), moves,
+def _plan(decisions: Mapping[int, Decision], actors: Optional[Sequence[int]] = None) -> _Plan:
+    """The plan of a round that takes ``decisions``, its moves found among
+    ``actors`` when they are fewer: increasing ids that hold every robot
+    whose decision is not a stay."""
+    ids = tuple(sorted(decisions))
+    acting = (decisions.items() if actors is None or len(actors) >= len(decisions)
+              else [(r, decisions[r]) for r in actors if r in decisions])
+    moves = tuple(a for a in acting if a[1].is_move)
+    ended = frozenset(rid for rid, d in acting if d.kind is DecisionKind.TERMINATE)
+    return _Plan(ids, MappingProxyType(decisions), moves,
                  frozenset(rid for rid, _ in moves), ended, tuple(d.branch for _, d in moves))
 
 
@@ -380,8 +412,9 @@ class _Frame:
     """One position state under one rule: positions by robot id, the rule
     (pattern, mutant and draw source, which ``step`` passes on), the
     robots' sorted order, the configuration, and lazily its integer key,
-    its class, its instruction table, per-robot decisions, round plans and
-    the checks owed by a round that ends on it.
+    its class, its instruction table, the robots it does not tell to stay
+    (``_actors``), per-robot decisions, round plans and the checks owed by a
+    round that ends on it.
 
     Robot k of the sorted order reads index k of the table
     (``formation._decide``), and the frame's phase is the table's, so while
@@ -393,10 +426,11 @@ class _Frame:
     movers; an entry answers only a plan whose moves equal the ones it was
     made from (an identity check for the frame's own plans), and a plan
     built elsewhere with other moves for the same movers is worked out
-    afresh.  The key (``key``) stands for the positions wherever they are
-    hashed, as explore's state keys are: ints hash without the modular
-    inverse a ``Fraction`` hash takes.  A frame built without a pattern
-    only moves and checks collisions.
+    afresh; the entry also keeps the checks those moves owe
+    (``move_checks``).  The key (``key``) stands for the positions wherever
+    they are hashed, as explore's state keys are: ints hash without the
+    modular inverse a ``Fraction`` hash takes.  A frame built without a
+    pattern only moves and checks collisions.
 
     Det-mode start frames, and through their memos every frame reached
     from them, are shared by the runs of one start (``_start_frame``), so
@@ -406,7 +440,7 @@ class _Frame:
     """
 
     __slots__ = ("pos", "pattern", "mutant", "rng", "order", "idx_of", "c", "dec", "_table",
-                 "_cls", "_plans", "_audit", "_key", "_steps")
+                 "_cls", "_actors", "_plans", "_audit", "_key", "_steps")
 
     def __init__(self, pos: Sequence[Turn], pattern: Optional[TargetPattern] = None,
                  mutant: Optional[str] = None, rng: Optional[Random] = None,
@@ -419,11 +453,12 @@ class _Frame:
         self.dec: dict[int, Decision] = {}
         self._table: Optional[tuple] = None
         self._cls: Optional[ConfigClass] = None
+        self._actors: Optional[list[int]] = None
         self._plans: dict[frozenset, _Plan] = {}
         self._audit: dict[_Lock, tuple[_Lock, tuple[str, ...]]] = {}
         self._key: Optional[tuple[int, ...]] = None
-        # movers -> (the moves the entry was made from, the step's outcome)
-        self._steps: dict[frozenset, tuple[tuple, tuple[Optional[str], _Frame]]] = {}
+        # movers -> [the moves the entry was made from, the step's outcome, their checks]
+        self._steps: dict[frozenset, list] = {}
 
     def key(self) -> tuple[int, ...]:
         """The positions as ints: their least common denominator, then each
@@ -443,6 +478,8 @@ class _Frame:
     def table(self) -> tuple:
         if self._table is None:
             self._table = _decide(self.c.cycle, self.pattern.cycle, self.mutant)
+            self._actors = sorted([r for r, instr in zip(self.order, self._table[0])
+                                   if instr[0] != "stay"])
         return self._table
 
     def phase(self) -> str:
@@ -459,10 +496,12 @@ class _Frame:
 
     def plan(self, active: frozenset) -> _Plan:
         """The plan of activating ``active``, deciding its robots in id order
-        (so rand-mode draws keep their order)."""
+        (so rand-mode draws keep their order), its moves found among the
+        frame's actors."""
         p = self._plans.get(active)
         if p is None:
-            p = self._plans[active] = _plan({rid: self.decide(rid) for rid in sorted(active)})
+            decisions = {rid: self.decide(rid) for rid in sorted(active)}
+            p = self._plans[active] = _plan(decisions, self._actors)
         return p
 
     def audit(self, lock: _Lock) -> tuple[_Lock, tuple[str, ...]]:
@@ -517,8 +556,26 @@ class _Frame:
             heads = [*plan.movers, *next(([r] for r in order if r not in plan.movers), [])]
             k = self.idx_of[min(heads, key=pos.__getitem__)]
             out = None, _Frame(pos, self.pattern, self.mutant, self.rng, order[k:] + order[:k])
-        self._steps[plan.movers] = moves, out
+        self._steps[plan.movers] = [moves, out, None]
         return out
+
+    def move_checks(self, plan: _Plan, after: "_Frame") -> tuple[str, ...]:
+        """The checks the plan's moves from here to ``after`` fail (coincident
+        tie-break draws; a lone mover's branch postconditions unless ``after``
+        is formed), kept in the step's entry if ``after`` is its frame."""
+        moves = plan.moves
+        got = self._steps.get(plan.movers)
+        ours = got is not None and got[0] == moves and got[1][1] is after
+        if ours and got[2] is not None:
+            return got[2]
+        travels = [mod1(d.path_direction.sign * (d.destination - self.pos[rid]))
+                   for rid, d in moves if d.branch == "random_tiebreak"]
+        found = ("simultaneous tie-break draws coincide",) * (len(set(travels)) < len(travels))
+        if len(moves) == 1 and after.phase() != "formed":
+            found += tuple(_branch_postconditions(after, self, moves[0][1].branch))
+        if ours:
+            got[2] = found
+        return found
 
 
 @lru_cache(maxsize=2)
@@ -583,28 +640,15 @@ def _check_transition(
 
     Returns the lock after the round and one flat list of the messages of
     every failed check, in this order: the after-state checks
-    (``_Frame.audit``, memoised on ``after``); coincident simultaneous
-    tie-break draws; the lone mover's branch postconditions; a full
-    activation of the ``alive`` robots (a sorted tuple) that moved nobody
-    before formation.  The move checks run only when something moved, and
-    the last check only when nothing did, so an idle round costs
-    O(|alive|) once its after-state checks are memoised.
+    (``_Frame.audit``, memoised on ``after``), then the move checks
+    (``_Frame.move_checks``, memoised with the step) if something moved, or
+    else a full activation of ``alive`` (a sorted tuple) before formation.
     """
     lock, state_found = after.audit(lock)
     found = list(state_found)
-    formed = after.phase() == "formed"
-    moves = plan.moves
-    if moves:
-        travels = [
-            mod1(d.path_direction.sign * (d.destination - before.pos[rid]))
-            for rid, d in moves
-            if d.branch == "random_tiebreak"
-        ]
-        if len(set(travels)) < len(travels):
-            found.append("simultaneous tie-break draws coincide")
-        if not formed and len(moves) == 1:
-            found += _branch_postconditions(after, before, moves[0][1].branch)
-    elif not formed and not plan.ended and plan.ids == alive:
+    if plan.moves:
+        found += before.move_checks(plan, after)
+    elif not plan.ended and plan.ids == alive and after.phase() != "formed":
         found.append(_NO_MOTION)
     return lock, found
 
@@ -628,7 +672,10 @@ class _EpochLedger:
 
     A round costs O(|plan|): the robots not yet activated this epoch are
     kept as ``_uncovered``, and ``alive`` (a sorted tuple, with
-    ``alive_set`` beside it) is rebuilt only when a robot terminates.
+    ``alive_set`` beside it) is rebuilt only when a robot terminates.  An
+    idle round (``after is before``, nobody terminating) that leaves a live
+    robot asleep, on a frame whose memoised audit for the lock finds nothing
+    and keeps it, only updates coverage unless it notes formation.
     """
 
     def __init__(self, n: int, mode: str, budget: Optional[int] = None):
@@ -651,35 +698,37 @@ class _EpochLedger:
         """Account one round and return its violations."""
         if self._start_phase is None:
             self._start_phase = before.phase()
-        if plan.ended:
-            self.alive = tuple(i for i in self.alive if i not in plan.ended)
-            self.alive_set = frozenset(self.alive)
         out: list[str] = []
-        phase = after.phase()
-        if phase == "formed" and self.formed_epoch is None:
-            self.formed_epoch = self.epoch
-            if self.epoch > self.bound:
-                out.append(
-                    f"round {rnd}: formation took {self.epoch} epochs, bound is {self.bound}"
-                )
         was = self._lock
-        # a robot that terminated this round did not stay, so the robots still
-        # running are the ones the full-activation check compares against
-        self._lock, found = _check_transition(before, after, plan, self.alive, was)
-        if was is None and self._lock is not None:
-            self._released = self.epoch
-        out += [f"round {rnd}: {m}" for m in found]
-        self._landings += plan.branches.count("settle_target")
-        if plan.branches.count("random_tiebreak") > 1:
-            self.joint_tiebreaks += 1
-        if found and found[-1] == _NO_MOTION:
-            self.halted = True
-            return out
+        if not (after is before and not plan.moves and not plan.ended and plan.ids != self.alive
+                and after.audit(was) == (was, ())
+                and (self.formed_epoch is not None or after.phase() != "formed")):
+            if plan.ended:
+                self.alive = tuple(i for i in self.alive if i not in plan.ended)
+                self.alive_set = frozenset(self.alive)
+            if after.phase() == "formed" and self.formed_epoch is None:
+                self.formed_epoch = self.epoch
+                if self.epoch > self.bound:
+                    out.append(
+                        f"round {rnd}: formation took {self.epoch} epochs, bound is {self.bound}"
+                    )
+            # a robot that terminated this round did not stay, so the robots still
+            # running are the ones the full-activation check compares against
+            self._lock, found = _check_transition(before, after, plan, self.alive, was)
+            if was is None and self._lock is not None:
+                self._released = self.epoch
+            out += [f"round {rnd}: {m}" for m in found]
+            self._landings += plan.branches.count("settle_target")
+            if plan.branches.count("random_tiebreak") > 1:
+                self.joint_tiebreaks += 1
+            if found and found[-1] == _NO_MOTION:
+                self.halted = True
+                return out
 
         self._uncovered.difference_update(plan.ids)
         if self._uncovered:
             return out
-        alive = self.alive
+        alive, phase = self.alive, after.phase()
         # epoch boundary: every still-running robot completed a cycle
         epoch, n = self.epoch, self.n
         if epoch == 1 and phase in ("tied", "symmetric"):
@@ -781,9 +830,7 @@ def run(
         rnd += 1
 
         try:
-            movers: frozenset = frozenset()
-            if policy.needs_movers:
-                movers = state.plan(ledger.alive_set).movers
+            movers = state.plan(ledger.alive_set).movers if policy.needs_movers else frozenset()
             active = policy.select(rnd, alive, movers)
             if not active or not active <= ledger.alive_set:
                 report.violations.append(f"round {rnd}: scheduler broke the activation contract")
@@ -1100,11 +1147,11 @@ def explore_schedules(
     moves keeps its frame, and a robot the frame has decided was checked at
     an earlier visit.  Activation subsets that differ only in robots
     deciding to stay reach identical states, so subsets are enumerated over
-    the robots whose decisions have an effect, and each edge's plan comes
-    from the frame's memo (``_Frame.plan``).  States are memoised on the
-    frame's integer key (``_Frame.key``), the terminated set and the lock,
-    making the walk exhaustive over reachable states rather than over the
-    exponentially redundant schedule tree.
+    the robots whose decisions have an effect, found among the frame's
+    actors, and each edge's plan comes from the frame's memo.  States are
+    memoised on the frame's integer key (``_Frame.key``), the terminated set
+    and the lock, making the walk exhaustive over reachable states rather
+    than over the exponentially redundant schedule tree.
 
     Verified per edge: no collision, no error from the rule, and the
     round checks ``run`` applies (``_check_transition``): no symmetry
@@ -1160,14 +1207,14 @@ def explore_schedules(
                 why = f"robot {rid}: decision depends on presentation orientation"
                 return fail(path + ((rid,),), why, frame.pos)
 
-        relevant = [rid for rid in alive if dec[rid].kind is not DecisionKind.STAY]
-        stayers = [rid for rid in alive if dec[rid].kind is DecisionKind.STAY]
+        relevant = [r for r in frame._actors if r in alive and dec[r].kind is not DecisionKind.STAY]
+        stayer = next((rid for rid in alive if dec[rid].kind is DecisionKind.STAY), None)
         for mask in range(2 ** len(relevant)):
             sub = [relevant[b] for b in range(len(relevant)) if mask >> b & 1]
-            if not sub and not stayers:
+            if not sub and stayer is None:
                 continue
             edges += 1
-            act = tuple(sub) if sub else (stayers[0],)
+            act = tuple(sub) if sub else (stayer,)
             plan = frame.plan(frozenset(act))
             collision, after = frame.step(plan)
             if collision is not None:

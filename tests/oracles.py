@@ -19,9 +19,12 @@ configuration's least reading (``angles.least_reading``); ``brute_owners``
 finds that reading's owners over all 2n readings.
 ``reference_record_to_json`` encodes a trace line formatting every
 position anew, for the encoder that formats a position tuple once.
+``ReferencePolicy`` keeps the schedulers' fairness bookkeeping in one
+dict, for the policies that note only the robots whose status changed.
 """
 
 from fractions import Fraction
+from random import Random
 from typing import Mapping, Optional, Sequence
 
 from circleform import (
@@ -486,3 +489,48 @@ def reference_record_to_json(rec) -> dict:
         "positions_after": [format_turn(p) for p in rec.positions_after],
         "class": class_to_json(rec.config_class),
     }
+
+
+class ReferencePolicy:
+    """An activation policy keeping its fairness bookkeeping in one dict of
+    every robot's last activation round, as ``simulator.ActivationPolicy``
+    did before it kept the set chosen last apart.  ``select`` is the named
+    policy's (``fsync``, ``rr``, ``random`` or ``lazy``); a subclass may
+    replace it with one written against ``_due`` and ``_note``."""
+
+    def __init__(self, name: str, p: float = 0.5, fairness: Optional[int] = None):
+        self.name, self.p, self.fairness = name, p, fairness
+
+    def reset(self, n: int, seed: int) -> None:
+        self._window = self.fairness if self.fairness is not None else 2 * n
+        self._last: dict[int, int] = {}
+        self._rng = Random(seed)
+        self._n, self._cursor = n, n - 1
+
+    def _due(self, rnd: int, alive) -> set:
+        return {i for i in alive if rnd - self._last.get(i, 0) >= self._window}
+
+    def _note(self, rnd: int, chosen) -> frozenset:
+        self._last.update(dict.fromkeys(chosen, rnd))
+        return frozenset(chosen)
+
+    def select(self, rnd: int, alive: Sequence[int], movers: frozenset) -> frozenset:
+        if self.name == "fsync":
+            return self._note(rnd, alive)
+        if self.name == "rr":
+            for _ in range(self._n):
+                self._cursor = (self._cursor + 1) % self._n
+                if self._cursor in alive:
+                    return self._note(rnd, {self._cursor})
+            raise PreconditionError("no live robot to schedule")
+        if self.name == "random":
+            chosen = {i for i in alive if self._rng.random() < self.p}
+            chosen |= self._due(rnd, alive)
+            if not chosen:
+                chosen = {alive[self._rng.randrange(len(alive))]}
+            return self._note(rnd, chosen)
+        chosen = set(alive) - movers
+        chosen |= self._due(rnd, movers)
+        if not chosen:
+            chosen = {max(alive, key=lambda i: (self._last.get(i, 0), i))}
+        return self._note(rnd, chosen)

@@ -175,6 +175,16 @@ class TestDecisionJson:
         with pytest.raises(StructuralError, match="here: branch"):
             decision_from_json(obj, "here")
 
+    @pytest.mark.parametrize("to, why", [
+        ("3/2", "a move needs a destination in [0, 1), got 3/2"),
+        ("abc", "not a rational angle: 'abc'"),
+    ])
+    def test_a_refused_destination_names_its_decision(self, to, why):
+        obj = {"kind": "move", "branch": "x", "to": to, "dir": "forward"}
+        with pytest.raises(StructuralError) as err:
+            decision_from_json(obj, "decision 4")
+        assert str(err.value) == f"decision 4: {why}"
+
     def test_equal_decisions_decode_to_one_object(self):
         obj = {"kind": "move", "branch": "break_tie", "to": "1/24", "dir": "reverse"}
         assert decision_from_json(obj, "here") is decision_from_json(dict(obj), "there")
@@ -290,19 +300,33 @@ class TestTraces:
         assert err.value.line_no == 1
         assert f"robot id {rid}" in str(err.value)
 
-    def test_read_rejects_a_move_outside_the_circle(self, tmp_path, records):
+    @staticmethod
+    def _forge_first_move(tmp_path, records, to):
+        """The records written out with the first move's destination text
+        replaced by ``to``; the path, the 1-based line and the robot key."""
         path = tmp_path / "trace.jsonl"
         write_trace(records, path)
         lines = path.read_text().splitlines()
         k = next(k for k, line in enumerate(lines) if '"to":' in line)
         obj = json.loads(lines[k])
         rid = next(r for r, d in obj["decisions"].items() if "to" in d)
-        obj["decisions"][rid]["to"] = "3/2"
+        obj["decisions"][rid]["to"] = to
         lines[k] = json.dumps(obj)
         path.write_text("\n".join(lines) + "\n")
+        return path, k + 1, rid
+
+    def test_read_rejects_a_move_outside_the_circle(self, tmp_path, records):
+        path, line, rid = self._forge_first_move(tmp_path, records, "3/2")
         with pytest.raises(TraceParseError) as err:
             read_trace(path)
-        assert str(err.value) == f"line {k + 1}: a move needs a destination in [0, 1), got 3/2"
+        assert str(err.value) == (
+            f"line {line}: decision {rid}: a move needs a destination in [0, 1), got 3/2")
+
+    def test_read_names_the_decision_of_an_unreadable_destination(self, tmp_path, records):
+        path, line, rid = self._forge_first_move(tmp_path, records, "abc")
+        with pytest.raises(TraceParseError) as err:
+            read_trace(path)
+        assert str(err.value) == f"line {line}: decision {rid}: not a rational angle: 'abc'"
 
     @pytest.mark.parametrize("fault", ["empty", "repeat", "keys", "above", "below"])
     def test_record_faults_read_as_verify_reports_them(self, records, pattern5, fault):

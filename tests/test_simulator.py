@@ -43,6 +43,7 @@ from circleform.simulator import (
 )
 import golden_corpus as gc
 from conftest import config, near_floor_starts, tied_starts
+from oracles import ReferencePolicy
 
 F = Fraction
 
@@ -159,6 +160,70 @@ class _PickThree(ActivationPolicy):
 
     def select(self, rnd, alive, movers):
         return self._note(rnd, {3} if rnd == 1 else set(alive))
+
+
+def _lowest_and_due(self, rnd, alive, movers):
+    """A policy written against the bookkeeping: one live robot in turn,
+    and every robot due."""
+    return self._note(rnd, {alive[rnd % len(alive)]} | self._due(rnd, alive))
+
+
+CUSTOM_SELECTS = {"pick3": _PickThree.select, "lowest-and-due": _lowest_and_due}
+
+
+class TestPoliciesMatchTheirReference:
+    """The policies choose what they chose while the fairness bookkeeping
+    was one dict of last activation rounds (``oracles.ReferencePolicy``),
+    over runs in which robots terminate, the movers change, and ``alive``
+    and ``movers`` are passed again as the same objects, as ``run`` passes
+    them while nothing changes."""
+
+    @staticmethod
+    def _pair(name, fairness):
+        if name in CUSTOM_SELECTS:
+            select = CUSTOM_SELECTS[name]
+            new = type("Custom", (ActivationPolicy,), {"select": select})(fairness)
+            ref = type("CustomReference", (ReferencePolicy,), {"select": select})(name, 0.5, fairness)
+            return new, ref
+        return make_policy(name, 0.5, fairness), ReferencePolicy(name, 0.5, fairness)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_every_round_chooses_the_reference_set(self, data):
+        n = data.draw(st.integers(2, 7), label="n")
+        name = data.draw(st.sampled_from([*POLICIES, *CUSTOM_SELECTS]), label="policy")
+        fairness = data.draw(st.one_of(st.none(), st.integers(1, 2 * n)), label="fairness")
+        new, ref = self._pair(name, fairness)
+        seed = data.draw(st.integers(0, 2**64 - 1), label="seed")
+        new.reset(n, seed)
+        ref.reset(n, seed)
+        alive, movers = tuple(range(n)), frozenset()
+        for rnd in range(1, data.draw(st.integers(1, 8 * n), label="rounds") + 1):
+            # mostly idle rounds, as under ``run``, so that movers fall due
+            step = data.draw(st.sampled_from(["same"] * 8 + ["copies", "movers", "all-move",
+                                                             "terminate"]))
+            if step == "terminate" and len(alive) > 1:
+                # a robot that stays terminates; the movers may stay the same object
+                gone = data.draw(st.sets(st.sampled_from(alive), max_size=len(alive) - 1))
+                alive = tuple(i for i in alive if i not in gone)
+                if not movers <= set(alive):
+                    step = "movers"
+            if step == "movers":
+                movers = frozenset(data.draw(st.sets(st.sampled_from(alive))))
+            elif step == "all-move":
+                movers = frozenset(alive)
+            elif step == "copies":
+                alive, movers = tuple(list(alive)), frozenset(set(movers))
+            want = ref.select(rnd, alive, movers)
+            assert new.select(rnd, alive, movers) == want, (rnd, step, alive, movers)
+
+    def test_a_repeated_choice_is_the_held_set(self):
+        p = LazyAdversary()
+        p.reset(4, 0)
+        alive, movers = (0, 1, 2, 3), frozenset({1})
+        first = p.select(1, alive, movers)
+        assert p.select(2, alive, movers) is first
+        assert p.select(3, tuple(list(alive)), frozenset(set(movers))) is first
 
 
 class _Wakes(ActivationPolicy):
@@ -466,6 +531,72 @@ class TestOneStep:
         square = config(0, F(1, 4), F(1, 2), F(3, 4))
         with pytest.raises(InvariantViolationError, match=f"round 1: {FORGED}"):
             fsync_symmetry_experiment(square, SYMMETRY_RULES["drift"], 3)
+
+
+class _IdleThenAll(ActivationPolicy):
+    """Robots 0 and 1 for three rounds, then every live robot."""
+
+    name = "idle-then-all"
+
+    def select(self, rnd, alive, movers):
+        return self._note(rnd, {0, 1} if rnd <= 3 else alive)
+
+
+class TestSteadyRounds:
+    """A round that repeats the last one takes the memoised paths (the
+    scheduler's held set, the ledger's idle path, the step's move checks),
+    and they answer what the full checks answer."""
+
+    @pytest.fixture
+    def everyone_stays(self, monkeypatch):
+        """The rule with every table entry read as a stay; the shared start
+        frames hold the real rule's decisions, so they are dropped."""
+        monkeypatch.setattr(simulator, "_to_decision", lambda instr, at, rng=None: STAY)
+        simulator._start_frame.cache_clear()
+        yield
+        simulator._start_frame.cache_clear()
+
+    def test_same_mover_other_moves_get_their_own_checks(self):
+        # robot 0 of the single-nominee start, 1/12 behind robot 1: a tie-break
+        # branch owes a shrinking minimum gap, a travel of 1/12 collides (the
+        # step's frame is the frame itself), and checks are also asked for an
+        # after-state that is not the step's (the frame itself)
+        frame = simulator._Frame(gc.SINGLE_NOMINEE5.positions, gc.PATTERN5)
+        alive = tuple(range(5))
+        plans = [simulator._plan({0: Decision(DecisionKind.MOVE, travel, Direction.FORWARD, b)})
+                 for travel in (F(1, 100), F(1, 12)) for b in ("break_tie", "test")]
+        assert len({p.movers for p in plans}) == 1
+        afters, answers = [frame], set()
+        for _ in range(2):
+            for p in plans:
+                afters.append(frame.step(p)[1])
+                for q in plans:
+                    for after in afters:
+                        fresh = simulator._Frame(frame.pos, gc.PATTERN5)
+                        want = simulator._check_transition(fresh, after, q, alive, None)
+                        assert simulator._check_transition(frame, after, q, alive, None) == want
+                        answers.add(tuple(want[1]))
+        assert len(answers) > 1
+
+    def test_an_idle_round_on_a_forged_state_reports_it_every_round(self):
+        c0, pattern = gen_instance(5, 1_005)
+        _, records = run(c0, pattern, LazyAdversary())
+        idle = records[:4]
+        assert all(len(r.activated) < 5 and r.positions_after == r.positions_before for r in idle)
+        sym = tuple(F(k, 5) for k in range(5))
+        forged = [dataclasses.replace(rec, positions_before=sym if k else rec.positions_before,
+                                      positions_after=sym, config_class=simulator.Symmetric(5))
+                  for k, rec in enumerate(idle)]
+        problems = verify_trace(forged, pattern)
+        assert [m for m in problems if "symmetry created" in m] == [
+            f"round {rec.round}: 5-fold symmetry created before formation" for rec in idle]
+
+    def test_a_full_activation_that_moves_nobody_halts_the_run(self, everyone_stays):
+        c0, pattern = gen_instance(5, 1_005)
+        report, records = run(c0, pattern, _IdleThenAll())
+        assert report.rounds == 4
+        assert report.violations == ["round 4: full activation produced no motion before formation"]
+        assert verify_trace(records, pattern) == report.violations
 
 
 class TestPhases:
