@@ -36,9 +36,10 @@ accounting on top for ``run`` and ``verify_trace``.  ``explore_schedules``
 has no epochs and keeps the lock in its state instead; its queue carries
 each state's frame, and it keys states on the frame's integer key
 (``_Frame.key``).  A steady round, whose activation set and frame repeat
-the last round's, costs constant work besides its record: the policy
-returns the set it holds, plan and step are memo hits, and the ledger only
-marks coverage; a step's move checks are memoised with it.
+the last round's, does no per-robot work besides its record and the
+ledger's coverage update: the policy returns the set it holds, and plan,
+step and transition checks are memo hits; a step's move checks are
+memoised with it.
 
 Robots are oblivious, so the only run state is the multiset of positions plus
 which robots have switched themselves off.  ``run`` tracks robots by a stable
@@ -395,16 +396,11 @@ class _Plan(NamedTuple):
     branches: tuple[str, ...]
 
 
-def _plan(decisions: Mapping[int, Decision], actors: Optional[Sequence[int]] = None) -> _Plan:
-    """The plan of a round that takes ``decisions``, its moves found among
-    ``actors`` when they are fewer: increasing ids that hold every robot
-    whose decision is not a stay."""
-    ids = tuple(sorted(decisions))
-    acting = (decisions.items() if actors is None or len(actors) >= len(decisions)
-              else [(r, decisions[r]) for r in actors if r in decisions])
-    moves = tuple(a for a in acting if a[1].is_move)
-    ended = frozenset(rid for rid, d in acting if d.kind is DecisionKind.TERMINATE)
-    return _Plan(ids, MappingProxyType(decisions), moves,
+def _plan(decisions: Mapping[int, Decision]) -> _Plan:
+    """The plan of a round that takes ``decisions``."""
+    moves = tuple((rid, d) for rid, d in decisions.items() if d.is_move)
+    ended = frozenset(rid for rid, d in decisions.items() if d.kind is DecisionKind.TERMINATE)
+    return _Plan(tuple(sorted(decisions)), MappingProxyType(decisions), moves,
                  frozenset(rid for rid, _ in moves), ended, tuple(d.branch for _, d in moves))
 
 
@@ -412,9 +408,8 @@ class _Frame:
     """One position state under one rule: positions by robot id, the rule
     (pattern, mutant and draw source, which ``step`` passes on), the
     robots' sorted order, the configuration, and lazily its integer key,
-    its class, its instruction table, the robots it does not tell to stay
-    (``_actors``), per-robot decisions, round plans and the checks owed by a
-    round that ends on it.
+    its class, its instruction table, per-robot decisions, round plans and
+    the checks owed by a round that ends on it.
 
     Robot k of the sorted order reads index k of the table
     (``formation._decide``), and the frame's phase is the table's, so while
@@ -440,7 +435,7 @@ class _Frame:
     """
 
     __slots__ = ("pos", "pattern", "mutant", "rng", "order", "idx_of", "c", "dec", "_table",
-                 "_cls", "_actors", "_plans", "_audit", "_key", "_steps")
+                 "_cls", "_plans", "_audit", "_key", "_steps")
 
     def __init__(self, pos: Sequence[Turn], pattern: Optional[TargetPattern] = None,
                  mutant: Optional[str] = None, rng: Optional[Random] = None,
@@ -453,7 +448,6 @@ class _Frame:
         self.dec: dict[int, Decision] = {}
         self._table: Optional[tuple] = None
         self._cls: Optional[ConfigClass] = None
-        self._actors: Optional[list[int]] = None
         self._plans: dict[frozenset, _Plan] = {}
         self._audit: dict[_Lock, tuple[_Lock, tuple[str, ...]]] = {}
         self._key: Optional[tuple[int, ...]] = None
@@ -478,8 +472,6 @@ class _Frame:
     def table(self) -> tuple:
         if self._table is None:
             self._table = _decide(self.c.cycle, self.pattern.cycle, self.mutant)
-            self._actors = sorted([r for r, instr in zip(self.order, self._table[0])
-                                   if instr[0] != "stay"])
         return self._table
 
     def phase(self) -> str:
@@ -496,12 +488,10 @@ class _Frame:
 
     def plan(self, active: frozenset) -> _Plan:
         """The plan of activating ``active``, deciding its robots in id order
-        (so rand-mode draws keep their order), its moves found among the
-        frame's actors."""
+        (so rand-mode draws keep their order)."""
         p = self._plans.get(active)
         if p is None:
-            decisions = {rid: self.decide(rid) for rid in sorted(active)}
-            p = self._plans[active] = _plan(decisions, self._actors)
+            p = self._plans[active] = _plan({rid: self.decide(rid) for rid in sorted(active)})
         return p
 
     def audit(self, lock: _Lock) -> tuple[_Lock, tuple[str, ...]]:
@@ -672,10 +662,9 @@ class _EpochLedger:
 
     A round costs O(|plan|): the robots not yet activated this epoch are
     kept as ``_uncovered``, and ``alive`` (a sorted tuple, with
-    ``alive_set`` beside it) is rebuilt only when a robot terminates.  An
-    idle round (``after is before``, nobody terminating) that leaves a live
-    robot asleep, on a frame whose memoised audit for the lock finds nothing
-    and keeps it, only updates coverage unless it notes formation.
+    ``alive_set`` beside it) is rebuilt only when a robot terminates.  On an
+    idle round the transition checks are memo hits on the frame, so the
+    round costs its coverage update and a few O(1) tests.
     """
 
     def __init__(self, n: int, mode: str, budget: Optional[int] = None):
@@ -698,37 +687,35 @@ class _EpochLedger:
         """Account one round and return its violations."""
         if self._start_phase is None:
             self._start_phase = before.phase()
+        if plan.ended:
+            self.alive = tuple(i for i in self.alive if i not in plan.ended)
+            self.alive_set = frozenset(self.alive)
         out: list[str] = []
+        phase = after.phase()
+        if phase == "formed" and self.formed_epoch is None:
+            self.formed_epoch = self.epoch
+            if self.epoch > self.bound:
+                out.append(
+                    f"round {rnd}: formation took {self.epoch} epochs, bound is {self.bound}"
+                )
         was = self._lock
-        if not (after is before and not plan.moves and not plan.ended and plan.ids != self.alive
-                and after.audit(was) == (was, ())
-                and (self.formed_epoch is not None or after.phase() != "formed")):
-            if plan.ended:
-                self.alive = tuple(i for i in self.alive if i not in plan.ended)
-                self.alive_set = frozenset(self.alive)
-            if after.phase() == "formed" and self.formed_epoch is None:
-                self.formed_epoch = self.epoch
-                if self.epoch > self.bound:
-                    out.append(
-                        f"round {rnd}: formation took {self.epoch} epochs, bound is {self.bound}"
-                    )
-            # a robot that terminated this round did not stay, so the robots still
-            # running are the ones the full-activation check compares against
-            self._lock, found = _check_transition(before, after, plan, self.alive, was)
-            if was is None and self._lock is not None:
-                self._released = self.epoch
-            out += [f"round {rnd}: {m}" for m in found]
-            self._landings += plan.branches.count("settle_target")
-            if plan.branches.count("random_tiebreak") > 1:
-                self.joint_tiebreaks += 1
-            if found and found[-1] == _NO_MOTION:
-                self.halted = True
-                return out
+        # a robot that terminated this round did not stay, so the robots still
+        # running are the ones the full-activation check compares against
+        self._lock, found = _check_transition(before, after, plan, self.alive, was)
+        if was is None and self._lock is not None:
+            self._released = self.epoch
+        out += [f"round {rnd}: {m}" for m in found]
+        self._landings += plan.branches.count("settle_target")
+        if plan.branches.count("random_tiebreak") > 1:
+            self.joint_tiebreaks += 1
+        if found and found[-1] == _NO_MOTION:
+            self.halted = True
+            return out
 
         self._uncovered.difference_update(plan.ids)
         if self._uncovered:
             return out
-        alive, phase = self.alive, after.phase()
+        alive = self.alive
         # epoch boundary: every still-running robot completed a cycle
         epoch, n = self.epoch, self.n
         if epoch == 1 and phase in ("tied", "symmetric"):
@@ -1147,11 +1134,11 @@ def explore_schedules(
     moves keeps its frame, and a robot the frame has decided was checked at
     an earlier visit.  Activation subsets that differ only in robots
     deciding to stay reach identical states, so subsets are enumerated over
-    the robots whose decisions have an effect, found among the frame's
-    actors, and each edge's plan comes from the frame's memo.  States are
-    memoised on the frame's integer key (``_Frame.key``), the terminated set
-    and the lock, making the walk exhaustive over reachable states rather
-    than over the exponentially redundant schedule tree.
+    the robots whose decisions have an effect, and each edge's plan comes
+    from the frame's memo (``_Frame.plan``).  States are memoised on the
+    frame's integer key (``_Frame.key``), the terminated set and the lock,
+    making the walk exhaustive over reachable states rather than over the
+    exponentially redundant schedule tree.
 
     Verified per edge: no collision, no error from the rule, and the
     round checks ``run`` applies (``_check_transition``): no symmetry
@@ -1207,14 +1194,14 @@ def explore_schedules(
                 why = f"robot {rid}: decision depends on presentation orientation"
                 return fail(path + ((rid,),), why, frame.pos)
 
-        relevant = [r for r in frame._actors if r in alive and dec[r].kind is not DecisionKind.STAY]
-        stayer = next((rid for rid in alive if dec[rid].kind is DecisionKind.STAY), None)
+        relevant = [rid for rid in alive if dec[rid].kind is not DecisionKind.STAY]
+        stayers = [rid for rid in alive if dec[rid].kind is DecisionKind.STAY]
         for mask in range(2 ** len(relevant)):
             sub = [relevant[b] for b in range(len(relevant)) if mask >> b & 1]
-            if not sub and stayer is None:
+            if not sub and not stayers:
                 continue
             edges += 1
-            act = tuple(sub) if sub else (stayer,)
+            act = tuple(sub) if sub else (stayers[0],)
             plan = frame.plan(frozenset(act))
             collision, after = frame.step(plan)
             if collision is not None:

@@ -544,8 +544,8 @@ class _IdleThenAll(ActivationPolicy):
 
 class TestSteadyRounds:
     """A round that repeats the last one takes the memoised paths (the
-    scheduler's held set, the ledger's idle path, the step's move checks),
-    and they answer what the full checks answer."""
+    scheduler's held set, the frame's memoised audit, the step's move
+    checks), and they answer what the full checks answer."""
 
     @pytest.fixture
     def everyone_stays(self, monkeypatch):
