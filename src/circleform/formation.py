@@ -370,6 +370,12 @@ def _survey(canon: tuple[int, ...], pat: tuple[int, ...], mutant: Optional[str])
     pattern's, each over its own sum.  Returns (moves, phase): moves[k] is
     the instruction of canon robot k in ``_decide``'s contract, with move
     and draw signs along canon-forward, and phase is ``_decide``'s.
+
+    Robots have no chirality.  In a tied shape robot i is the mirror image
+    of robot a + b - i (a and b the nominees), and a robot told otherwise
+    than its image, read the other way round, gets ("invariant", "decision
+    depends on presentation orientation").  A leader shape is read through
+    its one owner both ways round (``_decide``), so its readings agree.
     """
     n = len(canon)
     den, pden = sum(canon), sum(pat)
@@ -397,7 +403,12 @@ def _survey(canon: tuple[int, ...], pat: tuple[int, ...], mutant: Optional[str])
             if row == row[::-1]:
                 raise InvariantViolationError("nominee with a palindromic view")
             moves[i] = ("draw", window, 1 if row < row[::-1] else -1, "random_tiebreak")
-        return tuple(moves), "tied"
+        ab = found.nominee_a + found.nominee_b
+        return tuple(
+            m if _act(m) == _act(_against(moves[(ab - i) % n]))
+            else ("invariant", "decision depends on presentation orientation")
+            for i, m in enumerate(moves)
+        ), "tied"
 
     # robot 0 reads the canonical cycle forward, so it owns the least
     # reading; a second owner would be its mirror image and the shape tied.
@@ -448,6 +459,11 @@ def _against(instr: tuple) -> tuple:
     """``instr`` for a robot reading the other way round: its sign flips."""
     head = instr[0]
     return (head, instr[1], -instr[2], instr[3]) if head in ("move", "draw") else instr
+
+
+def _act(instr: tuple) -> Optional[tuple]:
+    """(travel, runs against the reading) of a move; None for a stay or a draw."""
+    return (instr[1], instr[2] < 0) if instr[0] == "move" else None
 
 
 # the one Decision of each stay branch the rule takes, and of terminating;

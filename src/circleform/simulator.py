@@ -4,10 +4,10 @@ Activation policies, exact collision detection, full runs, offline trace
 verification, batch sweeps, exhaustive schedule exploration for small
 instances, and the fully synchronous symmetry experiment.
 
-A robot's physical move does not depend on which way it reads the circle,
-and ``explore_schedules`` checks that on every state it visits against the
-table of the reversed cycle, so robots are decided from one reading.  One
-audit serves ``run``, ``verify_trace`` and ``explore_schedules``.
+A robot's physical move does not depend on which way it reads the circle:
+the rule checks that once per tied shape (``formation._survey``), so every
+driver decides robots from one reading and refuses a table that breaks it.
+One audit serves ``run``, ``verify_trace`` and ``explore_schedules``.
 
 The frame is the unit of work.  A ``_Frame`` holds one position state and
 the rule it is decided under (pattern, mutant and draw source); robot k
@@ -79,7 +79,6 @@ from .formation import (
     Decision,
     DecisionKind,
     TargetPattern,
-    _against,
     _check_mutant,
     _check_size,
     _common_scale,
@@ -866,7 +865,7 @@ def verify_trace(
     ends elsewhere than its round puts it.  Verification also checks
     continuity with the previous record, round numbers (1, 2, ...), the
     record's ids (``_record_fault``, shared with the trace decoder),
-    collisions, that every robot ends where its decision puts it, and the
+    collisions, that every robot ends where the step puts it, and the
     recorded class.  Every round without a collision then goes through the
     audit ``run`` applies (``_EpochLedger``), so verification reports what
     the inline audit reports.  In ``rand`` mode a robot whose
@@ -939,15 +938,13 @@ def verify_trace(
                         f"{where}: robot {rid} recorded {recorded} but the rule gives {expected}"
                     )
             plan = _plan(rec.decisions)
-        # a collided round leaves every robot where it was, as ``run`` records it
+        # robots end where the step puts them; after an idle or collided round
+        # that is positions_before, whose decoded Fractions compare by identity
         collision, after = before.step(plan)
-        want = list(rec.positions_before)
-        if collision is None:
-            for rid, d in plan.moves:
-                want[rid] = d.destination
-        else:
+        if collision is not None:
             problems.append(f"{where}: {collision}")
-        if rec.positions_after != tuple(want):
+        want = rec.positions_before if after is before else after.pos
+        if rec.positions_after != want:
             problems.extend(
                 f"{where}: robot {rid} ended at an unexplained position"
                 for rid in range(n) if rec.positions_after[rid] != want[rid]
@@ -1127,12 +1124,10 @@ def explore_schedules(
 ) -> ExploreReport:
     """Check every schedule prefix up to ``round_budget`` rounds (at least 0).
 
-    Every robot is decided through the frame's cache (``_Frame.decide``,
-    the reading ``run`` uses) and must act the same read the other way
-    round: robot k reads the table of the reversed cycle at index -k mod n.
-    That check runs once per robot of a frame: an edge on which nobody
-    moves keeps its frame, and a robot the frame has decided was checked at
-    an earlier visit.  Activation subsets that differ only in robots
+    Every robot is decided from one reading through the frame's cache
+    (``_Frame.decide``), as in ``run``; a robot whose move would depend on
+    which way it reads the circle fails there, since the rule marks it
+    (``formation._survey``).  Activation subsets that differ only in robots
     deciding to stay reach identical states, so subsets are enumerated over
     the robots whose decisions have an effect, and each edge's plan comes
     from the frame's memo (``_Frame.plan``).  States are memoised on the
@@ -1177,22 +1172,11 @@ def explore_schedules(
         if not alive:
             continue
         dec = frame.dec
-        mirror = None  # the reversed cycle's table, looked up after the frame's own
         for rid in alive:
-            if rid in dec:
-                continue  # checked at an earlier visit to this frame
-            k = frame.idx_of[rid]
             try:
-                d0 = frame.decide(rid)
-                mirror = mirror or _decide(frame.c.cycle[::-1], pattern.cycle, mutant)[0]
-                d1 = _to_decision(_against(mirror[-k % n]), frame.c.positions[k])
+                frame.decide(rid)
             except CircleFormError as e:
                 return fail(path + ((rid,),), f"robot {rid}: {e}", frame.pos)
-            if (d0.kind, d0.destination, d0.path_direction) != (
-                d1.kind, d1.destination, d1.path_direction
-            ):
-                why = f"robot {rid}: decision depends on presentation orientation"
-                return fail(path + ((rid,),), why, frame.pos)
 
         relevant = [rid for rid in alive if dec[rid].kind is not DecisionKind.STAY]
         stayers = [rid for rid in alive if dec[rid].kind is DecisionKind.STAY]

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from circleform import Configuration, TargetPattern, classify, gen_instance
+from circleform import Configuration, TargetPattern, classify, formation, gen_instance, simulator
 from circleform.angles import mod1
 from circleform.configuration import DoubleNomineeTied
 
@@ -39,6 +39,30 @@ def pattern5() -> TargetPattern:
 def tied5() -> Configuration:
     """Odd tied case: two nominees with equal arcs, robot 0 on the bisector."""
     return config(0, F(1, 12), F(1, 3), F(2, 3), F(11, 12))
+
+
+@pytest.fixture
+def skewed_tie_break(monkeypatch):
+    """The rule with a tie-break that depends on the reading.
+
+    A bisector robot whose two readings tie may take either neighbour; sent
+    along the canonical reading's forward instead, its move depends on
+    which way the presentation reads the circle."""
+    plain = formation._break_tie
+
+    def skewed(*args):
+        head, dist, sign, branch = plain(*args)
+        return head, dist, sign or 1, branch
+
+    formation._survey.cache_clear()
+    formation._decide.cache_clear()
+    simulator._start_frame.cache_clear()
+    monkeypatch.setattr(formation, "_break_tie", skewed)
+    yield
+    monkeypatch.undo()
+    formation._survey.cache_clear()
+    formation._decide.cache_clear()
+    simulator._start_frame.cache_clear()
 
 
 @pytest.fixture

@@ -13,12 +13,14 @@ classification.  So must hypothesis-drawn mirrored, tied and
 wide-denominator cycles.  And every robot of every visited state must make
 the mirror move in the mirror image of its configuration, where it reads
 forward what it reads in reverse here: its two readings take the same
-physical action, which is why ``run`` and ``verify_trace`` decide from one
-reading.  On the same states, on the drawn cycles and on every shape of a
-24-point grid, two nominees are mirror images with a palindromic bisector
-robot, a canonical cycle has canon[1] <= canon[-1], and every move travels:
-the facts that leave the rule no two-nominee leader, no reversed
-tie-break, no leader blocker and no zero-distance move.
+physical action, which is why every driver decides from one reading.  The
+rule marks a tied shape's robot told otherwise than its mirror image; under
+a skewed tie-break that is exactly the bisector robot.  On the same states,
+on the drawn cycles and on every shape of a 24-point grid, two nominees are
+mirror images with a palindromic bisector robot, a canonical cycle has
+canon[1] <= canon[-1], and every move travels: the facts that leave the
+rule no two-nominee leader, no reversed tie-break, no leader blocker and no
+zero-distance move.
 """
 
 import itertools
@@ -56,6 +58,7 @@ from conftest import config, mixed_position_sets, mixed_turns, tied_even_instanc
 F = Fraction
 DET_NS = (3, 5, 7, 9, 11, 15)
 RAND_NS = (4, 6, 8)
+ORIENTATION_FAULT = ("invariant", "decision depends on presentation orientation")
 MOVE_BRANCHES = {
     "break_tie",
     "shrink_lead_gap",
@@ -247,6 +250,30 @@ def _check_mirror_facts(cycle, pat, mutant) -> None:
         assert canon[1] <= canon[-1], cycle
     for instr in _decide(cycle, pat, mutant)[0]:
         assert instr[0] != "move" or instr[1] > 0, (cycle, pat, instr)
+
+
+def _orientation_faults(cycle, pat) -> list[int]:
+    return [k for k, instr in enumerate(_decide(cycle, pat, None)[0]) if instr == ORIENTATION_FAULT]
+
+
+def test_the_rule_marks_exactly_the_robots_whose_readings_disagree(skewed_tie_break):
+    # the skewed bisector robot moves one way read forward and the other way
+    # read in reverse; the other robots, waiting in mirror pairs, are
+    # unmarked, and so is every robot of a shape with one owner
+    for cycle in (gc.TIED5.cycle, gc.TIED5.cycle[::-1]):
+        assert _orientation_faults(cycle, gc.PATTERN5.cycle) == [0]
+    grid = [F(k, 24) for k in range(1, 24)]
+    leaders = marked = 0
+    for n in (3, 4, 5):
+        pat = _pattern(n, 0).cycle
+        for combo in itertools.combinations(grid, n - 1):
+            cycle = Configuration((F(0),) + combo).cycle
+            found = _classify_cycle(cycle)
+            bisector = getattr(found, "bisector_robot", None)
+            assert _orientation_faults(cycle, pat) == ([] if bisector is None else [bisector])
+            leaders += isinstance(found, LeaderConfig)
+            marked += bisector is not None
+    assert leaders > 10_000 and marked > 300
 
 
 def test_mirror_facts_on_visited_configurations(visited, golden_states):

@@ -20,7 +20,7 @@ from circleform import (
     SymmetricConfigurationError,
     TargetPattern,
 )
-from circleform import formation, simulator
+from circleform import simulator
 from circleform.cli import gen_instance
 from circleform.formats import read_trace, record_to_json
 from circleform.simulator import (
@@ -651,27 +651,6 @@ class TestExploreSchedules:
         with pytest.raises(PreconditionError, match="unknown mutant"):
             run(c, pattern5, FullSync(), mutant="nonsense")
 
-    @pytest.fixture
-    def skewed_tie_break(self, monkeypatch):
-        # a bisector robot whose two readings tie may take either neighbour;
-        # sent along the canonical reading's forward instead, its move
-        # depends on which way the presentation reads the circle
-        plain = formation._break_tie
-
-        def skewed(*args):
-            head, dist, sign, branch = plain(*args)
-            return head, dist, sign or 1, branch
-
-        formation._survey.cache_clear()
-        formation._decide.cache_clear()
-        simulator._start_frame.cache_clear()
-        monkeypatch.setattr(formation, "_break_tie", skewed)
-        yield
-        monkeypatch.undo()
-        formation._survey.cache_clear()
-        formation._decide.cache_clear()
-        simulator._start_frame.cache_clear()
-
     def test_chirality_is_checked(self, skewed_tie_break, tied5, pattern5):
         report = explore_schedules(tied5, pattern5, 2)
         cx = report.counterexample
@@ -727,6 +706,26 @@ class TestExploreSchedules:
         c0, pattern = gen_instance(3, 2)
         with pytest.raises(PreconditionError):
             explore_schedules(c0, pattern, 4, state_cap=3)
+
+
+class TestChiralityFromEveryDriver:
+    # the rule marks a robot whose move depends on which way it reads the
+    # circle, so run and verify refuse the skewed tie-break as explore does
+    WHY = "decision depends on presentation orientation"
+
+    @pytest.mark.parametrize("name", gc.SCHEDULERS)
+    def test_run_reports_it(self, skewed_tie_break, name):
+        report, _ = run(gc.TIED5, gc.PATTERN5, make_policy(name), mode="det", seed=3)
+        assert report.violations == [f"round 1: {self.WHY}"]
+        assert not report.ok
+
+    @pytest.mark.parametrize("name", gc.SCHEDULERS)
+    def test_verify_reports_it_at_the_bisector_robots_first_activation(
+        self, skewed_tie_break, name
+    ):
+        records = read_trace(gc.GOLDEN / gc.case_name(("det", 5, 3_005, name, True)))
+        first = next(rec.round for rec in records if 0 in rec.activated)
+        assert verify_trace(records, gc.PATTERN5) == [f"round {first}: robot 0: {self.WHY}"]
 
 
 class TestSymmetryExperiment:
