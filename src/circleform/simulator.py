@@ -8,38 +8,56 @@ A robot's physical move does not depend on which way it reads the circle:
 the rule checks that once per tied shape (``formation._survey``), so every
 driver decides robots from one reading and refuses a table that breaks it.
 One audit serves ``run``, ``verify_trace`` and ``explore_schedules``.
+The rest of this docstring is the one full account of the frame, step and
+audit design.
 
-The frame is the unit of work.  A ``_Frame`` holds one position state and
-the rule it is decided under (pattern, mutant and draw source); robot k
-reads its decision off entry k of the configuration's instruction table
-(``_Frame.decide``, shared by all three; a tied nominee's entry is its
-draw, which waits without a draw source), the frame reads its phase off
-the same table (``_Frame.phase``), and ``_Frame.plan`` memoises a round's
-decisions, moves, terminations and move branches per activation set
-(``_Plan``).  ``_Frame.step`` is a round, the one transition every driver
-takes: the round's collision, if any, and the frame after it, which
-rotates the robots' sorted order instead of sorting afresh, since a round
-without a collision keeps their cyclic order.  It memoises its outcome per
-set of movers, so a frame builds each successor once.
+The frame is the unit of work.  A ``_Frame`` holds one position state by
+robot id, the rule it is decided under (pattern, mutant and draw source,
+which the frame after a round inherits), the robots' sorted order and the
+configuration, and lazily its integer key, class and instruction table.
+Robot k of the sorted order reads its decision off entry k of the table
+(``_Frame.decide``, shared by every driver; a tied nominee's entry is its
+draw, which waits without a draw source), and the frame reads its phase
+off the same table (``_Frame.phase``), so while no move lands all of these
+are reusable across rounds.  ``_Frame.plan`` memoises a round's decisions,
+moves, terminations and move branches per activation set (``_Plan``).  A
+frame built without a pattern only moves and checks collisions.
+
+``_Frame.step`` is a round, the one transition every driver takes: the
+round's collision, if any, and the frame after it, which is the frame
+itself after a collision or an idle round.  A round without a collision
+keeps the robots' cyclic order, so the next frame rotates the old sorted
+order instead of sorting afresh.  ``step`` memoises its outcome per set of
+movers, so a frame builds each successor once; an entry answers only a
+plan whose moves equal the ones it was made from (an identity check for
+the frame's own plans), and a plan built elsewhere with other moves for
+the same movers is worked out afresh.
+
+``_Frame.transition``, called on the frame before a round, is the audit:
+the lock after the round (leader and pivotal direction, fixed from the
+first released round) and every failed check, from symmetry creation and
+the lock through coincident tie-break draws and branch postconditions to
+a full activation that moved nobody.  Its after-state checks are memoised
+per lock on the frame after the round, and its move checks in the step's
+memo entry.  ``_EpochLedger`` calls it and adds epoch accounting on top
+for ``run`` and ``verify_trace``.  ``explore_schedules`` calls it too, but
+has no epochs and keeps the lock in its state instead; its queue carries
+each state's frame, and it keys states on the frame's integer key
+(``_Frame.key``), ints that hash without the modular inverse a
+``Fraction`` hash takes.  A steady round, whose activation set and frame
+repeat the last round's, does no per-robot work besides its record and
+the ledger's coverage update: the policy returns the set it holds, and
+plan, step and transition are memo hits.
 
 Det-mode runs share their start frames (``_start_frame``, an
 ``lru_cache`` of the last two (start, pattern, mutant) triples).
 ``batch`` and the acceptance battery run one start under every scheduler
 in a row, and the rule is deterministic and the robots oblivious, so the
 later runs walk the frames the earlier ones built, reaching them through
-the step memos.  Rand-mode frames hold their run's draw source and are
-never shared.  ``_check_transition`` lists every failed check of one
-round, from the frame before it to the frame after it (symmetry creation,
-the leader/direction lock, coincident tie-break draws, branch
-postconditions, motion under full activation); ``_EpochLedger`` adds epoch
-accounting on top for ``run`` and ``verify_trace``.  ``explore_schedules``
-has no epochs and keeps the lock in its state instead; its queue carries
-each state's frame, and it keys states on the frame's integer key
-(``_Frame.key``).  A steady round, whose activation set and frame repeat
-the last round's, does no per-robot work besides its record and the
-ledger's coverage update: the policy returns the set it holds, and plan,
-step and transition checks are memo hits; a step's move checks are
-memoised with it.
+the step memos.  So a frame's memos must hold for the rule alone: anything
+that patches the rule (``formation._decide`` or what it calls) must also
+call ``_start_frame.cache_clear()``, as it clears the rule's caches.
+Rand-mode frames hold their run's draw source and are never shared.
 
 Robots are oblivious, so the only run state is the multiset of positions plus
 which robots have switched themselves off.  ``run`` tracks robots by a stable
@@ -404,34 +422,10 @@ def _plan(decisions: Mapping[int, Decision]) -> _Plan:
 
 
 class _Frame:
-    """One position state under one rule: positions by robot id, the rule
-    (pattern, mutant and draw source, which ``step`` passes on), the
-    robots' sorted order, the configuration, and lazily its integer key,
-    its class, its instruction table, per-robot decisions, round plans and
-    the checks owed by a round that ends on it.
-
-    Robot k of the sorted order reads index k of the table
-    (``formation._decide``), and the frame's phase is the table's, so while
-    no move lands all of these are reusable across rounds.  Plans are
-    memoised per activation set.  The after-state checks (``audit``) depend
-    only on the frame and the lock a round enters with, so each is computed
-    once per lock.  A round's outcome, its collision and the frame after
-    it, depends only on its moves, so ``step`` memoises it per set of
-    movers; an entry answers only a plan whose moves equal the ones it was
-    made from (an identity check for the frame's own plans), and a plan
-    built elsewhere with other moves for the same movers is worked out
-    afresh; the entry also keeps the checks those moves owe
-    (``move_checks``).  The key (``key``) stands for the positions wherever
-    they are hashed, as explore's state keys are: ints hash without the
-    modular inverse a ``Fraction`` hash takes.  A frame built without a
-    pattern only moves and checks collisions.
-
-    Det-mode start frames, and through their memos every frame reached
-    from them, are shared by the runs of one start (``_start_frame``), so
-    a frame's memos must hold for the rule alone.  Anything that patches
-    the rule (``formation._decide`` or what it calls) must also call
-    ``_start_frame.cache_clear()``, as it clears the rule's caches.
-    """
+    """One position state under one rule, with its memos (the module
+    docstring gives the design).  Anything that patches the rule must also
+    call ``_start_frame.cache_clear()``: shared start frames hold memos
+    made under the rule."""
 
     __slots__ = ("pos", "pattern", "mutant", "rng", "order", "idx_of", "c", "dec", "_table",
                  "_cls", "_plans", "_audit", "_key", "_steps")
@@ -493,32 +487,6 @@ class _Frame:
             p = self._plans[active] = _plan({rid: self.decide(rid) for rid in sorted(active)})
         return p
 
-    def audit(self, lock: _Lock) -> tuple[_Lock, tuple[str, ...]]:
-        """The lock after a round that ends here, entered with ``lock``, and
-        the after-state failures: symmetry created before formation; leader
-        or pivotal direction changed, or leadership lost, after release (the
-        lock is taken at the first released round)."""
-        got = self._audit.get(lock)
-        if got is not None:
-            return got
-        found: list[str] = []
-        out = lock
-        phase = self.phase()
-        if phase != "formed":
-            cls = self.classify()
-            if isinstance(cls, Symmetric):
-                found.append(f"{cls.fold}-fold symmetry created before formation")
-            if isinstance(cls, LeaderConfig):
-                current = (self.order[cls.leader], cls.pivotal)
-                if lock is None:
-                    if phase in ("rfc", "pfc"):
-                        out = current
-                elif current != lock:
-                    found.append("leader or direction changed after release")
-            elif lock is not None:
-                found.append("leadership lost after release")
-        return self._audit.setdefault(lock, (out, tuple(found)))
-
     def step(self, plan: _Plan) -> tuple[Optional[str], "_Frame"]:
         """The plan's round: how its moves collide (None if they do not), and
         the frame once they land, ``self`` on a collision or an idle round
@@ -548,23 +516,58 @@ class _Frame:
         self._steps[plan.movers] = [moves, out, None]
         return out
 
-    def move_checks(self, plan: _Plan, after: "_Frame") -> tuple[str, ...]:
-        """The checks the plan's moves from here to ``after`` fail (coincident
-        tie-break draws; a lone mover's branch postconditions unless ``after``
-        is formed), kept in the step's entry if ``after`` is its frame."""
+    def transition(self, after: "_Frame", plan: _Plan, alive: tuple[int, ...],
+                   lock: _Lock) -> tuple[_Lock, list[str]]:
+        """Audit the round from here to ``after`` under ``plan``, entered with
+        ``lock``: the lock after it, and the message of every failed check,
+        in this order.
+
+        - After-state checks, memoised on ``after`` per lock: symmetry
+          created before formation; leader or pivotal direction changed, or
+          leadership lost, after release (the lock is taken at the first
+          released round).
+        - If something moved, the move checks, kept in the step's entry when
+          ``after`` is its frame: coincident tie-break draws, and a lone
+          mover's branch postconditions unless ``after`` is formed.
+        - Else a full activation of ``alive`` (a sorted tuple) before
+          formation (``_NO_MOTION``), last, since the ledger halts on it.
+        """
+        got = after._audit.get(lock)
+        if got is None:
+            out, state_found, phase = lock, [], after.phase()
+            if phase != "formed":
+                cls = after.classify()
+                if isinstance(cls, Symmetric):
+                    state_found.append(f"{cls.fold}-fold symmetry created before formation")
+                if isinstance(cls, LeaderConfig):
+                    current = (after.order[cls.leader], cls.pivotal)
+                    if lock is None:
+                        if phase in ("rfc", "pfc"):
+                            out = current
+                    elif current != lock:
+                        state_found.append("leader or direction changed after release")
+                elif lock is not None:
+                    state_found.append("leadership lost after release")
+            got = after._audit[lock] = out, tuple(state_found)
+        found = list(got[1])
         moves = plan.moves
-        got = self._steps.get(plan.movers)
-        ours = got is not None and got[0] == moves and got[1][1] is after
-        if ours and got[2] is not None:
-            return got[2]
-        travels = [mod1(d.path_direction.sign * (d.destination - self.pos[rid]))
-                   for rid, d in moves if d.branch == "random_tiebreak"]
-        found = ("simultaneous tie-break draws coincide",) * (len(set(travels)) < len(travels))
-        if len(moves) == 1 and after.phase() != "formed":
-            found += tuple(_branch_postconditions(after, self, moves[0][1].branch))
-        if ours:
-            got[2] = found
-        return found
+        if moves:
+            entry = self._steps.get(plan.movers)
+            ours = entry is not None and entry[0] == moves and entry[1][1] is after
+            checks = entry[2] if ours else None
+            if checks is None:
+                travels = [mod1(d.path_direction.sign * (d.destination - self.pos[rid]))
+                           for rid, d in moves if d.branch == "random_tiebreak"]
+                checks = (("simultaneous tie-break draws coincide",)
+                          * (len(set(travels)) < len(travels)))
+                if len(moves) == 1 and after.phase() != "formed":
+                    checks += tuple(_branch_postconditions(after, self, moves[0][1].branch))
+                if ours:
+                    entry[2] = checks
+            found += checks
+        elif not plan.ended and plan.ids == alive and after.phase() != "formed":
+            found.append(_NO_MOTION)
+        return got[0], found
 
 
 @lru_cache(maxsize=2)
@@ -618,30 +621,6 @@ def _branch_postconditions(after: _Frame, before: _Frame, branch: str) -> list[s
     return msgs
 
 
-def _check_transition(
-    before: _Frame,
-    after: _Frame,
-    plan: _Plan,
-    alive: tuple[int, ...],
-    lock: _Lock,
-) -> tuple[_Lock, list[str]]:
-    """Audit one round, ``before`` to ``after`` under ``plan``.
-
-    Returns the lock after the round and one flat list of the messages of
-    every failed check, in this order: the after-state checks
-    (``_Frame.audit``, memoised on ``after``), then the move checks
-    (``_Frame.move_checks``, memoised with the step) if something moved, or
-    else a full activation of ``alive`` (a sorted tuple) before formation.
-    """
-    lock, state_found = after.audit(lock)
-    found = list(state_found)
-    if plan.moves:
-        found += before.move_checks(plan, after)
-    elif not plan.ended and plan.ids == alive and after.phase() != "formed":
-        found.append(_NO_MOTION)
-    return lock, found
-
-
 def formation_bound(n: int, mode: str) -> int:
     """Epochs within which a run of ``n`` robots in ``mode`` must form the pattern."""
     return n + 4 if mode == "det" else n + 6
@@ -653,7 +632,7 @@ class _EpochLedger:
     An epoch ends once every robot still running has been activated since it
     began.  The ledger tracks termination, coverage, landings and the first
     released epoch; it checks the formation bound, each round's transition
-    (``_check_transition``), and at every epoch boundary: a leader by the
+    (``_Frame.transition``), and at every epoch boundary: a leader by the
     first, release by the third, settling within n - 3 epochs of release, a
     landing in every released epoch, and termination within an epoch of
     formation.  ``halted`` is set when a full activation moved nobody or the
@@ -662,8 +641,8 @@ class _EpochLedger:
     A round costs O(|plan|): the robots not yet activated this epoch are
     kept as ``_uncovered``, and ``alive`` (a sorted tuple, with
     ``alive_set`` beside it) is rebuilt only when a robot terminates.  On an
-    idle round the transition checks are memo hits on the frame, so the
-    round costs its coverage update and a few O(1) tests.
+    idle round ``_Frame.transition`` answers from its memos, so the round
+    costs its coverage update and a few O(1) tests.
     """
 
     def __init__(self, n: int, mode: str, budget: Optional[int] = None):
@@ -700,7 +679,7 @@ class _EpochLedger:
         was = self._lock
         # a robot that terminated this round did not stay, so the robots still
         # running are the ones the full-activation check compares against
-        self._lock, found = _check_transition(before, after, plan, self.alive, was)
+        self._lock, found = before.transition(after, plan, self.alive, was)
         if was is None and self._lock is not None:
             self._released = self.epoch
         out += [f"round {rnd}: {m}" for m in found]
@@ -1135,12 +1114,14 @@ def explore_schedules(
     making the walk exhaustive over reachable states rather than over the
     exponentially redundant schedule tree.
 
-    Verified per edge: no collision, no error from the rule, and the
-    round checks ``run`` applies (``_check_transition``): no symmetry
-    creation, leader and direction stable from release, and each move
-    branch's postcondition (single-mover edges).  The lock is part of the
-    state.  Returns the first failing edge as a counterexample, if any;
-    its reason lists every check the edge fails.
+    Verified per state: no error from the rule deciding a robot.  Verified
+    per edge: no collision, and the round checks ``run`` applies
+    (``_Frame.transition``): no symmetry creation, leader and direction
+    stable from release, and each move branch's postcondition
+    (single-mover edges).  The lock is part of the state.  Returns the
+    first failing state or edge as a counterexample, if any; an edge's
+    reason lists every check it fails.  An error raised by the audit
+    itself propagates, as it does from ``run`` and ``verify_trace``.
     """
     n = c0.n
     if n > 5:
@@ -1190,10 +1171,7 @@ def explore_schedules(
             collision, after = frame.step(plan)
             if collision is not None:
                 return fail(path + (act,), collision, frame.pos)
-            try:
-                new_lock, found = _check_transition(frame, after, plan, alive, lock)
-            except CircleFormError as e:
-                return fail(path + (act,), str(e), after.pos)
+            new_lock, found = frame.transition(after, plan, alive, lock)
             if found:
                 return fail(path + (act,), "; ".join(found), after.pos)
             new_terms = terms | plan.ended

@@ -156,11 +156,11 @@ def test_seeded_epochs_match_the_recount():
 def test_fast_paths_match_fresh_work(monkeypatch, mode, name, start, mutant):
     c0, pattern = start
     audits, plans, moved = [], [], []
-    audit, plan, step = _Frame.audit, _Frame.plan, _Frame.step
+    transition, plan, step = _Frame.transition, _Frame.plan, _Frame.step
 
-    def spy_audit(frame, lock):
-        got = audit(frame, lock)
-        audits.append((frame.pos, lock, got))
+    def spy_transition(frame, after, p, alive, lock):
+        got = transition(frame, after, p, alive, lock)
+        audits.append((frame.pos, after.pos, p, alive, lock, got))
         return got
 
     def spy_plan(frame, active):
@@ -174,16 +174,17 @@ def test_fast_paths_match_fresh_work(monkeypatch, mode, name, start, mutant):
             moved.append(got[1])
         return got
 
-    monkeypatch.setattr(_Frame, "audit", spy_audit)
+    monkeypatch.setattr(_Frame, "transition", spy_transition)
     monkeypatch.setattr(_Frame, "plan", spy_plan)
     monkeypatch.setattr(_Frame, "step", spy_step)
     _, records = run(c0, pattern, make_policy(name), mode=mode, seed=7, mutant=mutant)
     monkeypatch.undo()
 
     # idle rounds reuse the memo, so a state is audited more often than it is built
-    assert len(audits) > len({(pos, lock) for pos, lock, _ in audits})
-    for pos, lock, got in audits:
-        assert got == _Frame(pos, pattern, mutant).audit(lock)
+    assert len(audits) > len({(after, lock) for _, after, _, _, lock, _ in audits})
+    for pos, after, p, alive, lock, got in audits:
+        fresh = _Frame(pos, pattern, mutant)
+        assert got == fresh.transition(_Frame(after, pattern, mutant), p, alive, lock)
     # a plan is reused while its frame and activation set last: lazy wakes
     # the same stayers round after round
     reused = len(plans) > len({(pos, active) for pos, active, _ in plans})

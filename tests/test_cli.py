@@ -196,6 +196,19 @@ class TestRunCommand:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    def test_joint_tiebreak_rounds_are_reported(self, tmp_path, capsys):
+        cpath, ppath = str(tmp_path / "t.json"), str(tmp_path / "tp.json")
+        assert main(["gen", "--n", "4", "--seed", "7221", "--config", cpath,
+                     "--pattern", ppath]) == 0
+        capsys.readouterr()
+        code = main(["run", "--config", cpath, "--pattern", ppath, "--mode", "rand",
+                     "--scheduler", "fsync", "--seed", "3"])
+        assert code == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "formed in epoch 5 (bound 10); 6 epochs, 6 rounds, 4/4 terminated",
+            "joint tie-break rounds: 1",
+        ]
+
     def test_exhausted_epoch_budget_exits_two(self, tmp_path, capsys):
         cpath, ppath = write_instance(tmp_path, *gen_instance(7, 3))
         code = main(["run", "--config", cpath, "--pattern", ppath, "--max-epochs", "1"])
@@ -380,6 +393,21 @@ class TestSymmetryCommand:
         out = capsys.readouterr().out.strip().splitlines()
         assert len(out) == 4
         assert all("->" in line for line in out)
+
+    def test_a_rule_that_breaks_the_fold_fails_its_instances(self, monkeypatch, capsys):
+        drift, stay = simulator.SYMMETRY_RULES["drift"], simulator.SYMMETRY_RULES["stay"]
+        # robots on one half of the circle drift and the rest stay, so the
+        # rotations that mapped the start to itself are lost
+        monkeypatch.setitem(simulator.SYMMETRY_RULES, "half-drift",
+                            lambda s: (drift if s.observer_position < F(1, 2) else stay)(s))
+        code = main(["symmetry", "--folds", "2,3", "--instances", "4", "--rounds", "5",
+                     "--seed", "0", "--rule", "half-drift"])
+        assert code == 2
+        out = capsys.readouterr().out.splitlines()
+        assert out == [
+            f"instance {i} (fold {k}): FAILED: round 1: fold dropped from {k} to 1"
+            for i, k in enumerate((2, 3, 2, 3))
+        ]
 
     def test_bad_fold_exits_one(self, capsys):
         code = main(["symmetry", "--folds", "1", "--instances", "1"])

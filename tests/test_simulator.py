@@ -533,6 +533,57 @@ class TestOneStep:
             fsync_symmetry_experiment(square, SYMMETRY_RULES["drift"], 3)
 
 
+PROBE = "probe"
+
+
+class TestOneAudit:
+    """``run``, ``verify_trace`` and ``explore_schedules`` audit every round
+    through ``_Frame.transition``: a message it adds to the first transition
+    that moves robot 0 shows up in each driver's report of that round."""
+
+    @pytest.fixture
+    def probe(self, monkeypatch):
+        """Installs the probe; robot 0 of the single-nominee start first
+        moves in round 10 under the lazy adversary."""
+        transition = simulator._Frame.transition
+        fired = []
+
+        def probed(frame, after, plan, alive, lock):
+            lock, found = transition(frame, after, plan, alive, lock)
+            if 0 in plan.movers and not fired:
+                fired.append(plan)
+                found = [*found, PROBE]
+            return lock, found
+
+        return lambda: monkeypatch.setattr(simulator._Frame, "transition", probed)
+
+    @staticmethod
+    def _first_move_of_robot_0(records):
+        return next(rec.round for rec in records
+                    if 0 in rec.decisions and rec.decisions[0].is_move)
+
+    def test_run_reports_it(self, probe):
+        probe()
+        report, records = run(gc.SINGLE_NOMINEE5, gc.PATTERN5, LazyAdversary())
+        assert self._first_move_of_robot_0(records) == 10
+        assert report.violations == [f"round 10: {PROBE}"]
+
+    def test_verify_reports_it(self, probe):
+        report, records = run(gc.SINGLE_NOMINEE5, gc.PATTERN5, LazyAdversary())
+        assert report.ok
+        probe()
+        r = self._first_move_of_robot_0(records)
+        assert verify_trace(records, gc.PATTERN5) == [f"round {r}: {PROBE}"]
+
+    def test_explore_returns_it_as_the_counterexample(self, probe):
+        probe()
+        cx = explore_schedules(gc.SINGLE_NOMINEE5, gc.PATTERN5, 4).counterexample
+        # the path's one round is the first to move robot 0
+        assert cx is not None and cx.reason == PROBE
+        assert cx.path == ((0,),)
+        assert cx.positions[0] != gc.SINGLE_NOMINEE5.positions[0]
+
+
 class _IdleThenAll(ActivationPolicy):
     """Robots 0 and 1 for three rounds, then every live robot."""
 
@@ -544,8 +595,9 @@ class _IdleThenAll(ActivationPolicy):
 
 class TestSteadyRounds:
     """A round that repeats the last one takes the memoised paths (the
-    scheduler's held set, the frame's memoised audit, the step's move
-    checks), and they answer what the full checks answer."""
+    scheduler's held set, and ``_Frame.transition``'s after-state memo and
+    the move checks kept with the step), and they answer what the full
+    checks answer."""
 
     @pytest.fixture
     def everyone_stays(self, monkeypatch):
@@ -573,8 +625,8 @@ class TestSteadyRounds:
                 for q in plans:
                     for after in afters:
                         fresh = simulator._Frame(frame.pos, gc.PATTERN5)
-                        want = simulator._check_transition(fresh, after, q, alive, None)
-                        assert simulator._check_transition(frame, after, q, alive, None) == want
+                        want = fresh.transition(after, q, alive, None)
+                        assert frame.transition(after, q, alive, None) == want
                         answers.add(tuple(want[1]))
         assert len(answers) > 1
 
