@@ -13,8 +13,12 @@ tuple, which is the round before's ``positions_after``.  A stay or
 termination the rule makes decodes to the rule's own shared ``Decision``,
 so a replay compares it with the rule's by identity.  Decisions decode
 to read-only mappings, shared by consecutive lines with equal decisions.
-Encoding formats a position tuple only when it is not the one encoded
-last (``record_to_json``).  Ids, rounds, epochs and class
+A line that repeats the line before except for its round, as most lines
+of a lazy trace do, costs little more than its round number: it reads as
+the record before with the new round, without a second JSON decode
+(``read_trace``).  Encoding formats a position tuple and a read-only
+decisions mapping only when it is not the one encoded last
+(``record_to_json``).  Ids, rounds, epochs and class
 fields must be JSON integers; booleans, floats and strings are refused.
 Angles, decision destinations and branches must be JSON strings: a number
 is refused, not read as its decimal expansion.
@@ -23,6 +27,7 @@ is refused, not read as its decimal expansion.
 from __future__ import annotations
 
 import json
+import re
 from functools import lru_cache
 from pathlib import Path
 from types import MappingProxyType
@@ -45,6 +50,8 @@ PathLike = Union[str, Path]
 # decoding tables; encoding reads a kind's value and tests a direction's identity
 _KIND_BACK = {k.value: k for k in DecisionKind}
 _DIR_BACK = {"forward": Direction.FORWARD, "reverse": Direction.REVERSE}
+# a trace line's head: its first key, the round, as JSON writes a whole number
+_HEAD = re.compile(r'\{"round":(0|[1-9][0-9]*),')
 
 
 # ---------------------------------------------------------------------------
@@ -214,9 +221,11 @@ def class_from_json(obj: Any, where: str) -> ConfigClass:
 # traces
 
 
-# the position tuple encoded last and its texts (see record_to_json), kept
-# as one pair so that a concurrent caller never reads one without the other
+# the position tuple and the decisions mapping encoded last and their JSON
+# values (see record_to_json), each kept as one pair so that a concurrent
+# caller never reads one without the other
 _last_encoded: tuple[tuple, list[str]] = ((), [])
+_last_decisions: tuple[Mapping, dict] = (MappingProxyType({}), {})
 
 
 def _turn_texts(turns: Sequence[Turn]) -> list[str]:
@@ -229,6 +238,17 @@ def _turn_texts(turns: Sequence[Turn]) -> list[str]:
     return list(texts)
 
 
+def _decisions_json(decisions: Mapping[int, Decision]) -> dict:
+    global _last_decisions
+    last, obj = _last_decisions
+    if decisions is not last:
+        obj = {str(i): decision_to_json(d) for i, d in sorted(decisions.items())}
+        if type(decisions) is not MappingProxyType:
+            return obj
+        _last_decisions = (decisions, obj)
+    return {k: d.copy() for k, d in obj.items()}
+
+
 def record_to_json(rec: RoundRecord) -> dict:
     """The JSON object of one trace line.
 
@@ -239,12 +259,18 @@ def record_to_json(rec: RoundRecord) -> dict:
     not reused while it is held) and never a list, which a caller could
     change; every call returns fresh lists.  It is keyed on identity, not on
     the Fractions, whose hash costs more than formatting them.
+
+    Decisions are memoised the same way: a read-only mapping (what ``run``
+    and ``read_trace`` record, shared by the records of an idle stretch) is
+    encoded only when it is not the mapping encoded last.  Every call
+    returns fresh dicts, and a plain dict, which a caller could change, is
+    encoded on every call.
     """
     return {
         "round": rec.round,
         "epoch": rec.epoch,
         "activated": list(rec.activated),
-        "decisions": {str(i): decision_to_json(d) for i, d in sorted(rec.decisions.items())},
+        "decisions": _decisions_json(rec.decisions),
         "positions_before": _turn_texts(rec.positions_before),
         "positions_after": _turn_texts(rec.positions_after),
         "class": class_to_json(rec.config_class),
@@ -313,12 +339,31 @@ def read_trace(path: PathLike) -> list[RoundRecord]:
     ``positions_after`` is its ``positions_before``, and a record's
     ``positions_before`` is the previous record's ``positions_after``.  A
     line whose raw decisions equal the line before's shares that line's
-    read-only decisions mapping.  Every line is still checked in full.
+    read-only decisions mapping.
+
+    A line is ``{"round":N,`` (N written as JSON writes a whole number)
+    followed by its body.  A line whose body is the previous record's is
+    that record with round N: it is not decoded, and its shared objects are
+    the record before's.  Every line is still checked in full, since the
+    same body after any such head decodes to the same fields but the round,
+    and the body passed every check on the line before.  A body is reused
+    only when it holds no ``"round"`` text and no backslash, so that no
+    second ``round`` key, escaped or not, can override the head; any other
+    line, blank, malformed or written another way, is decoded as before.
     """
     out: list[RoundRecord] = []
     last = None
+    body = None  # the text after the previous record's head, when it may be reused
     with Path(path).open() as fh:
         for line_no, line in enumerate(fh, start=1):
+            head = _HEAD.match(line)
+            if (body is not None and head is not None
+                    and head.end() + len(body) == len(line) and line.endswith(body)):
+                rec = out[-1]
+                out.append(RoundRecord(int(head[1]), rec.epoch, rec.activated, rec.decisions,
+                                       rec.positions_before, rec.positions_after,
+                                       rec.config_class))
+                continue
             if not line.strip():
                 continue
             try:
@@ -328,4 +373,9 @@ def read_trace(path: PathLike) -> list[RoundRecord]:
             rec = record_from_json(obj, line_no, _last=last)
             last = (obj["decisions"], rec.decisions)
             out.append(rec)
+            body = None
+            if head is not None:
+                rest = line[head.end():]
+                if '"round"' not in rest and "\\" not in rest:
+                    body = rest
     return out

@@ -335,13 +335,15 @@ def detect_collision(
 # rounds and runs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RoundRecord:
     """Everything needed to replay one round.
 
     Positions are indexed by stable robot id; ``config_class`` classifies the
     post-round configuration (its indices refer to the sorted order of
-    ``positions_after``).
+    ``positions_after``).  The constructor fills the fields in one store,
+    where the frozen dataclass's own would make one ``object.__setattr__``
+    call per field.
     """
 
     round: int
@@ -351,6 +353,13 @@ class RoundRecord:
     positions_before: tuple[Turn, ...]
     positions_after: tuple[Turn, ...]
     config_class: ConfigClass
+
+    def __init__(self, round: int, epoch: int, activated: tuple[int, ...],
+                 decisions: Mapping[int, Decision], positions_before: tuple[Turn, ...],
+                 positions_after: tuple[Turn, ...], config_class: ConfigClass):
+        self.__dict__.update(round=round, epoch=epoch, activated=activated,
+                             decisions=decisions, positions_before=positions_before,
+                             positions_after=positions_after, config_class=config_class)
 
 
 @dataclass
@@ -847,10 +856,22 @@ def verify_trace(
     collisions, that every robot ends where the step puts it, and the
     recorded class.  Every round without a collision then goes through the
     audit ``run`` applies (``_EpochLedger``), so verification reports what
-    the inline audit reports.  In ``rand`` mode a robot whose
-    table entry is a draw, or recorded as drawing, is checked against that
-    entry (its direction and window) instead of for equality, since the
-    draw itself is not reproducible from the trace.
+    the inline audit reports.
+
+    A repeated record, one whose activated ids and decisions are the
+    previous record's objects (as ``read_trace`` and ``run`` share them
+    through an idle stretch), skips the id checks the previous record
+    passed, and a record whose frame, decisions mapping and alive set are
+    all the last record's reuses its ``_det_plan`` answer.  Its round,
+    epoch, continuity, class, step and audit are still checked, so every
+    record is checked in full.  The end positions are compared with
+    ``positions_before`` with only the round's movers at their
+    destinations, so the robots that stay compare by identity.
+
+    In ``rand`` mode a robot whose table entry is a draw, or recorded as
+    drawing, is checked against that entry (its direction and window)
+    instead of for equality, since the draw itself is not reproducible from
+    the trace.
     """
     if mode not in ("det", "rand"):
         raise PreconditionError(f"unknown mode {mode!r}")
@@ -864,19 +885,24 @@ def verify_trace(
         return [str(e)]
     ledger = _EpochLedger(n, mode)
     prev: Optional[_Frame] = None
-    prev_after: Optional[tuple[Turn, ...]] = None  # the previous record's positions_after
+    prev_rec: Optional[RoundRecord] = None
+    # (frame, decisions mapping, alive set) of the last _det_plan call, and its answer
+    det: tuple = (None, None, None, None)
 
     for rnd, rec in enumerate(records, start=1):
         where = f"round {rec.round}"
         if len(rec.positions_before) != n or len(rec.positions_after) != n:
             problems.append(f"{where}: robot count changed mid-trace")
             break
-        fault = _record_fault(rec.activated, rec.decisions, n)
-        if fault is not None:
-            problems.append(f"{where}: {fault}")
-            break
+        # the previous record passed with the same activated and decisions objects
+        if (prev_rec is None or rec.activated is not prev_rec.activated
+                or rec.decisions is not prev_rec.decisions):
+            fault = _record_fault(rec.activated, rec.decisions, n)
+            if fault is not None:
+                problems.append(f"{where}: {fault}")
+                break
         # decoded traces share position objects, so the tuples compare by identity
-        continuous = prev is None or rec.positions_before == prev_after
+        continuous = prev_rec is None or rec.positions_before == prev_rec.positions_after
         if not continuous:
             problems.append(f"{where}: positions_before break continuity")
         if rec.round != rnd:
@@ -890,7 +916,13 @@ def verify_trace(
             problems.append(f"{where}: bad pre-round positions: {e}")
             break
 
-        plan = _det_plan(before, rec, ledger.alive_set) if mode == "det" else None
+        plan = None
+        if mode == "det":
+            # the decisions mapping fixes the activation set (_record_fault)
+            alive = ledger.alive_set
+            if det[0] is not before or det[1] is not rec.decisions or det[2] is not alive:
+                det = (before, rec.decisions, alive, _det_plan(before, rec, alive))
+            plan = det[3]
         if plan is None:
             for rid in rec.activated:
                 if rid not in ledger.alive_set:
@@ -917,12 +949,18 @@ def verify_trace(
                         f"{where}: robot {rid} recorded {recorded} but the rule gives {expected}"
                     )
             plan = _plan(rec.decisions)
-        # robots end where the step puts them; after an idle or collided round
-        # that is positions_before, whose decoded Fractions compare by identity
+        # robots end where the step puts them: positions_before with the
+        # movers at their destinations, unless nothing moved, so the robots
+        # that stay compare by identity when the trace was decoded
         collision, after = before.step(plan)
         if collision is not None:
             problems.append(f"{where}: {collision}")
-        want = rec.positions_before if after is before else after.pos
+        want = rec.positions_before
+        if after is not before:
+            want = list(want)
+            for rid, d in plan.moves:
+                want[rid] = d.destination
+            want = tuple(want)
         if rec.positions_after != want:
             problems.extend(
                 f"{where}: robot {rid} ended at an unexplained position"
@@ -937,7 +975,7 @@ def verify_trace(
             problems.append(f"{where}: recorded class does not match the positions")
         if collision is None:
             problems += ledger.round(rec.round, before, after, plan)
-        prev, prev_after = after, rec.positions_after
+        prev, prev_rec = after, rec
     return problems
 
 

@@ -481,6 +481,150 @@ class TestDecodedSharing:
         assert records == gc.run_case(LAZY_CASE)[1]
 
 
+def full_decode(path):
+    """``read_trace`` as it reads a trace with every line decoded in full."""
+    out = []
+    with path.open() as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise TraceParseError(line_no, f"not valid JSON: {exc.msg}") from exc
+            out.append(record_from_json(obj, line_no))
+    return out
+
+
+def read_outcome(read, path):
+    """The records ``read`` decodes from ``path``, or its parse error's text."""
+    try:
+        return read(path)
+    except TraceParseError as exc:
+        return str(exc)
+
+
+def _after_head(line: str) -> str:
+    return line.split(",", 1)[1]
+
+
+# lines that follow a repeated golden line {"round":r,<body>: each reads
+# exactly as its full decode does, whether or not its body repeats
+REPEATED_LINE_FORGERIES = {
+    "verbatim": lambda r, body: [f'{{"round":{r},{body}'],
+    "a trailing duplicate round key": lambda r, body: [
+        f'{{"round":{r + k},{body[:-2]},"round":7}}\n' for k in (1, 2)],
+    "an escaped round key": lambda r, body: [
+        f'{{"round":{r + k},{body[:-2]},"\\u0072ound":7}}\n' for k in (1, 2)],
+    "a leading duplicate round key": lambda r, body: [f'{{"round":{r + 1},"round":9,{body}'],
+    "no body": lambda r, body: ['{"round":5,}\n'],
+    "a leading zero": lambda r, body: [f'{{"round":0{r + 1},{body}'],
+    "a negative round": lambda r, body: [f'{{"round":-{r + 1},{body}'],
+    "a space after the colon": lambda r, body: [f'{{"round": {r + 1},{body}'],
+    "no final newline": lambda r, body: [f'{{"round":{r + 1},{body[:-1]}'],
+}
+
+
+class TestRepeatedLines:
+    """A line whose text after its round repeats the line before's is read
+    as that line's record with the new round, without a full decode."""
+
+    @pytest.mark.parametrize("path", GOLDEN_TRACES, ids=lambda p: p.name)
+    def test_every_golden_trace_reads_as_its_full_decode(self, path):
+        assert read_trace(path) == full_decode(path)
+
+    @pytest.mark.parametrize("forge", REPEATED_LINE_FORGERIES.values(),
+                             ids=REPEATED_LINE_FORGERIES.keys())
+    def test_a_forged_line_reads_as_its_full_decode(self, tmp_path, forge):
+        lines = (gc.GOLDEN / gc.case_name(LAZY_CASE)).read_text().splitlines(keepends=True)
+        i = next(i for i in range(1, len(lines))
+                 if _after_head(lines[i]) == _after_head(lines[i - 1]))
+        path = tmp_path / "trace.jsonl"
+        path.write_text("".join(lines[: i + 1] + forge(i + 1, _after_head(lines[i]))))
+        assert read_outcome(read_trace, path) == read_outcome(full_decode, path)
+
+    def test_only_a_changed_line_is_decoded_in_full(self, monkeypatch):
+        lines = (gc.GOLDEN / gc.case_name(LAZY_CASE)).read_text().splitlines()
+        changed = 1 + sum(_after_head(a) != _after_head(b) for a, b in pairwise(lines))
+        assert changed < len(lines) // 2
+        calls = []
+
+        def counted(obj, line_no, **kwargs):
+            calls.append(line_no)
+            return record_from_json(obj, line_no, **kwargs)
+
+        monkeypatch.setattr("circleform.formats.record_from_json", counted)
+        assert len(read_trace(gc.GOLDEN / gc.case_name(LAZY_CASE))) == len(lines)
+        assert len(calls) == changed
+
+
+class TestVerifyRepeatedRecords:
+    """``verify_trace`` skips only the checks a repeated record cannot fail:
+    the record checks when its activated and decisions objects are the
+    previous record's, and the plan lookup for the same frame, decisions
+    and alive set.  Each forgery reads as it did when every record was
+    checked in full."""
+
+    CASE = ("det", 5, 1_005, "lazy", False)
+
+    @pytest.fixture
+    def lines(self):
+        return (gc.GOLDEN / gc.case_name(self.CASE)).read_text().splitlines(keepends=True)
+
+    @pytest.fixture
+    def pattern(self):
+        return gc.start(self.CASE)[1]
+
+    def _verify(self, tmp_path, lines, pattern):
+        path = tmp_path / "trace.jsonl"
+        path.write_text("".join(lines))
+        return verify_trace(read_trace(path), pattern)
+
+    def test_a_repeated_line_duplicated_with_its_round(self, tmp_path, lines, pattern):
+        i = next(i for i in range(1, len(lines))
+                 if _after_head(lines[i]) == _after_head(lines[i - 1]))
+        assert i == 1
+        forged = lines[: i + 1] + [lines[i]] + lines[i + 1:]
+        assert self._verify(tmp_path, forged, pattern) == [
+            f"round {r}: round recorded as {r}, expected {r + 1}" for r in range(2, 62)
+        ]
+
+    def test_a_repeated_line_with_a_wrong_epoch_after_a_boundary(self, tmp_path, lines, pattern):
+        j = next(j for j in range(1, len(lines) - 1)
+                 if json.loads(lines[j])["epoch"] != json.loads(lines[j - 1])["epoch"]
+                 and _after_head(lines[j + 1]) == _after_head(lines[j]))
+        epoch = json.loads(lines[j])["epoch"]
+        assert (j, epoch) == (10, 2)
+        wrong = [line.replace(',"epoch":2,', ',"epoch":1,', 1) for line in lines[j:j + 2]]
+        assert _after_head(wrong[1]) == _after_head(wrong[0])
+        assert self._verify(tmp_path, lines[:j] + wrong + lines[j + 2:], pattern) == [
+            "round 11: epoch recorded as 1, expected 2",
+            "round 12: epoch recorded as 1, expected 2",
+        ]
+
+    def test_a_changed_activation_with_shared_decisions(self, pattern):
+        records = read_trace(gc.GOLDEN / gc.case_name(self.CASE))
+        rec, prev = records[1], records[0]
+        assert rec.decisions is prev.decisions and rec.activated is prev.activated
+        records[1] = replace(rec, activated=rec.activated[1:])
+        assert verify_trace(records, pattern) == [
+            "round 2: activated ids and decision keys disagree"
+        ]
+
+    def test_shared_decisions_on_the_frame_after_a_move(self, pattern):
+        records = read_trace(gc.GOLDEN / gc.case_name(self.CASE))
+        k = next(k for k, rec in enumerate(records) if rec.positions_after != rec.positions_before)
+        moved = records[k]
+        assert moved.round == 10
+        again = replace(records[k + 1], activated=moved.activated, decisions=moved.decisions)
+        rule = {0: _STAYS["wait_second"], 2: _STAYS["wait_settle"],
+                1: Decision(DecisionKind.MOVE, F(15973, 39060), Direction.FORWARD, "settle_target")}
+        assert verify_trace(records[: k + 1] + [again], pattern) == [
+            f"round 11: robot {rid} recorded {moved.decisions[rid]} but the rule gives {rule[rid]}"
+            for rid in (0, 1, 2)
+        ] + ["epoch 2: released epoch without a landing"]
+
+
 class TestSharedDecisions:
     """The rule makes one ``Decision`` per stay branch and one for
     terminating, and decoding a trace hands back those same objects."""
@@ -544,8 +688,9 @@ class TestSharedDecisions:
 
 
 class TestEncoderAgainstReference:
-    """``record_to_json`` keeps the last position tuple's texts; it must
-    encode exactly what formatting every position anew does."""
+    """``record_to_json`` keeps the last position tuple's texts and the last
+    read-only decisions mapping's JSON; it must encode exactly what
+    formatting every field anew does."""
 
     @pytest.fixture(scope="class")
     def traces(self):
@@ -580,6 +725,27 @@ class TestEncoderAgainstReference:
         obj["positions_before"][0] = "sideways"
         obj["positions_after"].clear()
         assert record_to_json(rec) == reference_record_to_json(rec)
+
+    def test_a_returned_decision_changed_by_the_caller(self, traces):
+        rec = next(r for r in traces[gc.case_name(LAZY_CASE)] if len(r.decisions) > 1)
+        obj = record_to_json(rec)
+        first, *rest = obj["decisions"].values()
+        first["kind"] = "sideways"
+        first.pop("branch")
+        rest[0]["to"] = "1/2"
+        obj["decisions"].clear()
+        assert record_to_json(rec) == reference_record_to_json(rec)
+
+    def test_a_decisions_dict_changed_in_place(self, traces):
+        # records hold read-only mappings; a caller's dict is encoded on every call
+        rec = traces[gc.case_name(LAZY_CASE)][0]
+        decisions = dict(rec.decisions)
+        listed = replace(rec, decisions=decisions)
+        assert record_to_json(listed) == reference_record_to_json(listed)
+        rid = rec.activated[0]
+        decisions[rid] = Decision(DecisionKind.STAY, branch="edited")
+        assert record_to_json(listed) == reference_record_to_json(listed)
+        assert record_to_json(listed)["decisions"][str(rid)]["branch"] == "edited"
 
     def test_a_position_list_changed_in_place(self, traces):
         # records hold tuples; a caller's list is formatted on every call

@@ -16,6 +16,7 @@ from circleform import (
     InvariantViolationError,
     LeaderConfig,
     PreconditionError,
+    RoundRecord,
     StructuralError,
     SymmetricConfigurationError,
     TargetPattern,
@@ -250,6 +251,29 @@ class TestFirstRound:
         assert rec.positions_before == rec.positions_after
         assert rec.round == 1 and rec.epoch == 1
         assert not rec.decisions[3].is_move
+
+
+class TestRoundRecord:
+    def test_it_stays_a_frozen_dataclass(self):
+        # the constructor stores the fields at once; the dataclass contract holds
+        before, after = (F(0), F(1, 3), F(2, 3)), (F(0), F(1, 2), F(2, 3))
+        rec = RoundRecord(3, 2, (1,), {1: move_to(F(1, 2))}, before, after,
+                          LeaderConfig(0, Direction.FORWARD))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rec.round = 4
+        later = dataclasses.replace(rec, round=4)
+        assert (later.round, later.epoch, later.decisions, later.positions_after) == (
+            4, 2, rec.decisions, after)
+        assert later != rec and dataclasses.replace(later, round=3) == rec
+        assert rec == RoundRecord(round=3, epoch=2, activated=(1,), decisions=dict(rec.decisions),
+                                  positions_before=before, positions_after=after,
+                                  config_class=LeaderConfig(0, Direction.FORWARD))
+        assert repr(rec) == (
+            "RoundRecord(round=3, epoch=2, activated=(1,), decisions={1: "
+            f"{move_to(F(1, 2))!r}}}, positions_before={before!r}, "
+            f"positions_after={after!r}, config_class=LeaderConfig(leader=0, "
+            f"pivotal={Direction.FORWARD!r}))"
+        )
 
 
 class TestRun:
