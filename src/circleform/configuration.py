@@ -3,7 +3,8 @@
 A configuration is the sorted tuple of distinct robot positions.  Everything a
 robot is allowed to act on is delivered through :class:`Snapshot`: relative gap
 structure, read the presentation's way round.  That this way round changes no
-move is checked once per tied shape, by the rule (``formation._survey``).
+move is checked by the rule, in its survey of a tied shape
+(``formation._survey``).
 
 Classification works on integer gap cycles: a configuration's gaps over one
 common denominator, divided by their gcd.  That reduced cycle is unique for

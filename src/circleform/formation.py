@@ -2,9 +2,9 @@
 
 The decision logic runs on integer gaps.  Every robot reading one
 configuration derives the same leader, pivotal direction and role frame, so
-the rule surveys each configuration shape once, cached per canonical gap
-cycle (``_survey``), and turns the survey into one instruction table per
-gap cycle (``_decide``): robot k, reading the cycle forward from index k,
+the rule surveys a configuration shape once per miss of ``_decide``'s cache
+(``_survey``) and turns the survey into one instruction table per gap
+cycle (``_decide``): robot k, reading the cycle forward from index k,
 finds its instruction at index k, a draw if it takes the randomized
 tie-break.  The table also carries the configuration's progress phase
 (formed, symmetric, tied, or a leader configuration's stage), which the
@@ -362,7 +362,6 @@ def _role_moves(
     return tuple(moves), phase
 
 
-@lru_cache(maxsize=_CACHE)
 def _survey(canon: tuple[int, ...], pat: tuple[int, ...], mutant: Optional[str]):
     """The rule's analysis of one configuration shape, shared by every observer.
 

@@ -12,14 +12,14 @@ position tuple and ``Decision`` objects: an idle round's positions are one
 tuple, which is the round before's ``positions_after``.  A stay or
 termination the rule makes decodes to the rule's own shared ``Decision``,
 so a replay compares it with the rule's by identity.  Decisions decode
-to read-only mappings, shared by consecutive lines with equal decisions.
-A line that repeats the line before except for its round, as most lines
-of a lazy trace do, costs little more than its round number: it reads as
-the record before with the new round, without a second JSON decode
-(``read_trace``).  Encoding formats a position tuple and a read-only
-decisions mapping only when it is not the one encoded last
-(``record_to_json``).  Ids, rounds, epochs and class
-fields must be JSON integers; booleans, floats and strings are refused.
+to read-only mappings.  A line that repeats the line before except for
+its round, as most lines of a lazy trace do, costs little more than its
+round number: it reads as the record before with the new round, without
+a second JSON decode (``read_trace``), and only such a line shares the
+line before's decisions mapping.  Encoding formats a position tuple and a
+read-only decisions mapping only when it is not the one encoded last
+(``record_to_json``).  Ids, rounds, epochs and class fields must be JSON
+integers; booleans, floats and strings are refused.
 Angles, decision destinations and branches must be JSON strings: a number
 is refused, not read as its decimal expansion.
 """
@@ -288,14 +288,8 @@ def _robot_id(key: str) -> int:
     return rid
 
 
-def record_from_json(obj: Any, line_no: int, *,
-                     _last: Optional[tuple[dict, Mapping[int, Decision]]] = None) -> RoundRecord:
-    """One trace line's record; its decisions are a read-only mapping.
-
-    ``_last`` is the previous line's raw decisions object and its decoded
-    mapping, which ``read_trace`` passes on: equal raw decisions decode to
-    equal ones, so that mapping is shared instead of decoded again.
-    """
+def record_from_json(obj: Any, line_no: int) -> RoundRecord:
+    """One trace line's record; its decisions are a read-only mapping."""
     # TraceParseError names the line, so the fields' errors name only their place in it
     try:
         if not isinstance(obj, dict):
@@ -304,12 +298,9 @@ def record_from_json(obj: Any, line_no: int, *,
         epoch = _field(obj, "epoch", int, "")
         activated = _int_list(obj, "activated", "")
         raw = _field(obj, "decisions", dict, "")
-        if _last is not None and raw == _last[0]:
-            decisions = _last[1]
-        else:
-            decisions = MappingProxyType({
-                _robot_id(k): decision_from_json(d, f"decision {k}") for k, d in raw.items()
-            })
+        decisions = MappingProxyType({
+            _robot_id(k): decision_from_json(d, f"decision {k}") for k, d in raw.items()
+        })
         before = _turns(obj, "positions_before", "")
         after = _turns(obj, "positions_after", "")
         cls = class_from_json(_field(obj, "class", dict, ""), "class")
@@ -337,22 +328,21 @@ def read_trace(path: PathLike) -> list[RoundRecord]:
     Fraction, equal decisions to one ``Decision`` and equal position lists
     to one tuple, across records and across calls.  So an idle record's
     ``positions_after`` is its ``positions_before``, and a record's
-    ``positions_before`` is the previous record's ``positions_after``.  A
-    line whose raw decisions equal the line before's shares that line's
-    read-only decisions mapping.
+    ``positions_before`` is the previous record's ``positions_after``.
 
     A line is ``{"round":N,`` (N written as JSON writes a whole number)
     followed by its body.  A line whose body is the previous record's is
     that record with round N: it is not decoded, and its shared objects are
-    the record before's.  Every line is still checked in full, since the
-    same body after any such head decodes to the same fields but the round,
-    and the body passed every check on the line before.  A body is reused
-    only when it holds no ``"round"`` text and no backslash, so that no
-    second ``round`` key, escaped or not, can override the head; any other
-    line, blank, malformed or written another way, is decoded as before.
+    the record before's, its decisions mapping too; no other two records
+    share a decisions mapping.  Every line is still checked in full, since
+    the same body after any such head decodes to the same fields but the
+    round, and the body passed every check on the line before.  A body is
+    reused only when it holds no ``"round"`` text and no backslash, so that
+    no second ``round`` key, escaped or not, can override the head; any
+    other line, blank, malformed or written another way, is decoded as
+    before.
     """
     out: list[RoundRecord] = []
-    last = None
     body = None  # the text after the previous record's head, when it may be reused
     with Path(path).open() as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -370,9 +360,7 @@ def read_trace(path: PathLike) -> list[RoundRecord]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise TraceParseError(line_no, f"not valid JSON: {exc.msg}") from exc
-            rec = record_from_json(obj, line_no, _last=last)
-            last = (obj["decisions"], rec.decisions)
-            out.append(rec)
+            out.append(record_from_json(obj, line_no))
             body = None
             if head is not None:
                 rest = line[head.end():]

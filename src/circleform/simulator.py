@@ -5,8 +5,9 @@ verification, batch sweeps, exhaustive schedule exploration for small
 instances, and the fully synchronous symmetry experiment.
 
 A robot's physical move does not depend on which way it reads the circle:
-the rule checks that once per tied shape (``formation._survey``), so every
-driver decides robots from one reading and refuses a table that breaks it.
+the rule checks that in its survey of a tied shape (``formation._survey``),
+so every driver decides robots from one reading and refuses a table that
+breaks it.
 One audit serves ``run``, ``verify_trace`` and ``explore_schedules``.
 The rest of this docstring is the one full account of the frame, step and
 audit design.
@@ -806,7 +807,8 @@ def run(
         try:
             movers = state.plan(ledger.alive_set).movers if policy.needs_movers else frozenset()
             active = policy.select(rnd, alive, movers)
-            if not active or not active <= ledger.alive_set:
+            # the contract: a non-empty frozenset of live ids, which plans key on
+            if not (isinstance(active, frozenset) and active and active <= ledger.alive_set):
                 report.violations.append(f"round {rnd}: scheduler broke the activation contract")
                 break
             plan = state.plan(active)
@@ -861,12 +863,12 @@ def verify_trace(
     A repeated record, one whose activated ids and decisions are the
     previous record's objects (as ``read_trace`` and ``run`` share them
     through an idle stretch), skips the id checks the previous record
-    passed, and a record whose frame, decisions mapping and alive set are
-    all the last record's reuses its ``_det_plan`` answer.  Its round,
-    epoch, continuity, class, step and audit are still checked, so every
-    record is checked in full.  The end positions are compared with
-    ``positions_before`` with only the round's movers at their
-    destinations, so the robots that stay compare by identity.
+    passed; on the same frame its ``_det_plan`` lookup is a hit of the
+    frame's plan memo.  Its round, epoch, continuity, class, step and audit
+    are still checked, so every record is checked in full.  The end
+    positions are compared with ``positions_before`` with only the round's
+    movers at their destinations, so the robots that stay compare by
+    identity.
 
     In ``rand`` mode a robot whose table entry is a draw, or recorded as
     drawing, is checked against that entry (its direction and window)
@@ -886,8 +888,6 @@ def verify_trace(
     ledger = _EpochLedger(n, mode)
     prev: Optional[_Frame] = None
     prev_rec: Optional[RoundRecord] = None
-    # (frame, decisions mapping, alive set) of the last _det_plan call, and its answer
-    det: tuple = (None, None, None, None)
 
     for rnd, rec in enumerate(records, start=1):
         where = f"round {rec.round}"
@@ -916,13 +916,7 @@ def verify_trace(
             problems.append(f"{where}: bad pre-round positions: {e}")
             break
 
-        plan = None
-        if mode == "det":
-            # the decisions mapping fixes the activation set (_record_fault)
-            alive = ledger.alive_set
-            if det[0] is not before or det[1] is not rec.decisions or det[2] is not alive:
-                det = (before, rec.decisions, alive, _det_plan(before, rec, alive))
-            plan = det[3]
+        plan = _det_plan(before, rec, ledger.alive_set) if mode == "det" else None
         if plan is None:
             for rid in rec.activated:
                 if rid not in ledger.alive_set:

@@ -54,13 +54,11 @@ def skewed_tie_break(monkeypatch):
         head, dist, sign, branch = plain(*args)
         return head, dist, sign or 1, branch
 
-    formation._survey.cache_clear()
     formation._decide.cache_clear()
     simulator._start_frame.cache_clear()
     monkeypatch.setattr(formation, "_break_tie", skewed)
     yield
     monkeypatch.undo()
-    formation._survey.cache_clear()
     formation._decide.cache_clear()
     simulator._start_frame.cache_clear()
 

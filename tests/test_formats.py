@@ -508,6 +508,14 @@ def _after_head(line: str) -> str:
     return line.split(",", 1)[1]
 
 
+def _next_epoch(body: str) -> str:
+    """``body`` with its leading ``"epoch"`` raised by one."""
+    epoch, rest = body.split(",", 1)
+    key, value = epoch.split(":")
+    assert key == '"epoch"'
+    return f"{key}:{int(value) + 1},{rest}"
+
+
 # lines that follow a repeated golden line {"round":r,<body>: each reads
 # exactly as its full decode does, whether or not its body repeats
 REPEATED_LINE_FORGERIES = {
@@ -522,6 +530,7 @@ REPEATED_LINE_FORGERIES = {
     "a negative round": lambda r, body: [f'{{"round":-{r + 1},{body}'],
     "a space after the colon": lambda r, body: [f'{{"round": {r + 1},{body}'],
     "no final newline": lambda r, body: [f'{{"round":{r + 1},{body[:-1]}'],
+    "next epoch, same decisions": lambda r, body: [f'{{"round":{r + 1},{_next_epoch(body)}'],
 }
 
 
@@ -549,9 +558,9 @@ class TestRepeatedLines:
         assert changed < len(lines) // 2
         calls = []
 
-        def counted(obj, line_no, **kwargs):
+        def counted(obj, line_no):
             calls.append(line_no)
-            return record_from_json(obj, line_no, **kwargs)
+            return record_from_json(obj, line_no)
 
         monkeypatch.setattr("circleform.formats.record_from_json", counted)
         assert len(read_trace(gc.GOLDEN / gc.case_name(LAZY_CASE))) == len(lines)
@@ -561,8 +570,8 @@ class TestRepeatedLines:
 class TestVerifyRepeatedRecords:
     """``verify_trace`` skips only the checks a repeated record cannot fail:
     the record checks when its activated and decisions objects are the
-    previous record's, and the plan lookup for the same frame, decisions
-    and alive set.  Each forgery reads as it did when every record was
+    previous record's.  Its plan comparison still runs, as a hit of the
+    frame's plan memo.  Each forgery reads as it did when every record was
     checked in full."""
 
     CASE = ("det", 5, 1_005, "lazy", False)

@@ -228,16 +228,17 @@ class TestPoliciesMatchTheirReference:
 
 
 class _Wakes(ActivationPolicy):
-    """Wakes the same fixed set every round, whether or not it is valid."""
+    """Returns the same object every round, whether or not it keeps the
+    activation contract."""
 
     name = "wakes"
 
-    def __init__(self, ids):
+    def __init__(self, woken):
         super().__init__()
-        self.ids = frozenset(ids)
+        self.woken = woken
 
     def select(self, rnd, alive, movers):
-        return self.ids
+        return self.woken
 
 
 class TestFirstRound:
@@ -337,9 +338,10 @@ class TestRun:
         with pytest.raises(PreconditionError, match="unknown mode"):
             run(single_nominee5, pattern5, FullSync(), seed=0, mode="x")
 
-    @pytest.mark.parametrize("ids", [(), (5,)], ids=["nobody", "not-alive"])
-    def test_broken_activation_contract_ends_the_run(self, single_nominee5, pattern5, ids):
-        report, records = run(single_nominee5, pattern5, _Wakes(ids), seed=0)
+    @pytest.mark.parametrize("woken", [frozenset(), frozenset({5}), {0, 1}, [0, 1]],
+                             ids=["nobody", "not-alive", "a set", "a list"])
+    def test_broken_activation_contract_ends_the_run(self, single_nominee5, pattern5, woken):
+        report, records = run(single_nominee5, pattern5, _Wakes(woken), seed=0)
         assert report.violations == ["round 1: scheduler broke the activation contract"]
         assert not report.ok and records == []
 
