@@ -16,10 +16,10 @@ to read-only mappings.  A line that repeats the line before except for
 its round, as most lines of a lazy trace do, costs little more than its
 round number: it reads as the record before with the new round, without
 a second JSON decode (``read_trace``), and only such a line shares the
-line before's decisions mapping.  Encoding formats a position tuple and a
-read-only decisions mapping only when it is not the one encoded last
-(``record_to_json``).  Ids, rounds, epochs and class fields must be JSON
-integers; booleans, floats and strings are refused.
+line before's decisions mapping.  Encoding formats a position tuple only
+when it is not the one encoded last (``record_to_json``), and every
+record's decisions afresh.  Ids, rounds, epochs and class fields must be
+JSON integers; booleans, floats and strings are refused.
 Angles, decision destinations and branches must be JSON strings: a number
 is refused, not read as its decimal expansion.
 """
@@ -221,11 +221,9 @@ def class_from_json(obj: Any, where: str) -> ConfigClass:
 # traces
 
 
-# the position tuple and the decisions mapping encoded last and their JSON
-# values (see record_to_json), each kept as one pair so that a concurrent
-# caller never reads one without the other
+# the position tuple encoded last and its texts (see record_to_json), kept as
+# one pair so that a concurrent caller never reads one without the other
 _last_encoded: tuple[tuple, list[str]] = ((), [])
-_last_decisions: tuple[Mapping, dict] = (MappingProxyType({}), {})
 
 
 def _turn_texts(turns: Sequence[Turn]) -> list[str]:
@@ -238,17 +236,6 @@ def _turn_texts(turns: Sequence[Turn]) -> list[str]:
     return list(texts)
 
 
-def _decisions_json(decisions: Mapping[int, Decision]) -> dict:
-    global _last_decisions
-    last, obj = _last_decisions
-    if decisions is not last:
-        obj = {str(i): decision_to_json(d) for i, d in sorted(decisions.items())}
-        if type(decisions) is not MappingProxyType:
-            return obj
-        _last_decisions = (decisions, obj)
-    return {k: d.copy() for k, d in obj.items()}
-
-
 def record_to_json(rec: RoundRecord) -> dict:
     """The JSON object of one trace line.
 
@@ -258,19 +245,14 @@ def record_to_json(rec: RoundRecord) -> dict:
     records and in decoded ones.  The memo holds one tuple (so its id is
     not reused while it is held) and never a list, which a caller could
     change; every call returns fresh lists.  It is keyed on identity, not on
-    the Fractions, whose hash costs more than formatting them.
-
-    Decisions are memoised the same way: a read-only mapping (what ``run``
-    and ``read_trace`` record, shared by the records of an idle stretch) is
-    encoded only when it is not the mapping encoded last.  Every call
-    returns fresh dicts, and a plain dict, which a caller could change, is
-    encoded on every call.
+    the Fractions, whose hash costs more than formatting them.  Decisions
+    are encoded afresh on every call, in id order.
     """
     return {
         "round": rec.round,
         "epoch": rec.epoch,
         "activated": list(rec.activated),
-        "decisions": _decisions_json(rec.decisions),
+        "decisions": {str(i): decision_to_json(d) for i, d in sorted(rec.decisions.items())},
         "positions_before": _turn_texts(rec.positions_before),
         "positions_after": _turn_texts(rec.positions_after),
         "class": class_to_json(rec.config_class),

@@ -50,15 +50,20 @@ repeat the last round's, does no per-robot work besides its record and
 the ledger's coverage update: the policy returns the set it holds, and
 plan, step and transition are memo hits.
 
-Det-mode runs share their start frames (``_start_frame``, an
-``lru_cache`` of the last two (start, pattern, mutant) triples).
-``batch`` and the acceptance battery run one start under every scheduler
-in a row, and the rule is deterministic and the robots oblivious, so the
-later runs walk the frames the earlier ones built, reaching them through
-the step memos.  So a frame's memos must hold for the rule alone: anything
-that patches the rule (``formation._decide`` or what it calls) must also
-call ``_start_frame.cache_clear()``, as it clears the rule's caches.
-Rand-mode frames hold their run's draw source and are never shared.
+Det-mode runs and ``verify_trace`` share start frames (``_start_frame``,
+an ``lru_cache`` of the last two (positions, pattern, mutant) triples,
+the positions in id order).  ``batch`` and the acceptance battery run one
+start under every scheduler in a row, and a verify of a start's traces
+replays them in a row; the rule is deterministic and the robots
+oblivious, so the later runs and replays walk the frames the earlier ones
+built, reaching them through the step memos.  A replay's frames carry no
+draw source and no mutant, and a recorded move the rule does not make (a
+rand-mode draw, a forged record) is worked out afresh by ``step``, whose
+entries answer only the moves they were made from.  So a frame's memos
+must hold for the rule alone: anything that patches the rule
+(``formation._decide`` or what it calls) must also call
+``_start_frame.cache_clear()``, as it clears the rule's caches.
+Rand-mode runs' frames hold their run's draw source and are never shared.
 
 Robots are oblivious, so the only run state is the multiset of positions plus
 which robots have switched themselves off.  ``run`` tracks robots by a stable
@@ -581,11 +586,13 @@ class _Frame:
 
 
 @lru_cache(maxsize=2)
-def _start_frame(c0: Configuration, pattern: TargetPattern, mutant: Optional[str]) -> _Frame:
-    """The shared det-mode start frame of ``c0`` under the rule.  ``batch``
-    and the acceptance battery run one start's schedulers back to back, so
-    two starts suffice; every frame reached from a held start stays alive."""
-    return _Frame(c0.positions, pattern, mutant)
+def _start_frame(pos: tuple[Turn, ...], pattern: TargetPattern, mutant: Optional[str]) -> _Frame:
+    """The shared det-mode frame of the positions ``pos``, in id order,
+    under the rule: where a det run starts and where ``verify_trace``
+    replays a trace from.  ``batch``, the acceptance battery and a verify of
+    one start's traces take its schedulers back to back, so two starts
+    suffice; every frame reached from a held start stays alive."""
+    return _Frame(pos, pattern, mutant)
 
 
 def _branch_postconditions(after: _Frame, before: _Frame, branch: str) -> list[str]:
@@ -794,7 +801,7 @@ def run(
 
     report = RunReport(n=n, scheduler=policy.name, mode=mode, bound=ledger.bound)
     records: list[RoundRecord] = []
-    state = (_start_frame(c0, pattern, mutant) if rng is None
+    state = (_start_frame(c0.positions, pattern, mutant) if rng is None
              else _Frame(c0.positions, pattern, mutant, rng))
     rnd = 0
 
@@ -846,29 +853,24 @@ def verify_trace(
 
     The replay re-derives the decision each activated robot must have
     computed from the recorded pre-round positions, through the frames
-    ``run`` uses.  In ``det`` mode a record whose robots are all alive is
-    first compared with the frame's memoised plan for its activation set
-    (``_det_plan``): if the decisions are equal, that plan is the round's,
-    and only a mismatch is checked robot by robot.  Each round then takes
-    ``_Frame.step``, as in ``run``, so a collided round leaves every robot
-    where it was; a frame is built from a record's positions only when it
-    ends elsewhere than its round puts it.  Verification also checks
-    continuity with the previous record, round numbers (1, 2, ...), the
-    record's ids (``_record_fault``, shared with the trace decoder),
+    ``run`` uses.  A fresh pre-round frame is the shared start frame of the
+    record's positions (``_start_frame``), so the trace of a det run walks
+    the frames its run built, and the traces of one start's schedulers
+    walk one frame graph.  Each activated robot is checked against the
+    frame's decision; when every one is alive and decided as the frame
+    decides it, the round's plan is the frame's own (``_Frame.plan``), and
+    otherwise it is built from the recorded decisions.  Each round then
+    takes ``_Frame.step``, as in ``run``, so a collided round leaves every
+    robot where it was; a frame is built from a record's positions only
+    when it ends elsewhere than its round puts it.  Verification also
+    checks continuity with the previous record, round numbers (1, 2, ...),
+    the record's ids (``_record_fault``, shared with the trace decoder),
     collisions, that every robot ends where the step puts it, and the
     recorded class.  Every round without a collision then goes through the
     audit ``run`` applies (``_EpochLedger``), so verification reports what
-    the inline audit reports.
-
-    A repeated record, one whose activated ids and decisions are the
-    previous record's objects (as ``read_trace`` and ``run`` share them
-    through an idle stretch), skips the id checks the previous record
-    passed; on the same frame its ``_det_plan`` lookup is a hit of the
-    frame's plan memo.  Its round, epoch, continuity, class, step and audit
-    are still checked, so every record is checked in full.  The end
-    positions are compared with ``positions_before`` with only the round's
-    movers at their destinations, so the robots that stay compare by
-    identity.
+    the inline audit reports.  The end positions are compared with
+    ``positions_before`` with only the round's movers at their
+    destinations, so the robots that stay compare by identity.
 
     In ``rand`` mode a robot whose table entry is a draw, or recorded as
     drawing, is checked against that entry (its direction and window)
@@ -894,13 +896,10 @@ def verify_trace(
         if len(rec.positions_before) != n or len(rec.positions_after) != n:
             problems.append(f"{where}: robot count changed mid-trace")
             break
-        # the previous record passed with the same activated and decisions objects
-        if (prev_rec is None or rec.activated is not prev_rec.activated
-                or rec.decisions is not prev_rec.decisions):
-            fault = _record_fault(rec.activated, rec.decisions, n)
-            if fault is not None:
-                problems.append(f"{where}: {fault}")
-                break
+        fault = _record_fault(rec.activated, rec.decisions, n)
+        if fault is not None:
+            problems.append(f"{where}: {fault}")
+            break
         # decoded traces share position objects, so the tuples compare by identity
         continuous = prev_rec is None or rec.positions_before == prev_rec.positions_after
         if not continuous:
@@ -911,38 +910,42 @@ def verify_trace(
             problems.append(f"{where}: epoch recorded as {rec.epoch}, expected {ledger.epoch}")
         try:
             before = (prev if prev is not None and continuous
-                      else _Frame(rec.positions_before, pattern))
+                      else _start_frame(tuple(rec.positions_before), pattern, None))
         except CircleFormError as e:
             problems.append(f"{where}: bad pre-round positions: {e}")
             break
 
-        plan = _det_plan(before, rec, ledger.alive_set) if mode == "det" else None
-        if plan is None:
-            for rid in rec.activated:
-                if rid not in ledger.alive_set:
-                    problems.append(f"{where}: robot {rid} was activated after terminating")
-                    continue
-                recorded = rec.decisions[rid]
-                k = before.idx_of[rid]
-                try:
+        alive = ledger.alive_set
+        own = True  # every activated robot is alive and decided as the frame decides it
+        for rid in rec.activated:
+            if rid not in alive:
+                problems.append(f"{where}: robot {rid} was activated after terminating")
+                own = False
+                continue
+            recorded = rec.decisions[rid]
+            try:
+                if mode == "rand":
                     # the table's drawers draw, whatever their records say
+                    k = before.idx_of[rid]
                     instr = before.table()[0][k]
-                    if mode == "rand" and (instr[0] == "draw"
-                                           or recorded.branch == "random_tiebreak"):
+                    if instr[0] == "draw" or recorded.branch == "random_tiebreak":
                         problems.extend(
                             f"{where}: robot {rid}: {msg}"
                             for msg in _check_random_move(instr, recorded, before.c.positions[k])
                         )
+                        own = False
                         continue
-                    expected = before.decide(rid)
-                except CircleFormError as e:
-                    problems.append(f"{where}: robot {rid}: {e}")
-                    continue
-                if expected != recorded:
-                    problems.append(
-                        f"{where}: robot {rid} recorded {recorded} but the rule gives {expected}"
-                    )
-            plan = _plan(rec.decisions)
+                expected = before.decide(rid)
+            except CircleFormError as e:
+                problems.append(f"{where}: robot {rid}: {e}")
+                own = False
+                continue
+            if expected is not recorded and expected != recorded:
+                problems.append(
+                    f"{where}: robot {rid} recorded {recorded} but the rule gives {expected}"
+                )
+                own = False
+        plan = before.plan(frozenset(rec.activated)) if own else _plan(rec.decisions)
         # robots end where the step puts them: positions_before with the
         # movers at their destinations, unless nothing moved, so the robots
         # that stay compare by identity when the trace was decoded
@@ -987,22 +990,6 @@ def _record_fault(activated: Sequence[int], decisions: Mapping, n: int) -> Optio
         outside = min(rid for rid in activated if not 0 <= rid < n)
         return f"robot id {outside} is not in 0..{n - 1}"
     return None
-
-
-def _det_plan(before: _Frame, rec: RoundRecord, alive: frozenset) -> Optional[_Plan]:
-    """The frame's memoised plan for the record's activation set when every
-    activated robot is alive and the plan's decisions are the recorded
-    ones; None when the record needs checking robot by robot.
-
-    Only for det mode: a frame built by verify has no draw source, so its
-    drawers wait, and a drawer recorded as staying would match."""
-    if not alive.issuperset(rec.activated):
-        return None
-    try:
-        plan = before.plan(frozenset(rec.activated))
-    except CircleFormError:
-        return None
-    return plan if plan.decisions == rec.decisions else None
 
 
 def _check_random_move(instr: tuple, recorded: Decision, at: Turn) -> list[str]:

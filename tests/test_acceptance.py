@@ -121,6 +121,26 @@ def test_criterion_05_leader_and_direction_stable_after_release(battery):
     assert offenders == []
 
 
+def test_post_round_gaps_stay_above_the_pattern_floor():
+    """``TargetPattern.min_gap_floor`` promises that every gap the rule
+    manufactures stays strictly above it.  Over the battery's seeded starts
+    under every scheduler, every post-round state keeps that promise, so no
+    run here takes the leader shrink's fallback (``hi <= lo`` in
+    ``formation._role_moves``), which needs a gap at or below the floor."""
+    thin = []
+    for n in NS_DET:
+        for t in range(TRIALS):
+            seed = n * 1_000_003 + t
+            c0, pattern = gen_instance(n, seed)
+            for name in SCHEDULERS:
+                _, records = run(c0, pattern, make_policy(name), mode="det", seed=seed)
+                # idle rounds share their position tuple: check each state once
+                states = {id(rec.positions_after): rec for rec in records}
+                thin += [(n, seed, name, rec.round) for rec in states.values()
+                         if not pattern.admits(Configuration.from_positions(rec.positions_after))]
+    assert thin == []
+
+
 def test_criterion_06_nominee_count_is_one_or_two():
     grid = [F(k, 24) for k in range(24)]
     checked = 0

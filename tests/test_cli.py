@@ -394,6 +394,14 @@ class TestSymmetryCommand:
         assert len(out) == 4
         assert all("->" in line for line in out)
 
+    def test_a_two_fold_instance_of_one_robot_per_sector_grows_to_four(self, capsys):
+        # seed 1 draws one robot per sector; two robots are too few, so the
+        # sector count is raised until the instance has at least three
+        code = main(["symmetry", "--folds", "2", "--instances", "1", "--rounds", "1",
+                     "--seed", "1"])
+        assert code == 0
+        assert capsys.readouterr().out.splitlines() == ["instance 0 (fold 2, n 4): 2 -> 2"]
+
     def test_a_rule_that_breaks_the_fold_fails_its_instances(self, monkeypatch, capsys):
         drift, stay = simulator.SYMMETRY_RULES["drift"], simulator.SYMMETRY_RULES["stay"]
         # robots on one half of the circle drift and the rest stay, so the

@@ -41,7 +41,7 @@ from circleform.formats import (
     save_pattern,
     write_trace,
 )
-from circleform.simulator import _det_plan, _Frame, verify_trace
+from circleform.simulator import verify_trace
 
 import golden_corpus as gc
 from conftest import config, near_floor_starts, tied_starts
@@ -568,11 +568,10 @@ class TestRepeatedLines:
 
 
 class TestVerifyRepeatedRecords:
-    """``verify_trace`` skips only the checks a repeated record cannot fail:
-    the record checks when its activated and decisions objects are the
-    previous record's.  Its plan comparison still runs, as a hit of the
-    frame's plan memo.  Each forgery reads as it did when every record was
-    checked in full."""
+    """A repeated record, whose activated and decisions objects are the
+    previous record's (``read_trace`` shares them through an idle stretch),
+    is checked in full like any other record: its ids, round, epoch and
+    each activated robot's decision."""
 
     CASE = ("det", 5, 1_005, "lazy", False)
 
@@ -667,12 +666,7 @@ class TestSharedDecisions:
         rec = records[i]
         stay = rec.decisions[rid]
         other = next(d for why, d in _STAYS.items() if why != stay.branch)
-        forged = replace(rec, decisions={**rec.decisions, rid: other})
-        alive = frozenset(range(c0.n))
-        before = _Frame(rec.positions_before, pattern)
-        assert _det_plan(before, rec, alive) is not None
-        assert _det_plan(before, forged, alive) is None
-        records[i] = forged
+        records[i] = replace(rec, decisions={**rec.decisions, rid: other})
         assert verify_trace(records, pattern) == [
             f"round {rec.round}: robot {rid} recorded {other} but the rule gives {stay}"
         ]
@@ -697,9 +691,8 @@ class TestSharedDecisions:
 
 
 class TestEncoderAgainstReference:
-    """``record_to_json`` keeps the last position tuple's texts and the last
-    read-only decisions mapping's JSON; it must encode exactly what
-    formatting every field anew does."""
+    """``record_to_json`` keeps the last position tuple's texts; it must
+    encode exactly what formatting every field anew does."""
 
     @pytest.fixture(scope="class")
     def traces(self):

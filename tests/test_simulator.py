@@ -22,6 +22,7 @@ from circleform import (
     TargetPattern,
 )
 from circleform import simulator
+from circleform.angles import mod1
 from circleform.cli import gen_instance
 from circleform.formats import read_trace, record_to_json
 from circleform.simulator import (
@@ -429,6 +430,58 @@ class TestSharedStartFrames:
                         assert _outcome(c0, pattern, name, mode, seed) == cold[name], (
                             mode, c0, name, order)
 
+    @staticmethod
+    def _forged(records):
+        """The trace with its first mover sent halfway along its path instead."""
+        i, rid, d = next((i, rid, d) for i, rec in enumerate(records)
+                         for rid, d in rec.decisions.items() if d.is_move)
+        rec = records[i]
+        at = rec.positions_before[rid]
+        sign = d.path_direction.sign
+        half = mod1(at + sign * mod1(sign * (d.destination - at)) / 2)
+        after = list(rec.positions_after)
+        after[rid] = half
+        forged = dataclasses.replace(
+            rec, decisions={**rec.decisions, rid: dataclasses.replace(d, destination=half)},
+            positions_after=tuple(after))
+        return [*records[:i], forged, *records[i + 1:]]
+
+    def test_verify_sees_no_sharing(self):
+        info = simulator._start_frame.cache_info
+        for mode, c0, pattern, seed in self._cases():
+            traces = {name: run(c0, pattern, make_policy(name), mode=mode, seed=seed)[1]
+                      for name in gc.SCHEDULERS}
+            forged = {name: self._forged(records) for name, records in traces.items()}
+            cold_runs = {name: _cold(c0, pattern, name, mode, seed) for name in gc.SCHEDULERS}
+            cold = {}
+            for name in gc.SCHEDULERS:
+                for kind, trace in (("run", traces[name]), ("forged", forged[name])):
+                    simulator._start_frame.cache_clear()
+                    cold[name, kind] = verify_trace(trace, pattern, mode)
+                assert cold[name, "run"] == [] and cold[name, "forged"], (mode, c0, name)
+            simulator._start_frame.cache_clear()
+            for name in gc.SCHEDULERS:
+                run(c0, pattern, make_policy(name), mode=mode, seed=seed)
+                hits = info().hits
+                assert verify_trace(traces[name], pattern, mode) == cold[name, "run"]
+                # a det run built the start frame that the verify of its trace takes
+                assert mode == "rand" or info().hits == hits + 1, (c0, name)
+            for name in gc.SCHEDULERS:
+                assert verify_trace(forged[name], pattern, mode) == cold[name, "forged"]
+            for name in gc.SCHEDULERS:
+                assert verify_trace(traces[name], pattern, mode) == cold[name, "run"]
+                assert _outcome(c0, pattern, name, mode, seed) == cold_runs[name]
+
+    def test_a_record_with_position_lists_verifies(self):
+        c0, pattern = gen_instance(7, 70_001)
+        _, records = run(c0, pattern, make_policy("rr"))
+        listed = [dataclasses.replace(rec, positions_before=list(rec.positions_before),
+                                      positions_after=list(rec.positions_after))
+                  for rec in records]
+        assert verify_trace(listed, pattern) == []  # on the frames the run built
+        simulator._start_frame.cache_clear()
+        assert verify_trace(listed, pattern) == []
+
     def test_a_mutant_run_leaves_the_clean_rule_alone(self):
         start, pattern = gc.MUTANT_START, gc.PATTERN5
         for name in gc.SCHEDULERS:
@@ -450,7 +503,7 @@ class TestSharedStartFrames:
         held = info().maxsize
         first = gen_instance(5, 0)
         before = _cold(*first, "rr")
-        start_frame = simulator._start_frame(first[0], first[1], None)
+        start_frame = simulator._start_frame(first[0].positions, first[1], None)
         assert info().hits == 1  # the run above built it
         for seed in range(1, held + 3):
             run(*gen_instance(5, seed), RoundRobinSingleton())
@@ -458,7 +511,7 @@ class TestSharedStartFrames:
         misses = info().misses
         assert _outcome(*first, "rr") == before
         assert info().misses == misses + 1  # evicted, so built again
-        assert simulator._start_frame(first[0], first[1], None) is not start_frame
+        assert simulator._start_frame(first[0].positions, first[1], None) is not start_frame
 
 
 class TestFramePlans:
