@@ -50,20 +50,15 @@ repeat the last round's, does no per-robot work besides its record and
 the ledger's coverage update: the policy returns the set it holds, and
 plan, step and transition are memo hits.
 
-Det-mode runs and ``verify_trace`` share start frames (``_start_frame``,
-an ``lru_cache`` of the last two (positions, pattern, mutant) triples,
-the positions in id order).  ``batch`` and the acceptance battery run one
-start under every scheduler in a row, and a verify of a start's traces
-replays them in a row; the rule is deterministic and the robots
-oblivious, so the later runs and replays walk the frames the earlier ones
-built, reaching them through the step memos.  A replay's frames carry no
-draw source and no mutant, and a recorded move the rule does not make (a
-rand-mode draw, a forged record) is worked out afresh by ``step``, whose
-entries answer only the moves they were made from.  So a frame's memos
-must hold for the rule alone: anything that patches the rule
-(``formation._decide`` or what it calls) must also call
-``_start_frame.cache_clear()``, as it clears the rule's caches.
-Rand-mode runs' frames hold their run's draw source and are never shared.
+Det-mode runs share their start frames (``_start_frame``, an
+``lru_cache`` of the last two (start, pattern, mutant) triples).
+``batch`` and the acceptance battery run one start under every scheduler
+in a row, and the rule is deterministic and the robots oblivious, so the
+later runs walk the frames the earlier ones built, reaching them through
+the step memos.  So a frame's memos must hold for the rule alone: anything
+that patches the rule (``formation._decide`` or what it calls) must also
+call ``_start_frame.cache_clear()``, as it clears the rule's caches.
+Rand-mode frames hold their run's draw source and are never shared.
 
 Robots are oblivious, so the only run state is the multiset of positions plus
 which robots have switched themselves off.  ``run`` tracks robots by a stable
@@ -586,13 +581,11 @@ class _Frame:
 
 
 @lru_cache(maxsize=2)
-def _start_frame(pos: tuple[Turn, ...], pattern: TargetPattern, mutant: Optional[str]) -> _Frame:
-    """The shared det-mode frame of the positions ``pos``, in id order,
-    under the rule: where a det run starts and where ``verify_trace``
-    replays a trace from.  ``batch``, the acceptance battery and a verify of
-    one start's traces take its schedulers back to back, so two starts
-    suffice; every frame reached from a held start stays alive."""
-    return _Frame(pos, pattern, mutant)
+def _start_frame(c0: Configuration, pattern: TargetPattern, mutant: Optional[str]) -> _Frame:
+    """The shared det-mode start frame of ``c0`` under the rule.  ``batch``
+    and the acceptance battery run one start's schedulers back to back, so
+    two starts suffice; every frame reached from a held start stays alive."""
+    return _Frame(c0.positions, pattern, mutant)
 
 
 def _branch_postconditions(after: _Frame, before: _Frame, branch: str) -> list[str]:
@@ -801,7 +794,7 @@ def run(
 
     report = RunReport(n=n, scheduler=policy.name, mode=mode, bound=ledger.bound)
     records: list[RoundRecord] = []
-    state = (_start_frame(c0.positions, pattern, mutant) if rng is None
+    state = (_start_frame(c0, pattern, mutant) if rng is None
              else _Frame(c0.positions, pattern, mutant, rng))
     rnd = 0
 
@@ -852,12 +845,10 @@ def verify_trace(
     """Replay a trace and list everything inconsistent about it.
 
     The replay re-derives the decision each activated robot must have
-    computed from the recorded pre-round positions, through the frames
-    ``run`` uses.  A fresh pre-round frame is the shared start frame of the
-    record's positions (``_start_frame``), so the trace of a det run walks
-    the frames its run built, and the traces of one start's schedulers
-    walk one frame graph.  Each activated robot is checked against the
-    frame's decision; when every one is alive and decided as the frame
+    computed from the recorded pre-round positions, through frames of the
+    kind ``run`` uses, built from the trace's own positions: a replay
+    shares no frame with a run or another replay.  Each activated robot is
+    checked against the frame's decision; when every one is alive and decided as the frame
     decides it, the round's plan is the frame's own (``_Frame.plan``), and
     otherwise it is built from the recorded decisions.  Each round then
     takes ``_Frame.step``, as in ``run``, so a collided round leaves every
@@ -910,7 +901,7 @@ def verify_trace(
             problems.append(f"{where}: epoch recorded as {rec.epoch}, expected {ledger.epoch}")
         try:
             before = (prev if prev is not None and continuous
-                      else _start_frame(tuple(rec.positions_before), pattern, None))
+                      else _Frame(rec.positions_before, pattern))
         except CircleFormError as e:
             problems.append(f"{where}: bad pre-round positions: {e}")
             break

@@ -46,27 +46,33 @@ def battery():
     """Every deterministic run for the sweep criteria, plus tied starts.
 
     Rows are (n, scheduler, start class, report).  The four extra runs from a
-    tied start guarantee the sweep contains non-leader configurations.
+    tied start guarantee the sweep contains non-leader configurations.  Thin
+    lists the seeded runs' rounds, as (n, seed, scheduler, round), whose
+    post-round state has a gap at or below the pattern's floor.
     """
     t0 = time.perf_counter()
-    rows = []
+    rows, thin = [], []
     for n in NS_DET:
         for t in range(TRIALS):
             seed = n * 1_000_003 + t
             c0, pattern = gen_instance(n, seed)
             start = classify(c0)
             for name in SCHEDULERS:
-                report, _ = run(c0, pattern, make_policy(name), mode="det", seed=seed)
+                report, records = run(c0, pattern, make_policy(name), mode="det", seed=seed)
                 rows.append((n, name, start, report))
+                # idle rounds share their position tuple: check each state once
+                states = {id(rec.positions_after): rec for rec in records}
+                thin += [(n, seed, name, rec.round) for rec in states.values()
+                         if not pattern.admits(Configuration.from_positions(rec.positions_after))]
     start = classify(TIED5)
     for name in SCHEDULERS:
         report, _ = run(TIED5, PATTERN5, make_policy(name), mode="det", seed=3)
         rows.append((5, name, start, report))
-    return rows, time.perf_counter() - t0
+    return rows, time.perf_counter() - t0, thin
 
 
 def test_criterion_01_formation_within_n_plus_4_epochs(battery):
-    rows, elapsed = battery
+    rows, elapsed, _ = battery
     assert len(rows) == len(NS_DET) * TRIALS * len(SCHEDULERS) + len(SCHEDULERS)
     late = [
         (n, name, report.formed_epoch, report.violations)
@@ -78,12 +84,12 @@ def test_criterion_01_formation_within_n_plus_4_epochs(battery):
 
 
 def test_criterion_02_no_collisions_at_exact_precision(battery):
-    rows, _ = battery
+    rows, _, _ = battery
     assert sum(report.collisions for _, _, _, report in rows) == 0
 
 
 def test_criterion_03_leader_by_the_first_epoch_boundary(battery):
-    rows, _ = battery
+    rows, _, _ = battery
     non_leader_starts = [
         row for row in rows if not isinstance(row[2], LeaderConfig)
     ]
@@ -98,7 +104,7 @@ def test_criterion_03_leader_by_the_first_epoch_boundary(battery):
 
 
 def test_criterion_04_release_and_settling_bounds(battery):
-    rows, _ = battery
+    rows, _, _ = battery
     words = ("unreleased", "settling exceeded", "without a landing")
     offenders = [
         v
@@ -110,7 +116,7 @@ def test_criterion_04_release_and_settling_bounds(battery):
 
 
 def test_criterion_05_leader_and_direction_stable_after_release(battery):
-    rows, _ = battery
+    rows, _, _ = battery
     words = ("leadership lost", "leader or direction changed")
     offenders = [
         v
@@ -121,23 +127,13 @@ def test_criterion_05_leader_and_direction_stable_after_release(battery):
     assert offenders == []
 
 
-def test_post_round_gaps_stay_above_the_pattern_floor():
+def test_post_round_gaps_stay_above_the_pattern_floor(battery):
     """``TargetPattern.min_gap_floor`` promises that every gap the rule
     manufactures stays strictly above it.  Over the battery's seeded starts
     under every scheduler, every post-round state keeps that promise, so no
     run here takes the leader shrink's fallback (``hi <= lo`` in
     ``formation._role_moves``), which needs a gap at or below the floor."""
-    thin = []
-    for n in NS_DET:
-        for t in range(TRIALS):
-            seed = n * 1_000_003 + t
-            c0, pattern = gen_instance(n, seed)
-            for name in SCHEDULERS:
-                _, records = run(c0, pattern, make_policy(name), mode="det", seed=seed)
-                # idle rounds share their position tuple: check each state once
-                states = {id(rec.positions_after): rec for rec in records}
-                thin += [(n, seed, name, rec.round) for rec in states.values()
-                         if not pattern.admits(Configuration.from_positions(rec.positions_after))]
+    _, _, thin = battery
     assert thin == []
 
 

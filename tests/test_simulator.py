@@ -21,7 +21,7 @@ from circleform import (
     SymmetricConfigurationError,
     TargetPattern,
 )
-from circleform import simulator
+from circleform import formation, simulator
 from circleform.angles import mod1
 from circleform.cli import gen_instance
 from circleform.formats import read_trace, record_to_json
@@ -406,7 +406,8 @@ def _cold(c0, pattern, name, mode="det", seed=0, mutant=None):
 
 
 class TestSharedStartFrames:
-    """Det runs of one start share its frames; no run may see the sharing."""
+    """Det runs of one start share its frames, and replays share the rule's
+    caches with runs; no run or replay may see the sharing."""
 
     @staticmethod
     def _cases():
@@ -446,8 +447,13 @@ class TestSharedStartFrames:
             positions_after=tuple(after))
         return [*records[:i], forged, *records[i + 1:]]
 
+    @staticmethod
+    def _clear():
+        """Empty the caches a run and a replay of one start share."""
+        formation._decide.cache_clear()
+        simulator._start_frame.cache_clear()
+
     def test_verify_sees_no_sharing(self):
-        info = simulator._start_frame.cache_info
         for mode, c0, pattern, seed in self._cases():
             traces = {name: run(c0, pattern, make_policy(name), mode=mode, seed=seed)[1]
                       for name in gc.SCHEDULERS}
@@ -456,31 +462,36 @@ class TestSharedStartFrames:
             cold = {}
             for name in gc.SCHEDULERS:
                 for kind, trace in (("run", traces[name]), ("forged", forged[name])):
-                    simulator._start_frame.cache_clear()
+                    self._clear()
                     cold[name, kind] = verify_trace(trace, pattern, mode)
                 assert cold[name, "run"] == [] and cold[name, "forged"], (mode, c0, name)
-            simulator._start_frame.cache_clear()
+            self._clear()
             for name in gc.SCHEDULERS:
                 run(c0, pattern, make_policy(name), mode=mode, seed=seed)
-                hits = info().hits
                 assert verify_trace(traces[name], pattern, mode) == cold[name, "run"]
-                # a det run built the start frame that the verify of its trace takes
-                assert mode == "rand" or info().hits == hits + 1, (c0, name)
             for name in gc.SCHEDULERS:
                 assert verify_trace(forged[name], pattern, mode) == cold[name, "forged"]
             for name in gc.SCHEDULERS:
                 assert verify_trace(traces[name], pattern, mode) == cold[name, "run"]
                 assert _outcome(c0, pattern, name, mode, seed) == cold_runs[name]
 
-    def test_a_record_with_position_lists_verifies(self):
-        c0, pattern = gen_instance(7, 70_001)
-        _, records = run(c0, pattern, make_policy("rr"))
-        listed = [dataclasses.replace(rec, positions_before=list(rec.positions_before),
-                                      positions_after=list(rec.positions_after))
-                  for rec in records]
-        assert verify_trace(listed, pattern) == []  # on the frames the run built
-        simulator._start_frame.cache_clear()
-        assert verify_trace(listed, pattern) == []
+    @pytest.mark.parametrize("kind, problems", [
+        (list, []),
+        (lambda pos: tuple(map(float, pos)),
+         ["round 1: bad pre-round positions: positions must be exact rationals"]),
+    ], ids=["lists", "floats"])
+    def test_positions_of_another_type_verify_the_same_cold_and_warm(self, kind, problems):
+        # dyadic positions, so each float equals the Fraction it came from
+        c0 = Configuration.from_positions([F(0), F(1, 8), F(3, 8), F(1, 2), F(3, 4)])
+        _, records = run(c0, gc.PATTERN5, make_policy("rr"))
+        other = [dataclasses.replace(rec, positions_before=kind(rec.positions_before),
+                                     positions_after=kind(rec.positions_after))
+                 for rec in records]
+        assert list(other[0].positions_before) == list(records[0].positions_before)
+        assert verify_trace(records, gc.PATTERN5) == []
+        assert verify_trace(other, gc.PATTERN5) == problems  # after the run and its replay
+        self._clear()
+        assert verify_trace(other, gc.PATTERN5) == problems
 
     def test_a_mutant_run_leaves_the_clean_rule_alone(self):
         start, pattern = gc.MUTANT_START, gc.PATTERN5
@@ -503,7 +514,7 @@ class TestSharedStartFrames:
         held = info().maxsize
         first = gen_instance(5, 0)
         before = _cold(*first, "rr")
-        start_frame = simulator._start_frame(first[0].positions, first[1], None)
+        start_frame = simulator._start_frame(first[0], first[1], None)
         assert info().hits == 1  # the run above built it
         for seed in range(1, held + 3):
             run(*gen_instance(5, seed), RoundRobinSingleton())
@@ -511,7 +522,7 @@ class TestSharedStartFrames:
         misses = info().misses
         assert _outcome(*first, "rr") == before
         assert info().misses == misses + 1  # evicted, so built again
-        assert simulator._start_frame(first[0].positions, first[1], None) is not start_frame
+        assert simulator._start_frame(first[0], first[1], None) is not start_frame
 
 
 class TestFramePlans:
