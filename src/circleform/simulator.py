@@ -45,10 +45,15 @@ for ``run`` and ``verify_trace``.  ``explore_schedules`` calls it too, but
 has no epochs and keeps the lock in its state instead; its queue carries
 each state's frame, and it keys states on the frame's integer key
 (``_Frame.key``), ints that hash without the modular inverse a
-``Fraction`` hash takes.  A steady round, whose activation set and frame
-repeat the last round's, does no per-robot work besides its record and
-the ledger's coverage update: the policy returns the set it holds, and
-plan, step and transition are memo hits.
+``Fraction`` hash takes.
+
+An idle round repeats as it is while the policy holds its set: same
+frame, same plan, and the audit's memo answers the same.  So once an idle
+round finds nothing, ends no robot, closes no epoch and takes no lock,
+``run`` asks the policy how long it holds the set (``ActivationPolicy.hold``)
+and writes one record per repeated round without selecting, planning,
+stepping or auditing it.  A round that reports anything is never
+repeated this way, so every report keeps its own round number.
 
 Det-mode runs share their start frames (``_start_frame``, an
 ``lru_cache`` of the last two (start, pattern, mutant) triples).
@@ -72,7 +77,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import inf, lcm
+from math import lcm
 from random import Random
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
@@ -121,6 +126,13 @@ class ActivationPolicy:
     since (``_last``), so a repeated choice returns the held set itself.
     ``reset`` is called once at the start of every run with a derived seed,
     so a policy instance can be reused across runs deterministically.
+
+    ``hold(rnd)``, asked right after ``select(rnd)``, is the last round
+    through which ``select`` would keep returning that set if passed the
+    same ``alive`` and ``movers``, and books those rounds as ``select``
+    would have.  ``run`` records a steady round's repeats up to it without
+    asking again.  The base class answers ``rnd``, so a policy that does
+    not override it runs round by round.
     """
 
     name = "base"
@@ -139,6 +151,9 @@ class ActivationPolicy:
 
     def select(self, rnd: int, alive: Sequence[int], movers: frozenset) -> frozenset:
         raise NotImplementedError
+
+    def hold(self, rnd: int) -> int:
+        return rnd
 
     def _last_at(self, i: int) -> int:
         # rounds are 1-based; an unseen robot counts as last active at round 0
@@ -210,20 +225,14 @@ class RandomSubset(ActivationPolicy):
 class LazyAdversary(ActivationPolicy):
     """Keeps every robot that wants to move asleep for as long as fairness
     allows, waking everyone else instead.  A choice of exactly the robots
-    that stay holds, without looking at any robot, while ``select`` is passed
-    the same ``alive`` and ``movers`` objects (``run`` replaces them rather
-    than changing them) and no mover falls due."""
+    that stay, beside at least one held-back mover, holds until the first
+    of those movers falls due, and ``hold`` answers the round before; for
+    any other choice it answers the choice's own round."""
 
     name = "lazy"
     needs_movers = True
-    # (held set, alive, movers, first due round); ``reset`` replaces the held set
-    _steady: tuple = (None, None, None, 0)
 
     def select(self, rnd: int, alive: Sequence[int], movers: frozenset) -> frozenset:
-        held, live, still, wake = self._steady
-        if held is self._held and live is alive and still is movers and rnd < wake:
-            self._held_at = rnd
-            return held
         rest, due = set(alive) - movers, self._due(rnd, movers)
         chosen = rest | due
         if not chosen:
@@ -231,9 +240,14 @@ class LazyAdversary(ActivationPolicy):
             # with the most recent activation
             chosen = {max(alive, key=lambda i: (self._last_at(i), i))}
         held = self._note(rnd, chosen)
-        wake = min(map(self._last_at, movers), default=inf) + self._window
-        self._steady = (held, alive, movers, wake) if rest and not due else LazyAdversary._steady
+        # a held-back mover's last round stays put while the set is held
+        self._until = (min(map(self._last_at, movers)) + self._window - 1
+                       if rest and movers and not due else rnd)
         return held
+
+    def hold(self, rnd: int) -> int:
+        self._held_at = self._until
+        return self._until
 
 
 POLICIES: dict[str, Callable[[], ActivationPolicy]] = {
@@ -770,6 +784,11 @@ def run(
     builds its own, which draw from the run's seed.  Every
     round is audited as it happens (``_EpochLedger``): the audit records
     (never raises) violations of the progress and stability guarantees.
+    An idle round that the audit passes, that ends no robot, closes no
+    epoch and takes no lock is repeated without replaying it for as long
+    as the policy holds its set (``ActivationPolicy.hold``): one record
+    per round, equal to it but for the round number.  A policy that does
+    not override ``hold`` runs round by round.
     Collisions, scheduler contract breaks, decision errors, a full
     activation that moves nobody, and an exhausted epoch budget
     (``max_epochs``, at least 1) end the run.
@@ -818,13 +837,25 @@ def run(
 
         before = state
         collision, state = state.step(plan)
-        records.append(RoundRecord(rnd, ledger.epoch, plan.ids, plan.decisions,
-                                   before.pos, state.pos, state.classify()))
+        epoch, cls = ledger.epoch, state.classify()
+        records.append(RoundRecord(rnd, epoch, plan.ids, plan.decisions,
+                                   before.pos, state.pos, cls))
         if collision is not None:
             report.collisions += 1
             report.violations.append(f"round {rnd}: {collision}")
             break
-        report.violations += ledger.round(rnd, before, state, plan)
+        lock = ledger._lock
+        found = ledger.round(rnd, before, state, plan)
+        if found:
+            report.violations += found
+        elif state is before and not plan.ended and ledger.epoch == epoch and ledger._lock == lock:
+            # an idle round that found nothing, ended no robot, closed no
+            # epoch and took no lock repeats as it is, audit included, while
+            # the policy holds its set: its repeats are only recorded
+            last = policy.hold(rnd)
+            records += [RoundRecord(r, epoch, plan.ids, plan.decisions, state.pos, state.pos, cls)
+                        for r in range(rnd + 1, last + 1)]
+            rnd = last
 
     report.formed = ledger.formed_epoch is not None
     report.formed_epoch = ledger.formed_epoch

@@ -22,7 +22,7 @@ from circleform import (
     TargetPattern,
 )
 from circleform import formation, simulator
-from circleform.angles import mod1
+from circleform.angles import mod1, prefix_sums
 from circleform.cli import gen_instance
 from circleform.formats import read_trace, record_to_json
 from circleform.simulator import (
@@ -44,7 +44,7 @@ from circleform.simulator import (
     verify_trace,
 )
 import golden_corpus as gc
-from conftest import config, near_floor_starts, tied_starts
+from conftest import config, near_floor_starts, tied_even_instance, tied_starts
 from oracles import ReferencePolicy
 
 F = Fraction
@@ -113,6 +113,15 @@ class TestPolicies:
         # robot 1 last moved at round 0, window 2: due from round 2 on
         assert p.select(2, (0, 1), frozenset({1})) == frozenset({0, 1})
 
+    def test_lazy_holds_until_a_mover_falls_due(self):
+        p = LazyAdversary(fairness=4)
+        p.reset(4, 0)
+        alive, movers = (0, 1, 2, 3), frozenset({1})
+        held = p.select(1, alive, movers)
+        # robot 1 last moved at round 0, window 4: held through round 3
+        assert p.hold(1) == 3
+        assert p.select(4, alive, movers) == held | {1}
+
     def test_lazy_all_movers_fallback_is_a_singleton(self):
         p = LazyAdversary()
         p.reset(3, 0)
@@ -178,7 +187,8 @@ class TestPoliciesMatchTheirReference:
     was one dict of last activation rounds (``oracles.ReferencePolicy``),
     over runs in which robots terminate, the movers change, and ``alive``
     and ``movers`` are passed again as the same objects, as ``run`` passes
-    them while nothing changes."""
+    them while nothing changes.  A streak booked by ``hold`` is one the
+    reference keeps choosing the held set through, round by round."""
 
     @staticmethod
     def _pair(name, fairness):
@@ -200,7 +210,9 @@ class TestPoliciesMatchTheirReference:
         new.reset(n, seed)
         ref.reset(n, seed)
         alive, movers = tuple(range(n)), frozenset()
-        for rnd in range(1, data.draw(st.integers(1, 8 * n), label="rounds") + 1):
+        rnd, rounds = 0, data.draw(st.integers(1, 8 * n), label="rounds")
+        while rnd < rounds:
+            rnd += 1
             # mostly idle rounds, as under ``run``, so that movers fall due
             step = data.draw(st.sampled_from(["same"] * 8 + ["copies", "movers", "all-move",
                                                              "terminate"]))
@@ -218,6 +230,15 @@ class TestPoliciesMatchTheirReference:
                 alive, movers = tuple(list(alive)), frozenset(set(movers))
             want = ref.select(rnd, alive, movers)
             assert new.select(rnd, alive, movers) == want, (rnd, step, alive, movers)
+            if data.draw(st.booleans(), label="hold"):
+                # ``run`` skips the selects of a held streak; the reference,
+                # asked each of them, keeps choosing the held set
+                last = new.hold(rnd)
+                if name != "lazy":
+                    assert last == rnd
+                for r in range(rnd + 1, last + 1):
+                    assert ref.select(r, alive, movers) == want, (rnd, r, last, alive, movers)
+                rnd = last
 
     def test_a_repeated_choice_is_the_held_set(self):
         p = LazyAdversary()
@@ -674,6 +695,16 @@ class TestOneAudit:
         assert cx.positions[0] != gc.SINGLE_NOMINEE5.positions[0]
 
 
+@pytest.fixture
+def everyone_stays(monkeypatch):
+    """The rule with every table entry read as a stay; the shared start
+    frames hold the real rule's decisions, so they are dropped."""
+    monkeypatch.setattr(simulator, "_to_decision", lambda instr, at, rng=None: STAY)
+    simulator._start_frame.cache_clear()
+    yield
+    simulator._start_frame.cache_clear()
+
+
 class _IdleThenAll(ActivationPolicy):
     """Robots 0 and 1 for three rounds, then every live robot."""
 
@@ -688,15 +719,6 @@ class TestSteadyRounds:
     scheduler's held set, and ``_Frame.transition``'s after-state memo and
     the move checks kept with the step), and they answer what the full
     checks answer."""
-
-    @pytest.fixture
-    def everyone_stays(self, monkeypatch):
-        """The rule with every table entry read as a stay; the shared start
-        frames hold the real rule's decisions, so they are dropped."""
-        monkeypatch.setattr(simulator, "_to_decision", lambda instr, at, rng=None: STAY)
-        simulator._start_frame.cache_clear()
-        yield
-        simulator._start_frame.cache_clear()
 
     def test_same_mover_other_moves_get_their_own_checks(self):
         # robot 0 of the single-nominee start, 1/12 behind robot 1: a tie-break
@@ -739,6 +761,120 @@ class TestSteadyRounds:
         assert report.rounds == 4
         assert report.violations == ["round 4: full activation produced no motion before formation"]
         assert verify_trace(records, pattern) == report.violations
+
+
+class _RoundByRound(LazyAdversary):
+    """The lazy adversary without streaks: ``run`` takes every round."""
+
+    def hold(self, rnd):
+        return rnd
+
+
+class _Holds(ActivationPolicy):
+    """``first`` in round 1, then ``then`` through round ``until``, then
+    every live robot, each less the robots that have ended (every live robot
+    if none is left); ``hold`` says so while ``alive`` stays the same."""
+
+    name = "holds"
+
+    def __init__(self, first, then, until):
+        super().__init__()
+        self.first, self.then, self.until = first, then, until
+
+    def select(self, rnd, alive, movers):
+        pick = self.first if rnd == 1 else self.then if rnd <= self.until else alive
+        return self._note(rnd, set(pick) & set(alive) or alive)
+
+    def hold(self, rnd):
+        self._held_at = last = self.until if 2 <= rnd <= self.until else rnd
+        return last
+
+
+class _EachRound(_Holds):
+    hold = ActivationPolicy.hold
+
+
+class TestIdleStreaks:
+    """``run`` records a held set's idle streak in one step, and its report
+    and every record equal those of the run that takes each round."""
+
+    @staticmethod
+    def _both(c0, pattern, fairness=None, **kw):
+        """The report and records of the lazy run with streaks and without,
+        and the number of rounds the first asked ``select`` for."""
+        asked = []
+
+        class Counted(LazyAdversary):
+            def select(self, rnd, alive, movers):
+                asked.append(rnd)
+                return super().select(rnd, alive, movers)
+
+        fast = run(c0, pattern, Counted(fairness), **kw)
+        slow = run(c0, pattern, _RoundByRound(fairness), **kw)
+        return fast, slow, len(asked)
+
+    def _assert_equal(self, cases):
+        asked = rounds = 0
+        for c0, pattern, fairness, kw in cases:
+            (report, records), (want_report, want_records), selects = self._both(
+                c0, pattern, fairness, **kw)
+            assert (report, records) == (want_report, want_records), (c0, fairness, kw)
+            asked, rounds = asked + selects, rounds + report.rounds
+        assert asked < rounds  # streaks were taken
+
+    def test_the_battery_starts_at_every_fairness(self):
+        # the acceptance battery's det starts: its seeded instances and TIED5
+        starts = [(*gen_instance(n, n * 1_000_003 + t), n * 1_000_003 + t)
+                  for n in (3, 5, 7, 9, 11, 15) for t in range(50)]
+        starts.append((gc.TIED5, gc.PATTERN5, 3))
+        self._assert_equal([(c0, pattern, fairness, {"seed": seed})
+                            for fairness in (None, 1, 2, 3) for c0, pattern, seed in starts])
+
+    def test_rand_mode_with_tied_starts(self):
+        starts = [(*gen_instance(n, seed), seed) for n in (4, 6, 8) for seed in range(5)]
+        starts += [(*tied_even_instance(n, seed), seed) for n in (4, 6, 8) for seed in range(3)]
+        self._assert_equal([(c0, pattern, None, {"mode": "rand", "seed": seed})
+                            for c0, pattern, seed in starts])
+
+    def test_the_mutant_and_epoch_budgets(self):
+        cases = [(gc.MUTANT_START, gc.PATTERN5, None, {"seed": seed, "mutant": "eps1-lower"})
+                 for seed in gc.MUTANT_SEEDS]
+        cases += [(*gen_instance(n, 1_000 + n), None, {"max_epochs": budget})
+                  for n in (5, 9) for budget in (1, 2, 3)]
+        self._assert_equal(cases)
+
+    @pytest.mark.parametrize("start, first, then", [
+        (gc.SINGLE_NOMINEE5, {1}, {0, 1}),  # round 2 moves robot 0
+        ("formed", {0}, {1, 2}),  # round 2 ends robots 1 and 2
+    ], ids=["moves", "ends"])
+    def test_a_held_round_that_moves_or_ends_a_robot_is_not_repeated(self, start, first, then):
+        if start == "formed":
+            start = Configuration.from_positions(prefix_sums(gc.PATTERN5.angles))
+        want = run(start, gc.PATTERN5, _EachRound(first, then, 4))
+        assert run(start, gc.PATTERN5, _Holds(first, then, 4)) == want
+
+    def test_a_held_round_that_closes_an_epoch_is_not_repeated(self, everyone_stays):
+        # round 2 covers robots 2, 3 and 4 last, so round 3 is in epoch 2
+        c0, pattern = gen_instance(5, 1_005)
+        report, records = run(c0, pattern, _Holds({0, 1}, {2, 3, 4}, 5))
+        assert (report, records) == run(c0, pattern, _EachRound({0, 1}, {2, 3, 4}, 5))
+        assert [rec.epoch for rec in records] == [1, 1, 2, 2, 2, 2]
+
+    def test_an_audit_that_reports_every_idle_round_is_asked_every_round(self, monkeypatch):
+        transition = simulator._Frame.transition
+
+        def probed(frame, after, plan, alive, lock):
+            lock, found = transition(frame, after, plan, alive, lock)
+            return lock, [PROBE, *found] if not plan.moves else found
+
+        monkeypatch.setattr(simulator._Frame, "transition", probed)
+        c0, pattern = gen_instance(9, 1_009)
+        (report, records), want, _ = self._both(c0, pattern)
+        assert (report, records) == want
+        idle = [rec.round for rec in records if not any(d.is_move for d in rec.decisions.values())]
+        assert len(idle) > len(records) // 2
+        assert [m for m in report.violations if m.endswith(PROBE)] == [
+            f"round {r}: {PROBE}" for r in idle]
 
 
 class TestPhases:
